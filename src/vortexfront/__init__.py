@@ -11,10 +11,11 @@ from .domain import (BranchCase, Frequency, MachClass, Medium, RegimeError,
 from .grids import FieldGrid, GridSpec, read_field, suggested_depth, write_field
 from .pressure import (BoundaryState, PressureProfile, front_equation_residual,
                        ode_residual, reconstruct_profile, solve_boundary_system)
+from .quadrature import halfline_integral
 from .solver import (EstimateConstants, EstimateReport, EstimateRow,
                      FrontSolution, MValue, ProbeResult, blowup_probe,
                      build_system, estimate_constants, forcing_functional,
-                     halfline_integral, solve_front, verify_estimate)
+                     solve_front, verify_estimate)
 from .symbol import (BoundarySigns, boundary_root_signs, classify, decay_root,
                      decay_root_pair, ratio_sq, root_cofactor, signed_sqrt,
                      symbol, symbol_factored, symbol_grid, symbol_roots)

@@ -19,7 +19,7 @@ from .domain import Frequency, Medium, RegimeError
 from .grids import read_field
 from .pressure import reconstruct_profile, solve_boundary_system
 from .solver import blowup_probe, solve_front, verify_estimate
-from .symbol import classify, mu_boundary_grid, mu_grid, symbol_grid, symbol_roots
+from .symbol import classify, mu_grid, symbol_grid, symbol_roots
 from .transforms import halfspace_norm, spectral_slices
 
 
@@ -86,14 +86,9 @@ def cmd_grid(args) -> int:
         if g == 0.0 and np.any((dd == 0.0) & (ee == 0.0)):
             raise ValueError("window contains the excluded origin (0, 0, 0)")
         tau = g + 1j * dd
-        if g > 0.0:
-            mu_p = mu_grid(tau, ee, medium.v1_plus, medium.c)
-            mu_m = mu_grid(tau, ee, medium.v1_minus, medium.c)
-            sig = symbol_grid(tau, ee, medium)
-        else:
-            mu_p = mu_boundary_grid(dd, ee, medium.v1_plus, medium.c)
-            mu_m = mu_boundary_grid(dd, ee, medium.v1_minus, medium.c)
-            sig = symbol_grid(tau, ee, medium, boundary=True)
+        mu_p = mu_grid(tau, ee, medium.v1_plus, medium.c)
+        mu_m = mu_grid(tau, ee, medium.v1_minus, medium.c)
+        sig = symbol_grid(tau, ee, medium)
         for i in range(len(deltas)):
             for j in range(len(etas)):
                 rows.append(",".join(_fmt(x) for x in (
@@ -114,8 +109,7 @@ def cmd_roots(args) -> int:
     if args.eta == 0.0:
         raise ValueError("--eta must be nonzero")
     roots = symbol_roots(medium, args.eta)
-    sig = symbol_grid(np.asarray(roots), np.full(len(roots), args.eta),
-                      medium, boundary=all(r.real == 0 for r in roots))
+    sig = symbol_grid(np.asarray(roots), np.full(len(roots), args.eta), medium)
     payload = {"eta": args.eta,
                "regime": classify(medium).stability_class.value,
                "roots_re": [r.real for r in roots],
@@ -134,6 +128,9 @@ def cmd_solve(args) -> int:
     field = read_field(args.infile, gamma=args.gamma, s=args.s)
     sol = solve_front(field, medium)
     grid = field.grid
+    if not np.all(np.isfinite(sol.f_phys)):
+        raise ArithmeticError("the front exp(gamma*t)*u is not finite at "
+                              f"gamma*L_t = {args.gamma * grid.L_t:.6g}")
     os.makedirs(args.out, exist_ok=True)
     front_path = os.path.join(args.out, "front.csv")
     with open(front_path, "w", newline="\n") as fh:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Frequency, Medium
-from .quadrature import exp_weighted_integral, exp_weighted_segment, extrapolate_origin
-from .solver import halfline_integral
+from .quadrature import (exp_weighted_integral, exp_weighted_segment,
+                         extrapolate_origin, halfline_integral)
 from .symbol import decay_root, symbol
 
 __all__ = ["BoundaryState", "PressureProfile", "solve_boundary_system",

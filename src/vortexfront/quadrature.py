@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["extrapolate_origin", "simpson_closed", "exp_weighted_integral",
-           "exp_weighted_segment"]
+           "exp_weighted_segment", "halfline_integral"]
 
 # Below this |mu*h| the closed-form moments lose digits to cancellation and
 # a truncated series is used instead (14 terms reach full precision).
@@ -127,6 +127,18 @@ def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
         total = total + base * (t0 * v[..., n - 2] + t1 * v[..., n - 1]
                                 + t2 * v[..., n])
     return total
+
+
+def halfline_integral(slice_values: np.ndarray, mu: np.ndarray,
+                      dx2: float) -> np.ndarray:
+    """integral_0^{L_x2} exp(-mu*y) f(y) dy from samples at the stored nodes.
+
+    The missing origin sample is supplied by extrapolation; the exponential
+    factor is integrated exactly (order 4 in the forcing smoothness).
+    """
+    vals = np.asarray(slice_values, dtype=complex)
+    full = np.concatenate((extrapolate_origin(vals)[..., None], vals), axis=-1)
+    return exp_weighted_integral(full, dx2, mu)
 
 
 def _segment_weights(mu, h: float, part: str):

@@ -21,28 +21,16 @@ import numpy as np
 
 from .domain import Frequency, Medium, RegimeError, StabilityClass
 from .grids import FieldGrid, GridSpec
-from .quadrature import exp_weighted_integral, extrapolate_origin
+from .quadrature import halfline_integral
 from .symbol import classify, mu_grid, symbol_grid
 from .transforms import halfspace_norm, sobolev_norm, spectral_slices
 
 __all__ = [
     "MValue", "SpectralSystem", "FrontSolution", "EstimateConstants",
-    "EstimateRow", "EstimateReport", "ProbeResult", "halfline_integral",
-    "forcing_functional", "build_system", "solve_front", "estimate_constants",
-    "verify_estimate", "blowup_probe",
+    "EstimateRow", "EstimateReport", "ProbeResult", "forcing_functional",
+    "build_system", "solve_front", "estimate_constants", "verify_estimate",
+    "blowup_probe",
 ]
-
-
-def halfline_integral(slice_values: np.ndarray, mu: np.ndarray,
-                      dx2: float) -> np.ndarray:
-    """integral_0^{L_x2} exp(-mu*y) f(y) dy from samples at the stored nodes.
-
-    The missing origin sample is supplied by extrapolation; the exponential
-    factor is integrated exactly (order 4 in the forcing smoothness).
-    """
-    vals = np.asarray(slice_values, dtype=complex)
-    full = np.concatenate((extrapolate_origin(vals)[..., None], vals), axis=-1)
-    return exp_weighted_integral(full, dx2, mu)
 
 
 @dataclass(frozen=True)

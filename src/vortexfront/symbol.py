@@ -2,11 +2,10 @@
 
 The transformed half-space pressures decay like exp(-mu*x2) where mu solves
 
-    mu^2 = ((tau + i*v1*eta)/c)^2 + eta^2,
+    mu^2 = ((tau + i*v1*eta)/c)^2 + eta^2.
 
-with the branch fixed by Re(mu) > 0 for Re(tau) > 0 and by explicit
-continuous-extension formulas on the boundary Re(tau) = 0.  The front
-evolution symbol is
+One array kernel picks the branch per entry from Re(tau), and the scalar
+functions wrap it.  The front evolution symbol is
 
     Sigma = (tau + i*w1*eta)^2
             + V1^2*eta^2 * (8*((tau + i*w1*eta)/c/(mu_plus + mu_minus))^2 - 1),
@@ -19,8 +18,8 @@ stability).
 
 from __future__ import annotations
 
-import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,76 +30,120 @@ from .domain import (ENDPOINT_ATOL, REGIME_RTOL, SQRT2, BranchCase,
 __all__ = [
     "signed_sqrt", "decay_root", "decay_root_pair", "ratio_sq", "symbol",
     "symbol_factored", "classify", "symbol_roots", "root_cofactor",
-    "boundary_root_signs", "BoundarySigns", "mu_grid", "mu_boundary_grid",
-    "symbol_grid",
+    "boundary_root_signs", "BoundarySigns", "mu_grid", "symbol_grid",
 ]
 
 
-def signed_sqrt(a: float, b: float) -> complex:
-    """Square root of a + i*b with nonnegative imaginary part.
+def signed_sqrt(a, b):
+    """Square root of a + i*b with nonnegative imaginary part, elementwise.
 
     Returns sgn(b)*sqrt((r+a)/2) + i*sqrt((r-a)/2) with r = |a+ib| and the
     convention sgn(0) = 1, which fixes the branch on the negative real axis.
-    The smaller component is obtained from b/(2*larger) so both components
-    carry full relative accuracy.
+    The smaller component is obtained from |b|/(2*larger) so both components
+    carry full relative accuracy.  Scalars in give a complex out.
     """
-    r = math.hypot(a, b)
-    if r == 0.0:
-        return 0j
-    if a >= 0.0:
-        re = math.sqrt(0.5 * (r + a))
-        im = abs(b) / (2.0 * re)
-    else:
-        im = math.sqrt(0.5 * (r - a))
-        re = abs(b) / (2.0 * im)
-    if b < 0.0:
-        return complex(-re, im)
-    return complex(re, im)
+    large = np.sqrt(0.5 * (np.hypot(a, b) + np.abs(a)))
+    # large = 0 only where a = b = 0; the floor keeps 0/0 out of small.
+    small = np.abs(b) / np.fmax(2.0 * large, np.finfo(float).tiny)
+    pos = a >= 0.0
+    out = np.empty(large.shape, dtype=complex)
+    out.real = np.where(pos, large, small)
+    out.imag = np.where(pos, small, large)
+    np.negative(out.real, out=out.real, where=b < 0.0)
+    return complex(out) if out.ndim == 0 else out
 
 
-def _root_and_case(freq: Frequency, v1: float, c: float) -> tuple[complex, BranchCase]:
-    gamma, delta, eta = freq.gamma, freq.delta, freq.eta
-    if gamma > 0.0:
-        x = gamma / c
-        y = (delta + v1 * eta) / c
-        root = signed_sqrt(x * x - y * y + eta * eta, 2.0 * x * y)
-        if root.real <= 0.0:
-            root = -root
-        return root, BranchCase.INTERIOR
-    # Boundary gamma = 0: continuous extension.
-    if eta == 0.0:
-        mu = complex(0.0, delta / c)
-        case = BranchCase.BOUNDARY_IMAG_POS if delta > 0 else BranchCase.BOUNDARY_IMAG_NEG
-        return mu, case
-    t = (delta + v1 * eta) / c
-    if abs(abs(t) - abs(eta)) <= ENDPOINT_ATOL * abs(eta):
-        return 0j, BranchCase.BOUNDARY_ZERO
-    d = (eta - t) * (eta + t)  # eta^2 - t^2, factored for accuracy near the loci
-    if d > 0.0:
-        return complex(math.sqrt(d), 0.0), BranchCase.BOUNDARY_REAL
-    if t > 0.0:
-        return complex(0.0, math.sqrt(-d)), BranchCase.BOUNDARY_IMAG_POS
-    return complex(0.0, -math.sqrt(-d)), BranchCase.BOUNDARY_IMAG_NEG
+_CASES = (BranchCase.INTERIOR, BranchCase.BOUNDARY_REAL,
+          BranchCase.BOUNDARY_ZERO, BranchCase.BOUNDARY_IMAG_NEG,
+          BranchCase.BOUNDARY_IMAG_POS)
+
+
+def _roots(tau, eta, v1, c) -> tuple[np.ndarray, np.ndarray]:
+    """Decay roots and _CASES codes over broadcast arrays of tau, eta, v1.
+
+    Each entry takes the branch of :func:`decay_root` from its own Re(tau);
+    Re(tau) < 0 is refused.
+    """
+    if c <= 0:
+        raise ValueError("sound speed c must be positive")
+    tau = np.asarray(tau, dtype=complex)
+    eta = np.asarray(eta, dtype=float)
+    x = tau.real / c
+    if (x < 0.0).any():
+        raise ValueError("decay roots require Re(tau) >= 0")
+    y = (tau.imag + v1 * eta) / c
+    # eta^2 - y^2 factored for accuracy near the loci.
+    a = x * x + (eta - y) * (eta + y)
+    mu = np.asarray(signed_sqrt(a, 2.0 * x * y))
+    # mu now holds sgn(b)*Re(mu) and |Im(mu)|; b = 2*x*y has the sign of y
+    # inside and vanishes on the boundary, so y supplies the sign of Im(mu).
+    np.abs(mu.real, out=mu.real)
+    np.copysign(mu.imag, y, out=mu.imag)
+    boundary = x == 0.0
+    case = np.zeros(mu.shape, dtype=int)
+    if boundary.any():
+        zero = boundary & (np.abs(np.abs(y) - np.abs(eta))
+                           <= ENDPOINT_ATOL * np.abs(eta))
+        mu[zero] = 0.0
+        case = np.where(~boundary, 0, np.where(
+            zero, 2, np.where(a > 0.0, 1, np.where(y > 0.0, 4, 3))))
+    return mu, case
+
+
+def mu_grid(tau: np.ndarray, eta: np.ndarray, v1: float, c: float) -> np.ndarray:
+    """Decay root over arrays of tau (Re >= 0) and eta, branch per entry."""
+    return _roots(tau, eta, v1, c)[0]
 
 
 def decay_root(freq: Frequency, v1: float, c: float) -> complex:
     """The root mu of mu^2 = ((tau + i*v1*eta)/c)^2 + eta^2 selecting decay.
 
     For gamma > 0 this is the unique root with strictly positive real part;
-    for gamma = 0 it is the continuous extension (real branch inside the
-    propagation cone, signed imaginary branch outside, zero on the loci
-    delta = -(v1 +- c)*eta, and i*delta/c when eta = 0).
+    for gamma = 0 it is the continuous extension: the real branch inside the
+    propagation cone, the imaginary branch signed by delta + v1*eta outside
+    it (i*delta/c when eta = 0), and zero within ENDPOINT_ATOL*|eta| of the
+    loci delta = -(v1 +- c)*eta.
     """
-    if c <= 0:
-        raise ValueError("sound speed c must be positive")
-    return _root_and_case(freq, v1, c)[0]
+    return complex(_roots(freq.tau, freq.eta, v1, c)[0])
 
 
 def decay_root_pair(freq: Frequency, medium: Medium) -> RootPair:
     """Both decay roots of a medium, with branch metadata."""
-    mu_p, case_p = _root_and_case(freq, medium.v1_plus, medium.c)
-    mu_m, case_m = _root_and_case(freq, medium.v1_minus, medium.c)
-    return RootPair(mu_p, mu_m, case_p, case_m)
+    mu, case = _roots(freq.tau, freq.eta,
+                      np.array([medium.v1_plus, medium.v1_minus]), medium.c)
+    return RootPair(complex(mu[0]), complex(mu[1]),
+                    _CASES[case[0]], _CASES[case[1]])
+
+
+def symbol_grid(tau: np.ndarray, eta: np.ndarray, medium: Medium,
+                boundary: bool = False) -> np.ndarray:
+    """Symbol over frequency arrays, the branch chosen per entry from Re(tau).
+
+    Evaluated as (tau + i*w1*eta)^2 - (c^2/2)*(mu_plus - mu_minus)^2
+    - V1^2*eta^2, the difference form of :func:`ratio_sq`, uniformly
+    accurate relative to |tau|^2 + eta^2.  boundary=True only checks that
+    Re(tau) = 0 everywhere, and raises ValueError otherwise.
+    """
+    tau = np.asarray(tau, dtype=complex)
+    eta = np.asarray(eta, dtype=float)
+    if boundary and (tau.real != 0.0).any():
+        raise ValueError("boundary=True requires Re(tau) = 0 everywhere")
+    mu_p = mu_grid(tau, eta, medium.v1_plus, medium.c)
+    mu_m = mu_grid(tau, eta, medium.v1_minus, medium.c)
+    taup = tau + 1j * medium.w1 * eta
+    diff = medium.c * (mu_p - mu_m)
+    return taup * taup - 0.5 * diff * diff - (medium.V1 * eta) ** 2
+
+
+def symbol(freq: Frequency, medium: Medium) -> complex:
+    """The order-2 front symbol Sigma(tau, eta).
+
+    Well defined on the whole frequency set, including the boundary points
+    where the root sum vanishes.  Units 1/time^2.
+    """
+    # One-entry arrays: numpy rounds a product of complex scalars
+    # differently from its array loop, and symbol_grid must agree.
+    return complex(symbol_grid([freq.tau], [freq.eta], medium)[0])
 
 
 def ratio_sq(freq: Frequency, medium: Medium) -> complex:
@@ -131,25 +174,10 @@ def ratio_sq(freq: Frequency, medium: Medium) -> complex:
     return -(diff * diff) / (16.0 * (v1 * eta) ** 2)
 
 
-def symbol(freq: Frequency, medium: Medium) -> complex:
-    """The order-2 front symbol Sigma(tau, eta).
-
-    Well defined on the whole frequency set, including the boundary points
-    where the root sum vanishes (handled inside :func:`ratio_sq`).  Units
-    1/time^2.
-    """
-    eta = freq.eta
-    taup = freq.tau + 1j * medium.w1 * eta
-    rho = ratio_sq(freq, medium)
-    return taup * taup + (medium.V1 * eta) ** 2 * (8.0 * rho - 1.0)
-
-
 def symbol_factored(freq: Frequency, medium: Medium) -> complex:
     """The product form c^2*(mu_plus*mu_minus - eta^2) of the symbol."""
-    c = medium.c
-    mu_p = decay_root(freq, medium.v1_plus, c)
-    mu_m = decay_root(freq, medium.v1_minus, c)
-    return c * c * (mu_p * mu_m - freq.eta * freq.eta)
+    pair = decay_root_pair(freq, medium)
+    return medium.c ** 2 * (pair.mu_plus * pair.mu_minus - freq.eta * freq.eta)
 
 
 def _dispersion_parameters(m: float) -> tuple[float, float | None, float | None]:
@@ -246,23 +274,14 @@ def root_cofactor(freq: Frequency, medium: Medium, root_sign: int = 1,
     return symbol(freq, medium) / (freq.tau - root_tau)
 
 
+@dataclass(frozen=True)
 class BoundarySigns:
     """Record of the boundary root kinds and product sign at gamma = 0."""
 
-    __slots__ = ("mu_plus_kind", "mu_minus_kind", "sum_nonzero", "re_product_sign")
-
-    def __init__(self, mu_plus_kind: str, mu_minus_kind: str,
-                 sum_nonzero: bool, re_product_sign: int):
-        self.mu_plus_kind = mu_plus_kind
-        self.mu_minus_kind = mu_minus_kind
-        self.sum_nonzero = sum_nonzero
-        self.re_product_sign = re_product_sign
-
-    def __repr__(self):
-        return (f"BoundarySigns(mu_plus_kind={self.mu_plus_kind!r}, "
-                f"mu_minus_kind={self.mu_minus_kind!r}, "
-                f"sum_nonzero={self.sum_nonzero}, "
-                f"re_product_sign={self.re_product_sign})")
+    mu_plus_kind: str
+    mu_minus_kind: str
+    sum_nonzero: bool
+    re_product_sign: int
 
 
 _KIND_OF_CASE = {
@@ -296,75 +315,3 @@ def boundary_root_signs(freq: Frequency, medium: Medium) -> BoundarySigns:
     return BoundarySigns(_KIND_OF_CASE[pair.case_plus],
                          _KIND_OF_CASE[pair.case_minus],
                          s != 0, sign)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized evaluation over frequency grids.  Pure functions of their
-# arguments; bins are independent, so concurrent evaluation is safe.
-
-def mu_grid(tau: np.ndarray, eta: np.ndarray, v1: float, c: float) -> np.ndarray:
-    """Decay root over arrays of tau (Re > 0 required) and eta."""
-    tau = np.asarray(tau, dtype=complex)
-    eta = np.asarray(eta, dtype=float)
-    if np.any(tau.real <= 0.0):
-        raise ValueError("mu_grid requires Re(tau) > 0 everywhere")
-    x = tau.real / c
-    y = (tau.imag + v1 * eta) / c
-    a = x * x - y * y + eta * eta
-    b = 2.0 * x * y
-    r = np.hypot(a, b)
-    pos = a >= 0.0
-    re = np.empty_like(a)
-    im = np.empty_like(a)
-    re[pos] = np.sqrt(0.5 * (r[pos] + a[pos]))
-    im[pos] = np.divide(np.abs(b[pos]), 2.0 * re[pos],
-                        out=np.zeros_like(re[pos]), where=re[pos] > 0)
-    neg = ~pos
-    im[neg] = np.sqrt(0.5 * (r[neg] - a[neg]))
-    re[neg] = np.abs(b[neg]) / (2.0 * im[neg])
-    return re + 1j * np.where(b < 0.0, -im, im)
-
-
-def mu_boundary_grid(delta: np.ndarray, eta: np.ndarray, v1: float,
-                     c: float) -> np.ndarray:
-    """Decay root continuous extension over boundary arrays (gamma = 0)."""
-    delta = np.asarray(delta, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    t = (delta + v1 * eta) / c
-    out = np.empty(np.broadcast(delta, eta).shape, dtype=complex)
-    eta_b, t_b, delta_b = np.broadcast_arrays(eta, t, delta)
-    axis0 = eta_b == 0.0
-    out[axis0] = 1j * delta_b[axis0] / c
-    rest = ~axis0
-    tb, eb = t_b[rest], eta_b[rest]
-    d = (eb - tb) * (eb + tb)
-    vals = np.empty(tb.shape, dtype=complex)
-    zero = np.abs(np.abs(tb) - np.abs(eb)) <= ENDPOINT_ATOL * np.abs(eb)
-    vals[zero] = 0.0
-    real = (~zero) & (d > 0.0)
-    vals[real] = np.sqrt(d[real])
-    imag = (~zero) & (d <= 0.0)
-    vals[imag] = 1j * np.where(tb[imag] > 0, 1.0, -1.0) * np.sqrt(-d[imag])
-    out[rest] = vals
-    return out
-
-
-def symbol_grid(tau: np.ndarray, eta: np.ndarray, medium: Medium,
-                boundary: bool = False) -> np.ndarray:
-    """Symbol over frequency arrays (interior, or boundary with gamma = 0).
-
-    Uses the same difference form as :func:`ratio_sq`, uniformly accurate
-    relative to |tau|^2 + eta^2.
-    """
-    c = medium.c
-    eta = np.asarray(eta, dtype=float)
-    if boundary:
-        tau = np.asarray(tau, dtype=complex)
-        mu_p = mu_boundary_grid(tau.imag, eta, medium.v1_plus, c)
-        mu_m = mu_boundary_grid(tau.imag, eta, medium.v1_minus, c)
-    else:
-        mu_p = mu_grid(tau, eta, medium.v1_plus, c)
-        mu_m = mu_grid(tau, eta, medium.v1_minus, c)
-    taup = np.asarray(tau, dtype=complex) + 1j * medium.w1 * eta
-    diff = c * (mu_p - mu_m)
-    return taup * taup - 0.5 * diff * diff - (medium.V1 * eta) ** 2

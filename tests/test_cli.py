@@ -140,6 +140,18 @@ def test_solve_regime_refusal_and_io_error(capsys, tmp_path, field_file):
     assert code == 4
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_refuses_overflowing_front(capsys, tmp_path, field_file):
+    # exp(gamma*t) overflows once gamma*L_t > ~709: exit 2, no file written
+    outdir = tmp_path / "big"
+    code, _, err = run(capsys, ["solve", "--v", "2", "--c", "1",
+                                "--in", field_file, "--gamma", "800",
+                                "--out", str(outdir)])
+    assert code == 2
+    assert "not finite" in err
+    assert not outdir.exists()
+
+
 def test_verify_table(capsys, tmp_path, field_file):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = run(capsys, ["verify", "--v", "2", "--c", "1",

@@ -7,7 +7,7 @@ import pytest
 import vortexfront as vf
 from vortexfront import Frequency, Medium, RegimeError
 from vortexfront.domain import BranchCase, MachClass, StabilityClass
-from vortexfront.symbol import mu_boundary_grid, mu_grid, symbol_grid
+from vortexfront.symbol import mu_grid, symbol_grid
 
 from conftest import bisect_real
 
@@ -44,6 +44,9 @@ def test_decay_root_examples():
     # boundary, outside the cone, sign from sgn(delta + v1*eta)
     assert abs(vf.decay_root(Frequency(0, 0, 1), 2.0, 1.0) - 1j * SQRT3) < 1e-15
     assert abs(vf.decay_root(Frequency(0, 0, 1), -2.0, 1.0) + 1j * SQRT3) < 1e-15
+    # boundary, eta = 0: exactly i*delta/c
+    for d in (0.3, -0.7, 1e-150, -2e150):
+        assert vf.decay_root(Frequency(0, d, 0), -2.0, 1.5) == 1j * (d / 1.5)
 
 
 def test_decay_root_square_residual():
@@ -485,19 +488,59 @@ def test_homogeneity_scalar_including_boundary(weakly_stable):
             assert abs(pk.mu_minus - k * p0.mu_minus) <= 1e-12 * max(abs(pk.mu_minus), 1e-30)
 
 
-def test_grid_paths_match_scalar(weakly_stable):
+def _boundary_kind(mu):
+    if mu.imag == 0.0 and mu.real > 0.0:
+        return "positive_real"
+    if mu.real == 0.0 and mu.imag != 0.0:
+        return "imaginary"
+    return None
+
+
+def test_one_kernel_call_mixes_interior_and_boundary(weakly_stable):
+    # One array call over Re(tau) > 0 entries and the gamma = 0 sign-table
+    # entries: it equals the scalar results, interior roots square back,
+    # and the boundary roots reproduce the sign table.
+    m = 2.0
     rng = np.random.default_rng(37)
-    g = rng.uniform(0.1, 5, 50)
-    d = rng.uniform(-5, 5, 50)
-    e = rng.uniform(-5, 5, 50)
-    sig = symbol_grid(g + 1j * d, e, weakly_stable)
-    for i in range(50):
-        s = vf.symbol(Frequency(g[i], d[i], e[i]), weakly_stable)
-        assert abs(s - sig[i]) <= 1e-12 * max(abs(s), 1e-30)
-    mub = mu_boundary_grid(d, e, 2.0, 1.0)
-    for i in range(50):
-        m = vf.decay_root(Frequency(0.0, d[i], e[i]), 2.0, 1.0)
-        assert mub[i] == m
+    n = 50
+    g = rng.uniform(0.1, 5, n)
+    d = rng.uniform(-5, 5, n)
+    e = rng.uniform(-5, 5, n)
+    table = [(x * eta, eta, row) for eta in (1.3, -0.8)
+             for x, *row in sign_table_cases(m)]
+    tau = np.concatenate((g + 1j * d, [1j * dt for dt, _, _ in table]))
+    eta = np.concatenate((e, [et for _, et, _ in table]))
+    mu_p = mu_grid(tau, eta, m, 1.0)
+    mu_m = mu_grid(tau, eta, -m, 1.0)
+    sig = symbol_grid(tau, eta, weakly_stable)
+    for i in range(len(tau)):
+        f = Frequency(tau[i].real, tau[i].imag, eta[i])
+        pair = vf.decay_root_pair(f, weakly_stable)
+        assert (mu_p[i], mu_m[i]) == (pair.mu_plus, pair.mu_minus)
+        assert sig[i] == vf.symbol(f, weakly_stable)
+    for v1, mu in ((m, mu_p[:n]), (-m, mu_m[:n])):
+        alpha = (tau[:n] + 1j * v1 * e) ** 2 + e * e
+        assert np.all(np.abs(mu * mu - alpha) <= 1e-13 * np.abs(alpha))
+        assert np.all(mu.real > 0.0)
+    for i, (_, _, (kp, km, nz, ps)) in enumerate(table, start=n):
+        assert _boundary_kind(mu_p[i]) == kp, tau[i]
+        assert _boundary_kind(mu_m[i]) == km, tau[i]
+        assert (mu_p[i] + mu_m[i] != 0) == nz, tau[i]
+        assert np.sign((mu_p[i] * mu_m[i]).real) == ps, tau[i]
+
+
+def test_kernel_refuses_negative_re_tau(weakly_stable):
+    tau = np.array([1.0 + 2j, -1e-3 + 1j])
+    eta = np.array([1.0, 1.0])
+    with pytest.raises(ValueError):
+        mu_grid(tau, eta, 2.0, 1.0)
+    with pytest.raises(ValueError):
+        symbol_grid(tau, eta, weakly_stable)
+    # boundary=True checks Re(tau) = 0 instead of ignoring Re(tau)
+    with pytest.raises(ValueError):
+        symbol_grid(np.array([1j, 0.5 + 1j]), eta, weakly_stable, boundary=True)
+    sig = symbol_grid(np.array([1j, -2j]), eta, weakly_stable, boundary=True)
+    assert np.array_equal(sig, symbol_grid(np.array([1j, -2j]), eta, weakly_stable))
 
 
 def test_frequency_validation():
