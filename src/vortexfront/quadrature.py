@@ -102,8 +102,10 @@ def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
 
     f is interpolated by quadratics over Simpson pairs while the exponential
     is integrated exactly; an odd interval count is finished on the last
-    interval with the quadratic through the last three nodes.  `mu` may be
-    an array; it must broadcast against `values` with the node axis removed.
+    interval with the quadratic through the last three nodes.  The pairs
+    are summed by the Horner recurrence total = total*exp(-2*mu*h) + pair_k.
+    `mu` may be an array; it must broadcast against `values` with the node
+    axis `axis` removed.
     """
     v = np.moveaxis(np.asarray(values, dtype=complex), axis, -1)
     n = v.shape[-1] - 1
@@ -113,13 +115,14 @@ def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
 
     w0, w1, w2 = _quadratic_weights(*_moments(mu * (2.0 * h), 2.0 * h), h)
     pairs = n // 2
-    leftover = n - 2 * pairs
-    starts = 2.0 * h * np.arange(pairs)
-    kernel = np.exp(-mu[..., None] * starts)
-    total = (kernel * (w0[..., None] * v[..., 0:2 * pairs - 1:2]
-                       + w1[..., None] * v[..., 1:2 * pairs:2]
-                       + w2[..., None] * v[..., 2:2 * pairs + 1:2])).sum(axis=-1)
-    if leftover:
+    terms = (w0[..., None] * v[..., 0:2 * pairs - 1:2]
+             + w1[..., None] * v[..., 1:2 * pairs:2]
+             + w2[..., None] * v[..., 2:2 * pairs + 1:2])
+    step = np.exp(-2.0 * h * mu)
+    total = terms[..., -1]
+    for term in np.moveaxis(terms, -1, 0)[-2::-1]:
+        total = total * step + term
+    if n % 2:
         # Last interval [y_{n-1}, y_n]: quadratic through the last three
         # nodes, moments of the segment [h, 2h] in local coordinates.
         t0, t1, t2 = _segment_weights(mu, h, "tail")
@@ -130,15 +133,16 @@ def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
 
 
 def halfline_integral(slice_values: np.ndarray, mu: np.ndarray,
-                      dx2: float) -> np.ndarray:
+                      dx2: float, axis: int = -1) -> np.ndarray:
     """integral_0^{L_x2} exp(-mu*y) f(y) dy from samples at the stored nodes.
 
     The missing origin sample is supplied by extrapolation; the exponential
     factor is integrated exactly (order 4 in the forcing smoothness).
     """
     vals = np.asarray(slice_values, dtype=complex)
-    full = np.concatenate((extrapolate_origin(vals)[..., None], vals), axis=-1)
-    return exp_weighted_integral(full, dx2, mu)
+    origin = np.expand_dims(extrapolate_origin(vals, axis), axis)
+    return exp_weighted_integral(np.concatenate((origin, vals), axis=axis),
+                                 dx2, mu, axis)
 
 
 def _segment_weights(mu, h: float, part: str):

@@ -9,7 +9,8 @@ where M collects the exponentially weighted half-space forcing integrals.
 Division by Sigma is safe in the weakly stable regime because its zeros sit
 on Re(tau) = 0 only.  Per-bin work is independent (no shared state), so the
 arrays may be filled concurrently; the transforms are the only sequential
-barriers.
+barriers.  The forcing is real: the transforms and the depth quadrature run
+on the half spectrum, filled out to the full grid by Hermitian symmetry.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 from .domain import Frequency, Medium, RegimeError, StabilityClass
 from .grids import FieldGrid, GridSpec
 from .quadrature import halfline_integral
-from .symbol import classify, mu_grid, symbol_grid
-from .transforms import halfspace_norm, sobolev_norm, spectral_slices
+from .symbol import classify, mu_symbol_grid, symbol_grid
+from .transforms import _HalfSpectrum, _halfspace_norm_of, sobolev_norm
 
 __all__ = [
     "MValue", "SpectralSystem", "FrontSolution", "EstimateConstants",
@@ -58,36 +59,53 @@ class SpectralSystem:
     trunc_minus: np.ndarray
 
 
+def _paired_full(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The full grid of a Hermitian half-spectrum array, Nyquist bins zeroed.
+
+    Column j > n_x1//2 is the conjugate of column n_x1 - j at the negated
+    t-frequency.  Unpaired, the Nyquist bins would leave the solved spectrum
+    non-Hermitian; the discrete forcing is in effect band-limited to the
+    paired modes.
+    """
+    half[grid.n_t // 2, :] = 0.0
+    half[:, grid.n_x1 // 2] = 0.0
+    mirror = half[-np.arange(grid.n_t), grid.n_x1 - half.shape[1]:0:-1]
+    return np.concatenate((half, np.conj(mirror)), axis=1)
+
+
+def _assemble(grid: GridSpec, medium: Medium, g: float,
+              slices) -> SpectralSystem:
+    """The system from the plus and minus :meth:`_HalfSpectrum.slices`."""
+    tau = g + 1j * grid.delta_axis[:, None]
+    mu_p, mu_m, sigma = mu_symbol_grid(tau, grid.eta_axis[None, :], medium)
+    full = []
+    for mu, sl in zip((mu_p, mu_m), slices):
+        i_half = halfline_integral(sl, mu[:, :sl.shape[2]], grid.dx2, axis=0)
+        full += [_paired_full(i_half, grid),
+                 _paired_full(np.abs(sl[-1]), grid)]
+    i_p, last_p, i_m, last_m = full
+    m = i_p / mu_p - i_m / mu_m
+    g_hat = -(mu_p * mu_m / (mu_p + mu_m)) * m
+    trunc_p = np.exp(-mu_p.real * grid.L_x2) * last_p
+    trunc_m = np.exp(-mu_m.real * grid.L_x2) * last_m
+    return SpectralSystem(grid, g, mu_p, mu_m, sigma, i_p, i_m, m, g_hat,
+                          trunc_p, trunc_m)
+
+
 def build_system(fieldgrid: FieldGrid, medium: Medium,
                  gamma: float | None = None) -> SpectralSystem:
     """Transform the forcing and assemble mu, Sigma, I+-, M and g per bin.
 
-    The unpaired Nyquist rows of the transform are annihilated: those bins
-    have no conjugate partner on the grid, so keeping them would leave the
-    solved spectrum non-Hermitian.  The discrete forcing is in effect
-    band-limited to the paired modes.
+    The unpaired Nyquist bins are annihilated (see :func:`_paired_full`).
     """
     grid = fieldgrid.grid
     g = grid.gamma if gamma is None else gamma
     if g < 1.0:
         raise ValueError("the solver requires gamma >= 1")
-    tau = g + 1j * grid.delta_axis[:, None]
-    eta = grid.eta_axis[None, :]
-    mu_p = mu_grid(tau, eta, medium.v1_plus, medium.c)
-    mu_m = mu_grid(tau, eta, medium.v1_minus, medium.c)
-    sigma = symbol_grid(tau, eta, medium)
-    sp, sm = spectral_slices(fieldgrid, g)
-    for arr in (sp, sm):
-        arr[grid.n_t // 2, :, :] = 0.0
-        arr[:, grid.n_x1 // 2, :] = 0.0
-    i_p = halfline_integral(sp, mu_p, grid.dx2)
-    i_m = halfline_integral(sm, mu_m, grid.dx2)
-    m = i_p / mu_p - i_m / mu_m
-    g_hat = -(mu_p * mu_m / (mu_p + mu_m)) * m
-    trunc_p = np.exp(-mu_p.real * grid.L_x2) * np.abs(sp[:, :, -1])
-    trunc_m = np.exp(-mu_m.real * grid.L_x2) * np.abs(sm[:, :, -1])
-    return SpectralSystem(grid, g, mu_p, mu_m, sigma, i_p, i_m, m, g_hat,
-                          trunc_p, trunc_m)
+    # A generator: one side's spectrum is held at a time.
+    return _assemble(grid, medium, g,
+                     (_HalfSpectrum(f, grid).slices(g)
+                      for f in (fieldgrid.f_plus, fieldgrid.f_minus)))
 
 
 def _bin_index(axis: np.ndarray, value: float, name: str) -> int:
@@ -127,11 +145,17 @@ class FrontSolution:
     f_hat: np.ndarray
     f_phys: np.ndarray
     norms: dict[float, float]
-    imag_residual: float
     system: SpectralSystem = field(repr=False)
 
     def norm(self, s: float) -> float:
         return sobolev_norm(self.f_hat, s, self.gamma, self.grid)
+
+
+def _front_hat(sys: SpectralSystem) -> np.ndarray:
+    if not np.all(np.abs(sys.sigma) > 0.0):
+        raise ArithmeticError("symbol vanished on a grid bin; this cannot "
+                              "happen for gamma >= 1 in the weakly stable regime")
+    return sys.g_hat / sys.sigma
 
 
 def solve_front(fieldgrid: FieldGrid, medium: Medium,
@@ -142,9 +166,9 @@ def solve_front(fieldgrid: FieldGrid, medium: Medium,
     Only the weakly stable regime is accepted; elliptic and transition media
     are refused with a diagnostic naming the regime.  f_hat holds the exact
     per-bin quotient (so each bin satisfies its equation to rounding); the
-    physical samples come from the Hermitian part of the spectrum, i.e. the
-    real part of the inverse transform, whose discarded imaginary part is
-    recorded as imag_residual.  Norms are returned at indices {0, s, s+1}.
+    physical samples, the real inverse transform times exp(gamma*t), raise
+    ArithmeticError when not finite (gamma*L_t beyond about 709).  Norms
+    are returned at indices {0, s, s+1}.
     """
     report = classify(medium)
     if report.stability_class is not StabilityClass.WEAKLY_STABLE:
@@ -157,19 +181,17 @@ def solve_front(fieldgrid: FieldGrid, medium: Medium,
     g = grid.gamma if gamma is None else gamma
     s_index = grid.s if s is None else s
     sys = build_system(fieldgrid, medium, g)
-    if not np.all(np.abs(sys.sigma) > 0.0):
-        raise ArithmeticError("symbol vanished on a grid bin; this cannot "
-                              "happen for gamma >= 1 in the weakly stable regime")
-    f_hat = sys.g_hat / sys.sigma
-    u = np.fft.ifft2(f_hat / (grid.dt * grid.dx1), axes=(0, 1))
-    scale = float(np.max(np.abs(u.real)))
-    imag_residual = float(np.max(np.abs(u.imag))) / scale if scale > 0 else 0.0
-    f_phys = u.real * np.exp(g * grid.t_nodes)[:, None]
-    norms = {}
-    for idx in {0.0, float(s_index), float(s_index) + 1.0}:
-        norms[idx] = sobolev_norm(f_hat, idx, g, grid)
-    return FrontSolution(grid, g, float(s_index), f_hat, f_phys, norms,
-                         imag_residual, sys)
+    f_hat = _front_hat(sys)
+    u = np.fft.irfft2(f_hat[:, :grid.n_x1 // 2 + 1] / (grid.dt * grid.dx1),
+                      s=(grid.n_t, grid.n_x1), axes=(0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_phys = u * np.exp(g * grid.t_nodes)[:, None]
+    if not np.all(np.isfinite(f_phys)):
+        raise ArithmeticError("the front exp(gamma*t)*u is not finite at "
+                              f"gamma*L_t = {g * grid.L_t:.6g}")
+    norms = {idx: sobolev_norm(f_hat, idx, g, grid)
+             for idx in {0.0, float(s_index), float(s_index) + 1.0}}
+    return FrontSolution(grid, g, float(s_index), f_hat, f_phys, norms, sys)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +300,13 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
                     gammas: list[float], s: float) -> EstimateReport:
     """Sweep gamma and tabulate the a priori estimate ratios.
 
-    The pointwise constant is estimated over the hemisphere augmented with
-    every bin of the sweep; the right-hand-side constant comes from the bin
-    supremum of |mu_minus/(mu_plus+mu_minus)|^2 combined with the exact
-    lower bound Re(mu_plus) >= gamma/(sqrt(2)c).
+    The x1 half spectrum of each side is taken once; per gamma a weight and
+    a t-FFT give the slices that the norms, the system and f_hat all read
+    (no physical front is formed).  The pointwise constant is estimated
+    over the hemisphere augmented with every bin of the sweep; the
+    right-hand-side constant comes from the bin supremum of
+    |mu_minus/(mu_plus+mu_minus)|^2 combined with the exact lower bound
+    Re(mu_plus) >= gamma/(sqrt(2)c).
     """
     if not gammas:
         raise ValueError("need at least one gamma")
@@ -297,28 +322,24 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
             float(np.max(np.abs(fieldgrid.f_minus))) == 0.0:
         raise ValueError("estimate ratios are undefined for a zero field")
 
-    delta = grid.delta_axis[:, None]
-    eta_b = grid.eta_axis[None, :]
-    bins_g, bins_d, bins_e = [], [], []
-    for g in gammas:
-        bins_g.append(np.full(grid.n_t * grid.n_x1, float(g)))
-        bins_d.append(np.broadcast_to(delta, (grid.n_t, grid.n_x1)).ravel())
-        bins_e.append(np.broadcast_to(eta_b, (grid.n_t, grid.n_x1)).ravel())
-    extra = (np.concatenate(bins_g), np.concatenate(bins_d), np.concatenate(bins_e))
-    constants = estimate_constants(medium, extra_points=extra)
+    bins = np.meshgrid(np.asarray(gammas, dtype=float), grid.delta_axis,
+                       grid.eta_axis, indexing="ij")
+    constants = estimate_constants(medium, extra_points=tuple(
+        b.ravel() for b in bins))
 
     rows = []
     norms_p: dict[float, float] = {}
     norms_m: dict[float, float] = {}
     ratio_sup_sq = 0.0
+    spectra = [_HalfSpectrum(f, grid)
+               for f in (fieldgrid.f_plus, fieldgrid.f_minus)]
     for g in gammas:
-        sol = solve_front(fieldgrid, medium, gamma=g, s=s)
-        sys = sol.system
+        slices = [spec.slices(g) for spec in spectra]
+        nfp, nfm = (_halfspace_norm_of(sl, grid, s, g) for sl in slices)
+        sys = _assemble(grid, medium, g, slices)
         lam2 = grid.lambda_sq(g)
-        nf2 = sol.norms[s + 1.0] ** 2
+        nf2 = sobolev_norm(_front_hat(sys), float(s) + 1.0, g, grid) ** 2
         ng = sobolev_norm(sys.g_hat, s, g, grid)
-        nfp = halfspace_norm(fieldgrid.f_plus, grid, s, g)
-        nfm = halfspace_norm(fieldgrid.f_minus, grid, s, g)
         norms_p[float(g)], norms_m[float(g)] = nfp, nfm
         denom = nfp ** 2 + nfm ** 2
         r = g ** 3 * nf2 / denom

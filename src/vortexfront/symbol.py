@@ -30,7 +30,8 @@ from .domain import (ENDPOINT_ATOL, REGIME_RTOL, SQRT2, BranchCase,
 __all__ = [
     "signed_sqrt", "decay_root", "decay_root_pair", "ratio_sq", "symbol",
     "symbol_factored", "classify", "symbol_roots", "root_cofactor",
-    "boundary_root_signs", "BoundarySigns", "mu_grid", "symbol_grid",
+    "boundary_root_signs", "BoundarySigns", "mu_grid", "mu_symbol_grid",
+    "symbol_grid",
 ]
 
 
@@ -115,24 +116,32 @@ def decay_root_pair(freq: Frequency, medium: Medium) -> RootPair:
                     _CASES[case[0]], _CASES[case[1]])
 
 
-def symbol_grid(tau: np.ndarray, eta: np.ndarray, medium: Medium,
-                boundary: bool = False) -> np.ndarray:
-    """Symbol over frequency arrays, the branch chosen per entry from Re(tau).
+def mu_symbol_grid(tau: np.ndarray, eta: np.ndarray, medium: Medium
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu_plus, mu_minus, Sigma) over frequency arrays, each root computed once.
 
-    Evaluated as (tau + i*w1*eta)^2 - (c^2/2)*(mu_plus - mu_minus)^2
-    - V1^2*eta^2, the difference form of :func:`ratio_sq`, uniformly
-    accurate relative to |tau|^2 + eta^2.  boundary=True only checks that
-    Re(tau) = 0 everywhere, and raises ValueError otherwise.
+    Branch per entry from Re(tau).  Sigma is the difference form of
+    :func:`ratio_sq`, (tau + i*w1*eta)^2 - (c^2/2)*(mu_plus - mu_minus)^2
+    - V1^2*eta^2, uniformly accurate relative to |tau|^2 + eta^2.
     """
     tau = np.asarray(tau, dtype=complex)
     eta = np.asarray(eta, dtype=float)
-    if boundary and (tau.real != 0.0).any():
-        raise ValueError("boundary=True requires Re(tau) = 0 everywhere")
     mu_p = mu_grid(tau, eta, medium.v1_plus, medium.c)
     mu_m = mu_grid(tau, eta, medium.v1_minus, medium.c)
     taup = tau + 1j * medium.w1 * eta
     diff = medium.c * (mu_p - mu_m)
-    return taup * taup - 0.5 * diff * diff - (medium.V1 * eta) ** 2
+    return mu_p, mu_m, taup * taup - 0.5 * diff * diff - (medium.V1 * eta) ** 2
+
+
+def symbol_grid(tau: np.ndarray, eta: np.ndarray, medium: Medium,
+                boundary: bool = False) -> np.ndarray:
+    """Sigma over frequency arrays, as in :func:`mu_symbol_grid`.
+
+    boundary=True only checks that Re(tau) = 0 everywhere.
+    """
+    if boundary and (np.asarray(tau).real != 0.0).any():
+        raise ValueError("boundary=True requires Re(tau) = 0 everywhere")
+    return mu_symbol_grid(tau, eta, medium)[2]
 
 
 def symbol(freq: Frequency, medium: Medium) -> complex:

@@ -1,4 +1,8 @@
-"""Weighted Fourier transforms and the weighted Sobolev norms."""
+"""Weighted Fourier transforms and the weighted Sobolev norms.
+
+The solver and the half-space norms read the real half spectrum of
+:class:`_HalfSpectrum`; :func:`weighted_forward` is the full reference path.
+"""
 
 from __future__ import annotations
 
@@ -66,16 +70,48 @@ def spectral_slices(field: FieldGrid, gamma: float | None = None
             weighted_forward(field.f_minus, field.grid, gamma))
 
 
+class _HalfSpectrum:
+    """The x1 rfft of one real forcing side, laid out (n_x2, n_t, n_x1//2+1).
+
+    It does not depend on gamma; :meth:`slices` adds the weight and t-FFT.
+    """
+
+    def __init__(self, samples: np.ndarray, grid: GridSpec):
+        samples = np.asarray(samples)
+        if samples.ndim != 3 or samples.shape[:2] != (grid.n_t, grid.n_x1):
+            raise ValueError(f"samples shape {samples.shape} does not fit "
+                             "the grid")
+        self.grid = grid
+        self.x1_hat = np.empty((samples.shape[2], grid.n_t, grid.n_x1 // 2 + 1),
+                               dtype=complex)
+        np.fft.rfft(np.moveaxis(samples, 2, 0), axis=-1, out=self.x1_hat)
+
+    def slices(self, gamma: float) -> np.ndarray:
+        """The bins 0..n_x1//2 of :func:`weighted_forward`, x2 leading."""
+        g = self.grid
+        spec = self.x1_hat * (_weight(g, gamma) * (g.dt * g.dx1))[:, None]
+        return np.fft.fft(spec, axis=1, out=spec)
+
+
+def _halfspace_norm_of(spec: np.ndarray, grid: GridSpec, s: float,
+                       gamma: float) -> float:
+    """:func:`halfspace_norm` from one side's :meth:`_HalfSpectrum.slices`."""
+    weight = grid.lambda_sq(gamma)[:, :spec.shape[2]] ** s
+    weight[:, 1:grid.n_x1 - spec.shape[2] + 1] *= 2.0  # conjugate pairs
+    per_level = ((np.abs(spec) ** 2).reshape(len(spec), -1) @ weight.ravel()
+                 / (grid.L_t * grid.L_x1))
+    full = np.concatenate(([extrapolate_origin(per_level)], per_level))
+    return float(np.sqrt(simpson_closed(full, grid.dx2)))
+
+
 def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
                    gamma: float) -> float:
     """L^2-in-x2 norm of the per-slice Sobolev norms of one forcing side.
 
     The x2 integral runs over [0, L_x2] with the origin slice value
-    extrapolated from the stored nodes.
+    extrapolated from the stored nodes.  Each slice norm sums the half
+    spectrum, weight 2 on columns that stand for a conjugate pair; the
+    Nyquist bins are kept.
     """
-    spec = weighted_forward(samples, grid, gamma)
-    lam2 = grid.lambda_sq(gamma)
-    per_level = (lam2[:, :, None] ** s * np.abs(spec) ** 2
-                 ).sum(axis=(0, 1)) / (grid.L_t * grid.L_x1)
-    full = np.concatenate(([extrapolate_origin(per_level)], per_level))
-    return float(np.sqrt(simpson_closed(full, grid.dx2)))
+    return _halfspace_norm_of(_HalfSpectrum(samples, grid).slices(gamma),
+                              grid, s, gamma)

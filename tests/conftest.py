@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vortexfront import FieldGrid, Frequency, GridSpec, Medium
+from vortexfront.quadrature import extrapolate_origin, simpson_closed
 
 
 def bump(u):
@@ -47,6 +48,17 @@ def smooth_field(n_t=64, n_x1=64, n_x2=192, L_t=1.0, L_x1=1.0, L_x2=2.0,
           * bump((x1 - 0.28) / 0.17)[None, :, None]
           * bump(y / (0.8 * y_width))[None, None, :])
     return FieldGrid(fp, fm, grid)
+
+
+def fft2_halfspace_norm(samples, grid, s, gamma):
+    """halfspace_norm written out with the full complex (t, x1) transform."""
+    w = np.exp(-gamma * grid.t_nodes)[:, None, None]
+    spec = np.fft.fft2(samples * w, axes=(0, 1)) * (grid.dt * grid.dx1)
+    lam2 = grid.lambda_sq(gamma)[:, :, None]
+    per_level = ((lam2 ** s * np.abs(spec) ** 2).sum(axis=(0, 1))
+                 / (grid.L_t * grid.L_x1))
+    full = np.concatenate(([extrapolate_origin(per_level)], per_level))
+    return float(np.sqrt(simpson_closed(full, grid.dx2)))
 
 
 def exp_oracle_field(n_x2, L_x2=15.0, n_t=8, n_x1=4):

@@ -106,6 +106,7 @@ def test_solve_outputs(capsys, tmp_path, field_file):
     assert front[0] == "t,x1,f"
     assert len(front) == 1 + 16 * 8
     norms = json.loads((outdir / "norms.json").read_text())
+    assert set(norms) == {"gamma", "s", "norms", "r"}
     assert set(norms["norms"]) == {"0", "1"}
     assert all(math.isfinite(v) and v > 0 for v in norms["norms"].values())
     assert norms["r"] > 0 and math.isfinite(norms["r"])
@@ -140,7 +141,7 @@ def test_solve_regime_refusal_and_io_error(capsys, tmp_path, field_file):
     assert code == 4
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_refuses_overflowing_front(capsys, tmp_path, field_file):
     # exp(gamma*t) overflows once gamma*L_t > ~709: exit 2, no file written
     outdir = tmp_path / "big"

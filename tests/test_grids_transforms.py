@@ -8,7 +8,7 @@ from vortexfront import FieldGrid, GridSpec
 from vortexfront.quadrature import (exp_weighted_integral, exp_weighted_segment,
                                     extrapolate_origin, simpson_closed)
 
-from conftest import bump, smooth_field
+from conftest import bump, fft2_halfspace_norm, smooth_field
 
 
 def test_gridspec_validation():
@@ -137,6 +137,21 @@ def test_halfspace_norm_separable_oracle():
     assert got == pytest.approx(expected, rel=1e-6)
 
 
+def test_halfspace_norm_matches_full_transform():
+    # The half spectrum with its column weights gives the full-transform
+    # norm, Nyquist bins included; n_x1 = 2 has only the DC and Nyquist
+    # columns, and an odd n_x2 runs the 3/8 tail of the x2 rule.
+    rng = np.random.default_rng(61)
+    for n_x1 in (2, 8):
+        grid = GridSpec(16, n_x1, 21, 2.0, 1.0, 3.0)
+        taper = bump(grid.x2_nodes / grid.L_x2)
+        samples = rng.standard_normal((16, n_x1, 21)) * taper
+        for s, gamma in ((0.0, 1.0), (1.0, 3.0), (0.7, 1.5)):
+            want = fft2_halfspace_norm(samples, grid, s, gamma)
+            got = vf.halfspace_norm(samples, grid, s, gamma)
+            assert got == pytest.approx(want, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # quadrature building blocks
 
@@ -195,6 +210,26 @@ def test_exp_weighted_integral_order_four():
     orders = [math.log2(errs[a] / errs[b])
               for a, b in zip((16, 32, 64), (32, 64, 128))]
     assert min(orders) > 3.5
+
+
+def test_exp_weighted_integral_node_axis():
+    # Node axis first equals node axis last and the per-entry 1-D calls,
+    # for even and odd interval counts; halfline_integral likewise.
+    rng = np.random.default_rng(67)
+    h = 0.1
+    mu = rng.uniform(0.2, 4.0, (3, 4)) + 1j * rng.uniform(-3.0, 3.0, (3, 4))
+    for n in (8, 9):
+        vals = rng.standard_normal((n + 1, 3, 4)) + 1j * rng.standard_normal((n + 1, 3, 4))
+        first = exp_weighted_integral(vals, h, mu, axis=0)
+        last = exp_weighted_integral(np.moveaxis(vals, 0, -1), h, mu)
+        scale = np.max(np.abs(last))
+        assert np.max(np.abs(first - last)) <= 1e-15 * scale
+        for i, j in np.ndindex(3, 4):
+            one = complex(exp_weighted_integral(vals[:, i, j], h, mu[i, j]))
+            assert abs(one - last[i, j]) <= 1e-15 * scale
+        half_first = vf.halfline_integral(vals, mu, h, axis=0)
+        half_last = vf.halfline_integral(np.moveaxis(vals, 0, -1), mu, h)
+        assert np.max(np.abs(half_first - half_last)) <= 1e-15 * np.max(np.abs(half_last))
 
 
 def test_exp_weighted_segment_head_tail():

@@ -47,3 +47,16 @@ def test_modules_import_only_lower_layers():
             if RANK[dep] >= RANK[name]:
                 breaches.append(f"{name} imports {dep}")
     assert not breaches, breaches
+
+
+def test_benchmark_wrapped_globals_exist():
+    # bench/workloads.py traces these stages by wrapping the module globals
+    # of these names; a rename would break its traced pass.
+    import vortexfront.pressure
+    import vortexfront.solver
+
+    for module, name in ((vortexfront.solver, "estimate_constants"),
+                         (vortexfront.solver, "symbol_grid"),
+                         (vortexfront.pressure, "exp_weighted_integral"),
+                         (vortexfront.pressure, "exp_weighted_segment")):
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"

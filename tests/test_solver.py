@@ -1,13 +1,35 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import vortexfront as vf
 from vortexfront import FieldGrid, Frequency, GridSpec, Medium, RegimeError
+from vortexfront.symbol import mu_grid
 
-from conftest import bump, exp_oracle_field, smooth_field
+from conftest import bump, exp_oracle_field, fft2_halfspace_norm, smooth_field
+
+
+def check_hermitian_and_complex_path(sol, field, medium):
+    """f_hat is Hermitian and equals the solve on the full complex slices."""
+    grid = field.grid
+    scale = np.max(np.abs(sol.f_hat))
+    mirror = sol.f_hat[-np.arange(grid.n_t)][:, -np.arange(grid.n_x1)]
+    assert np.max(np.abs(sol.f_hat - np.conj(mirror))) <= 1e-14 * scale
+    sp, sm = vf.spectral_slices(field, sol.gamma)
+    for arr in (sp, sm):
+        arr[grid.n_t // 2, :, :] = 0.0
+        arr[:, grid.n_x1 // 2, :] = 0.0
+    tau = sol.gamma + 1j * grid.delta_axis[:, None]
+    eta = grid.eta_axis[None, :]
+    mu_p = mu_grid(tau, eta, medium.v1_plus, medium.c)
+    mu_m = mu_grid(tau, eta, medium.v1_minus, medium.c)
+    m = (vf.halfline_integral(sp, mu_p, grid.dx2) / mu_p
+         - vf.halfline_integral(sm, mu_m, grid.dx2) / mu_m)
+    ref = -(mu_p * mu_m / (mu_p + mu_m)) * m / vf.symbol_grid(tau, eta, medium)
+    assert np.max(np.abs(sol.f_hat - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_halfline_integral_exponential_oracle():
@@ -103,7 +125,7 @@ def test_solve_front_single_mode(weakly_stable):
     m_val = i_p / mu_p - i_m / mu_m
     expected = -(mu_p * mu_m / (mu_p + mu_m)) * m_val / vf.symbol(freq, weakly_stable)
     assert abs(sol.f_hat[3, 2] - expected) <= 1e-12 * abs(expected)
-    assert sol.imag_residual <= 1e-10
+    check_hermitian_and_complex_path(sol, field, weakly_stable)
 
 
 def test_solve_front_linearity(fixture_field, fixture_solution, weakly_stable):
@@ -157,11 +179,25 @@ def test_solve_front_refusals(fixture_field):
         vf.solve_front(fixture_field, Medium.symmetric(2.0, 1.0), gamma=0.5)
 
 
-def test_front_solution_norms_finite(fixture_solution):
+def test_front_solution_norms_finite(fixture_field, fixture_solution,
+                                    weakly_stable):
     for s, val in fixture_solution.norms.items():
         assert math.isfinite(val) and val > 0.0
     assert set(fixture_solution.norms) == {0.0, 1.0}
-    assert fixture_solution.imag_residual <= 1e-10
+    check_hermitian_and_complex_path(fixture_solution, fixture_field,
+                                     weakly_stable)
+
+
+def test_solve_front_refuses_overflowing_front(weakly_stable):
+    # exp(gamma*t) overflows once gamma*L_t > ~709: solve_front raises
+    # without a numpy warning; verify_estimate forms no front and is fine.
+    field = smooth_field(n_t=16, n_x1=8, n_x2=24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="not finite"):
+            vf.solve_front(field, weakly_stable, gamma=800.0)
+        rep = vf.verify_estimate(field, weakly_stable, [800.0], 0.0)
+    assert math.isfinite(rep.rows[0].r) and rep.rows[0].r > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +231,33 @@ def test_verify_estimate_table(fixture_field, weakly_stable):
         assert row.g1_ratio <= rep.rhs_constant * (1.0 + 1e-9)
         # r' bounded by the pointwise constant's reciprocal
         assert row.r_prime <= 1.0 / rep.constants.c_pointwise * (1.0 + 1e-9)
+
+
+def test_verify_estimate_matches_per_gamma_solves(weakly_stable):
+    # The shared-spectrum sweep equals a loop of solve_front and the
+    # full-transform half-space norms.
+    field = smooth_field(n_t=16, n_x1=8, n_x2=24)
+    grid = field.grid
+    gammas, s = [1.0, 4.0, 32.0], 1.0
+    rep = vf.verify_estimate(field, weakly_stable, gammas, s)
+    for g, row in zip(gammas, rep.rows):
+        sol = vf.solve_front(field, weakly_stable, gamma=g, s=s)
+        sys = sol.system
+        nfp = fft2_halfspace_norm(field.f_plus, grid, s, g)
+        nfm = fft2_halfspace_norm(field.f_minus, grid, s, g)
+        nf = sol.norms[s + 1.0]
+        ng = vf.sobolev_norm(sys.g_hat, s, g, grid)
+        g1 = -(sys.mu_minus / (sys.mu_plus + sys.mu_minus)) * sys.i_plus
+        ng1 = vf.sobolev_norm(g1, s, g, grid)
+        pw = (np.abs(sys.sigma) / (g * np.sqrt(grid.lambda_sq(g)))) ** 2
+        want = {"r": g ** 3 * nf ** 2 / (nfp ** 2 + nfm ** 2),
+                "r_prime": g ** 2 * nf ** 2 / ng ** 2,
+                "g1_ratio": g * ng1 ** 2 / nfp ** 2,
+                "pointwise_min": float(pw.min()), "norm_f": nf, "norm_g": ng}
+        for name, value in want.items():
+            assert getattr(row, name) == pytest.approx(value, rel=1e-12), name
+        assert rep.norm_f_plus[g] == pytest.approx(nfp, rel=1e-12)
+        assert rep.norm_f_minus[g] == pytest.approx(nfm, rel=1e-12)
 
 
 def test_verify_estimate_rejections(fixture_field):

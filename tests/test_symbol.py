@@ -7,7 +7,7 @@ import pytest
 import vortexfront as vf
 from vortexfront import Frequency, Medium, RegimeError
 from vortexfront.domain import BranchCase, MachClass, StabilityClass
-from vortexfront.symbol import mu_grid, symbol_grid
+from vortexfront.symbol import mu_grid, mu_symbol_grid, symbol_grid
 
 from conftest import bisect_real
 
@@ -499,7 +499,8 @@ def _boundary_kind(mu):
 def test_one_kernel_call_mixes_interior_and_boundary(weakly_stable):
     # One array call over Re(tau) > 0 entries and the gamma = 0 sign-table
     # entries: it equals the scalar results, interior roots square back,
-    # and the boundary roots reproduce the sign table.
+    # and the boundary roots reproduce the sign table.  The one-call triple
+    # of mu_symbol_grid equals the separate calls bit for bit.
     m = 2.0
     rng = np.random.default_rng(37)
     n = 50
@@ -513,6 +514,9 @@ def test_one_kernel_call_mixes_interior_and_boundary(weakly_stable):
     mu_p = mu_grid(tau, eta, m, 1.0)
     mu_m = mu_grid(tau, eta, -m, 1.0)
     sig = symbol_grid(tau, eta, weakly_stable)
+    for got, want in zip(mu_symbol_grid(tau, eta, weakly_stable),
+                         (mu_p, mu_m, sig)):
+        assert np.array_equal(got, want)
     for i in range(len(tau)):
         f = Frequency(tau[i].real, tau[i].imag, eta[i])
         pair = vf.decay_root_pair(f, weakly_stable)
