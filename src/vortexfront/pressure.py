@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Frequency, Medium
-from .quadrature import (exp_weighted_integral, exp_weighted_segment,
-                         extrapolate_origin, halfline_integral)
-from .symbol import decay_root, symbol
+from .quadrature import (_pair_terms, exp_weighted_integral,
+                         exp_weighted_segment, extrapolate_origin)
+from .symbol import decay_root_pair, symbol
 
 __all__ = ["BoundaryState", "PressureProfile", "solve_boundary_system",
            "reconstruct_profile", "front_equation_residual", "ode_residual"]
@@ -63,8 +63,8 @@ def solve_boundary_system(freq: Frequency, medium: Medium, f_hat: complex,
     if freq.gamma <= 0.0:
         raise ValueError("the boundary system requires gamma > 0")
     c = medium.c
-    mu_p = decay_root(freq, medium.v1_plus, c)
-    mu_m = decay_root(freq, medium.v1_minus, c)
+    roots = decay_root_pair(freq, medium)
+    mu_p, mu_m = roots.mu_plus, roots.mu_minus
     s = mu_p + mu_m
     if abs(s) <= 1e-13 * (abs(mu_p) + abs(mu_m)):
         raise ArithmeticError("boundary system is singular: mu_plus + mu_minus "
@@ -81,33 +81,28 @@ def _split_convolution(full: np.ndarray, mu: complex, h: float,
                        c: float) -> np.ndarray:
     """(1/(2 c^2 mu)) integral_0^L exp(-mu*|x-y|) Fhat(y) dy at every node.
 
-    `full` holds Fhat at 0, h, ..., L.  The kernel kink at y = x splits the
-    integral; each side keeps the exponential factor exact.
+    `full` holds Fhat at 0, h, ..., L.  The kink at y = x splits the kernel:
+    R_k = integral_{x_k}^L exp(-mu*(y - x_k)) Fhat dy, and L_k is R on the
+    reversed samples.  Both obey X_k = pair_k + exp(-2 mu h) X_{k+2} (pair_k
+    the Simpson pair at node k): two parity chains each, seeded by X_n = 0
+    and the single interval next to the far end.
     """
     n = full.shape[0] - 1
-    out = np.empty(n + 1, dtype=complex)
-    rev = full[::-1]
     decay = np.exp(-mu * h)
-    for k in range(n + 1):
-        if k >= 2:
-            left = complex(exp_weighted_integral(rev[n - k:], h, mu))
-        elif k == 1:
-            # Single interval [0, h], kernel exp(-mu*(h - y)).
-            left = decay * complex(
-                exp_weighted_segment(full[0], full[1], full[2], h, -mu, "head"))
-        else:
-            left = 0j
-        if n - k >= 2:
-            right = complex(exp_weighted_integral(full[k:], h, mu))
-        elif n - k == 1:
-            # Single interval [L - h, L], kernel exp(-mu*(y - (L - h))).
-            right = (1.0 / decay) * complex(
-                exp_weighted_segment(full[n - 2], full[n - 1], full[n], h,
-                                     mu, "tail"))
-        else:
-            right = 0j
-        out[k] = left + right
-    return out / (2.0 * c * c * mu)
+    # R_{n-1} on [L - h, L] and L_1 on [0, h], each a single interval.
+    tail = exp_weighted_segment(full[n - 2], full[n - 1], full[n], h, mu, "tail")
+    head = exp_weighted_segment(full[0], full[1], full[2], h, -mu, "head")
+    seeds = ((1.0 / decay) * complex(tail), decay * complex(head))
+    pairs = _pair_terms(np.stack((full, full[::-1])), h, mu, stride=1)
+    step = complex(np.exp(-2.0 * h * mu))
+    chains = []
+    for terms, seed in zip(pairs.tolist(), seeds):
+        chain = [0j, seed]
+        for term in reversed(terms):
+            chain.append(term + step * chain[-2])
+        chains.append(chain[::-1])
+    right, left = np.array(chains)
+    return (left[::-1] + right) / (2.0 * c * c * mu)
 
 
 def reconstruct_profile(freq: Frequency, medium: Medium, state: BoundaryState,
@@ -123,20 +118,18 @@ def reconstruct_profile(freq: Frequency, medium: Medium, state: BoundaryState,
     c = medium.c
     n = len(np.asarray(slice_plus))
     nodes = np.arange(n + 1) * dx2
-    profs: dict[str, np.ndarray] = {}
-    grew: dict[str, bool] = {}
-    for side in ("plus", "minus"):
-        v1 = medium.v1_plus if side == "plus" else medium.v1_minus
-        sl = np.asarray(slice_plus if side == "plus" else slice_minus,
-                        dtype=complex)
-        mu = decay_root(freq, v1, c)
-        p0 = state.p_plus0 if side == "plus" else state.p_minus0
-        dp0 = state.dp_plus0 if side == "plus" else state.dp_minus0
-        b = dp0 / mu if side == "plus" else -dp0 / mu
-        t_side = complex(halfline_integral(sl, mu, dx2)) / (c * c * mu)
+    roots = decay_root_pair(freq, medium)
+    profs, grew = [], []
+    for side, sl, mu, p0, dp0 in (
+            ("plus", slice_plus, roots.mu_plus, state.p_plus0, state.dp_plus0),
+            ("minus", slice_minus, roots.mu_minus, state.p_minus0,
+             -state.dp_minus0)):
+        sl = np.asarray(sl, dtype=complex)
+        b = dp0 / mu
+        full = np.concatenate(([extrapolate_origin(sl)], sl))
+        t_side = complex(exp_weighted_integral(full, dx2, mu)) / (c * c * mu)
         defect = p0 + b - t_side
         scale = abs(p0) + abs(b) + abs(t_side)
-        full = np.concatenate(([extrapolate_origin(sl)], sl))
         prof = 0.5 * (p0 - b) * np.exp(-mu * nodes) \
             + _split_convolution(full, mu, dx2, c)
         growing = scale > 0 and abs(defect) > GROWTH_DEFECT_RTOL * scale
@@ -146,10 +139,9 @@ def reconstruct_profile(freq: Frequency, medium: Medium, state: BoundaryState,
                 f"condition (relative defect {abs(defect) / scale:.3e}); "
                 "the growing exponential is retained", RuntimeWarning)
             prof = prof + 0.5 * defect * np.exp(mu * nodes)
-        profs[side] = prof
-        grew[side] = growing
-    return PressureProfile(nodes, profs["plus"], profs["minus"],
-                           grew["plus"], grew["minus"])
+        profs.append(prof)
+        grew.append(growing)
+    return PressureProfile(nodes, *profs, *grew)
 
 
 def front_equation_residual(freq: Frequency, medium: Medium,
@@ -168,8 +160,8 @@ def front_equation_residual(freq: Frequency, medium: Medium,
     taup = freq.tau + 1j * medium.w1 * freq.eta
     res1 = abs((taup * taup - (medium.V1 * freq.eta) ** 2) * f_hat
                + 0.5 * c * c * (state.dp_plus0 + state.dp_minus0))
-    mu_p = decay_root(freq, medium.v1_plus, c)
-    mu_m = decay_root(freq, medium.v1_minus, c)
+    roots = decay_root_pair(freq, medium)
+    mu_p, mu_m = roots.mu_plus, roots.mu_minus
     res2 = abs(symbol(freq, medium) * f_hat
                + (mu_p * mu_m / (mu_p + mu_m)) * m_value)
     return max(float(res1), float(res2))

@@ -65,26 +65,27 @@ def _moments(z: np.ndarray, span: float) -> tuple[np.ndarray, np.ndarray, np.nda
     m1 = np.empty(z.shape, dtype=complex)
     m2 = np.empty(z.shape, dtype=complex)
 
-    zs = z[small]
-    s0 = np.zeros_like(zs)
-    s1 = np.zeros_like(zs)
-    s2 = np.zeros_like(zs)
-    term = np.ones_like(zs)
-    for k in range(_SERIES_TERMS):
-        s0 += term / (k + 1)
-        s1 += term / (k + 2)
-        s2 += term / (k + 3)
-        term = term * (-zs) / (k + 1)
-    m0[small] = span * s0
-    m1[small] = span * span * s1
-    m2[small] = span ** 3 * s2
-
-    zl = z[~small]
-    mu = zl / span
-    e = np.exp(-zl)
-    m0[~small] = (1.0 - e) / mu
-    m1[~small] = (1.0 - e * (1.0 + zl)) / (mu * mu)
-    m2[~small] = (2.0 - e * (2.0 + 2.0 * zl + zl * zl)) / (mu ** 3)
+    if small.any():
+        zs = z[small]
+        s0 = np.zeros_like(zs)
+        s1 = np.zeros_like(zs)
+        s2 = np.zeros_like(zs)
+        term = np.ones_like(zs)
+        for k in range(_SERIES_TERMS):
+            s0 += term / (k + 1)
+            s1 += term / (k + 2)
+            s2 += term / (k + 3)
+            term = term * (-zs) / (k + 1)
+        m0[small] = span * s0
+        m1[small] = span * span * s1
+        m2[small] = span ** 3 * s2
+    if not small.all():
+        zl = z[~small]
+        mu = zl / span
+        e = np.exp(-zl)
+        m0[~small] = (1.0 - e) / mu
+        m1[~small] = (1.0 - e * (1.0 + zl)) / (mu * mu)
+        m2[~small] = (2.0 - e * (2.0 + 2.0 * zl + zl * zl)) / (mu ** 3)
     return m0, m1, m2
 
 
@@ -94,6 +95,15 @@ def _quadratic_weights(m0, m1, m2, h: float):
     w1 = 2.0 * m1 / h - m2 / (h * h)
     w2 = -0.5 * m1 / h + 0.5 * m2 / (h * h)
     return w0, w1, w2
+
+
+def _pair_terms(v: np.ndarray, h: float, mu, stride: int = 2) -> np.ndarray:
+    """Simpson-pair integrals of exp(-mu*u) over v[..., k:k+3], k = 0, stride, ..."""
+    w0, w1, w2 = _quadratic_weights(*_moments(mu * (2.0 * h), 2.0 * h), h)
+    stop = v.shape[-1] - 2
+    return (w0[..., None] * v[..., 0:stop:stride]
+            + w1[..., None] * v[..., 1:stop + 1:stride]
+            + w2[..., None] * v[..., 2:stop + 2:stride])
 
 
 def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
@@ -113,11 +123,7 @@ def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
         raise ValueError("need at least three samples")
     mu = np.asarray(mu, dtype=complex)
 
-    w0, w1, w2 = _quadratic_weights(*_moments(mu * (2.0 * h), 2.0 * h), h)
-    pairs = n // 2
-    terms = (w0[..., None] * v[..., 0:2 * pairs - 1:2]
-             + w1[..., None] * v[..., 1:2 * pairs:2]
-             + w2[..., None] * v[..., 2:2 * pairs + 1:2])
+    terms = _pair_terms(v, h, mu)
     step = np.exp(-2.0 * h * mu)
     total = terms[..., -1]
     for term in np.moveaxis(terms, -1, 0)[-2::-1]:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from vortexfront import FieldGrid, Frequency, GridSpec, Medium
-from vortexfront.quadrature import extrapolate_origin, simpson_closed
+from vortexfront.quadrature import (exp_weighted_integral, exp_weighted_segment,
+                                    extrapolate_origin, simpson_closed)
 
 
 def bump(u):
@@ -59,6 +60,33 @@ def fft2_halfspace_norm(samples, grid, s, gamma):
                  / (grid.L_t * grid.L_x1))
     full = np.concatenate(([extrapolate_origin(per_level)], per_level))
     return float(np.sqrt(simpson_closed(full, grid.dx2)))
+
+
+def per_node_convolution(full, mu, h, c):
+    """pressure._split_convolution with a full quadrature at every node.
+
+    (1/(2 c^2 mu)) integral_0^L exp(-mu*|x-y|) Fhat(y) dy: the left and
+    right integrals of each node are separate exp_weighted_integral calls,
+    and a side one interval long is a single exp_weighted_segment.
+    """
+    n = full.shape[0] - 1
+    out = np.empty(n + 1, dtype=complex)
+    rev = full[::-1]
+    decay = np.exp(-mu * h)
+    for k in range(n + 1):
+        left = right = 0j
+        if k >= 2:
+            left = complex(exp_weighted_integral(rev[n - k:], h, mu))
+        elif k == 1:
+            left = decay * complex(exp_weighted_segment(
+                full[0], full[1], full[2], h, -mu, "head"))
+        if n - k >= 2:
+            right = complex(exp_weighted_integral(full[k:], h, mu))
+        elif n - k == 1:
+            right = (1.0 / decay) * complex(exp_weighted_segment(
+                full[n - 2], full[n - 1], full[n], h, mu, "tail"))
+        out[k] = left + right
+    return out / (2.0 * c * c * mu)
 
 
 def exp_oracle_field(n_x2, L_x2=15.0, n_t=8, n_x1=4):

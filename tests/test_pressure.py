@@ -6,6 +6,9 @@ import pytest
 
 import vortexfront as vf
 from vortexfront import Frequency, Medium
+from vortexfront.pressure import _split_convolution
+
+from conftest import per_node_convolution, smooth_field
 
 FREQ = Frequency(1.0, 0.4, 0.9)
 MED = Medium.symmetric(2.0, 1.0)
@@ -199,3 +202,63 @@ def test_front_equation_residual_closure_and_sensitivity():
     bad_state = vf.solve_boundary_system(FREQ, MED, 1.1 * f_hat, i_p, i_m)
     res_bad = vf.front_equation_residual(FREQ, MED, bad_state, 1.1 * f_hat, m_val)
     assert res_bad > 1e3 * tol
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 31, 32])
+def test_split_convolution_matches_per_node_reference(n):
+    # the parity-chain recurrences against a full quadrature at every node,
+    # from the series branch of the moments (|mu h| = 1e-3) to |mu h| = 30
+    rng = np.random.default_rng(n)
+    full = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    h, c = 0.05, 1.3
+    for mu_h in np.geomspace(1e-3, 30.0, 10):
+        for angle in (0.0, 1.2, -1.45):
+            mu = mu_h / h * cmath.exp(1j * angle)
+            got = _split_convolution(full, mu, h, c)
+            want = per_node_convolution(full, mu, h, c)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pressure_oracle_every_bin(weakly_stable):
+    # every non-Nyquist bin: no growing mode, the front equation closes, both
+    # decay rows hold, and the ODE residual is second order in dx2
+    med, c2 = weakly_stable, weakly_stable.c ** 2
+
+    def worst_ode_residual(n_x2):
+        field = smooth_field(n_t=16, n_x1=16, n_x2=n_x2)
+        grid = field.grid
+        sol = vf.solve_front(field, med)
+        system = sol.system
+        slices = vf.spectral_slices(field)
+        worst, bins = 0.0, 0
+        for it in set(range(grid.n_t)) - {grid.n_t // 2}:
+            for ix in set(range(grid.n_x1)) - {grid.n_x1 // 2}:
+                freq = Frequency(grid.gamma, float(grid.delta_axis[it]),
+                                 float(grid.eta_axis[ix]))
+                f_hat = complex(sol.f_hat[it, ix])
+                i_p = complex(system.i_plus[it, ix])
+                i_m = complex(system.i_minus[it, ix])
+                sl_p, sl_m = slices[0][it, ix], slices[1][it, ix]
+                state = vf.solve_boundary_system(freq, med, f_hat, i_p, i_m)
+                prof = vf.reconstruct_profile(freq, med, state, sl_p, sl_m,
+                                              grid.dx2)
+                assert not (prof.growing_plus or prof.growing_minus)
+                closure = vf.front_equation_residual(
+                    freq, med, state, f_hat, complex(system.m[it, ix]))
+                assert closure <= 1e-10 * freq.magnitude_sq * abs(f_hat)
+                roots = vf.decay_root_pair(freq, med)
+                for p0, b, t in (
+                        (state.p_plus0, state.dp_plus0 / roots.mu_plus,
+                         i_p / (c2 * roots.mu_plus)),
+                        (state.p_minus0, -state.dp_minus0 / roots.mu_minus,
+                         i_m / (c2 * roots.mu_minus))):
+                    assert abs(p0 + b - t) <= 1e-10 * (abs(p0) + abs(b) + abs(t))
+                res_p, res_m = vf.ode_residual(prof, freq, med, sl_p, sl_m)
+                worst = max(worst, np.abs(res_p).max(), np.abs(res_m).max())
+                bins += 1
+        assert bins == 225
+        return worst
+
+    ratio = worst_ode_residual(192) / worst_ode_residual(384)
+    assert 3.2 <= ratio <= 4.8
