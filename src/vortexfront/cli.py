@@ -20,7 +20,7 @@ from .grids import read_field
 from .pressure import reconstruct_profile, solve_boundary_system
 from .solver import blowup_probe, solve_front, verify_estimate
 from .symbol import classify, mu_symbol_grid, symbol_grid, symbol_roots
-from .transforms import halfspace_norm, spectral_slices
+from .transforms import _bin_slices, halfspace_norm
 
 
 def _fmt(x: float) -> str:
@@ -207,9 +207,8 @@ def cmd_reconstruct(args) -> int:
     state = solve_boundary_system(freq, medium, complex(sol.f_hat[it, ix]),
                                   complex(sys_.i_plus[it, ix]),
                                   complex(sys_.i_minus[it, ix]))
-    sp, sm = spectral_slices(field, args.gamma)
-    profile = reconstruct_profile(freq, medium, state, sp[it, ix, :],
-                                  sm[it, ix, :], grid.dx2)
+    sp, sm = _bin_slices(field, args.gamma, it, ix)
+    profile = reconstruct_profile(freq, medium, state, sp, sm, grid.dx2)
     lines = ["x2,re_p_plus,im_p_plus,re_p_minus,im_p_minus"]
     for k in range(len(profile.x2_nodes)):
         lines.append(",".join(_fmt(x) for x in (

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,9 +84,6 @@ class GridSpec:
         g = self.gamma if gamma is None else gamma
         return (g * g + self.delta_axis[:, None] ** 2
                 + self.eta_axis[None, :] ** 2)
-
-    def with_gamma(self, gamma: float) -> "GridSpec":
-        return replace(self, gamma=gamma)
 
 
 def suggested_depth(gamma: float, c: float, tol: float = 1e-10) -> float:

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Frequency, Medium
-from .quadrature import (_pair_terms, exp_weighted_integral,
-                         exp_weighted_segment, extrapolate_origin)
+from .quadrature import (_pair_terms, _pair_weights, _segment_weights,
+                         exp_weighted_integral, exp_weighted_segment,
+                         extrapolate_origin)
 from .symbol import decay_root_pair, symbol
 
 __all__ = ["BoundaryState", "PressureProfile", "solve_boundary_system",
@@ -88,15 +89,15 @@ def _split_convolution(full: np.ndarray, mu: complex, h: float,
     and the single interval next to the far end.
     """
     n = full.shape[0] - 1
-    decay = np.exp(-mu * h)
     # R_{n-1} on [L - h, L] and L_1 on [0, h], each a single interval.
-    tail = exp_weighted_segment(full[n - 2], full[n - 1], full[n], h, mu, "tail")
+    tail = np.dot(_segment_weights(mu, h, "tail"), full[n - 2:])
     head = exp_weighted_segment(full[0], full[1], full[2], h, -mu, "head")
-    seeds = ((1.0 / decay) * complex(tail), decay * complex(head))
-    pairs = _pair_terms(np.stack((full, full[::-1])), h, mu, stride=1)
+    seeds = (complex(tail), complex(np.exp(-mu * h) * head))
+    pairs = _pair_terms(np.stack((full, full[::-1]), axis=1),
+                        _pair_weights(mu, h), stride=1)
     step = complex(np.exp(-2.0 * h * mu))
     chains = []
-    for terms, seed in zip(pairs.tolist(), seeds):
+    for terms, seed in zip(pairs.T.tolist(), seeds):
         chain = [0j, seed]
         for term in reversed(terms):
             chain.append(term + step * chain[-2])

@@ -18,6 +18,8 @@ __all__ = ["extrapolate_origin", "simpson_closed", "exp_weighted_integral",
 # a truncated series is used instead (14 terms reach full precision).
 _SERIES_CUTOFF = 0.25
 _SERIES_TERMS = 16
+# Pair-term entries per Horner block: all pairs of a 1-D call, a stack by planes.
+_BLOCK_ENTRIES = 4096
 
 
 def extrapolate_origin(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -97,44 +99,51 @@ def _quadratic_weights(m0, m1, m2, h: float):
     return w0, w1, w2
 
 
-def _pair_terms(v: np.ndarray, h: float, mu, stride: int = 2) -> np.ndarray:
-    """Simpson-pair integrals of exp(-mu*u) over v[..., k:k+3], k = 0, stride, ..."""
-    w0, w1, w2 = _quadratic_weights(*_moments(mu * (2.0 * h), 2.0 * h), h)
-    stop = v.shape[-1] - 2
-    return (w0[..., None] * v[..., 0:stop:stride]
-            + w1[..., None] * v[..., 1:stop + 1:stride]
-            + w2[..., None] * v[..., 2:stop + 2:stride])
+def _pair_weights(mu, h: float):
+    """Weights of f0, f1, f2 at nodes 0, h, 2h for one Simpson pair [0, 2h]."""
+    return _quadratic_weights(*_moments(mu * (2.0 * h), 2.0 * h), h)
+
+
+def _pair_terms(v: np.ndarray, weights, stride: int = 2) -> np.ndarray:
+    """Simpson-pair integrals over v[k:k+3], k = 0, stride, ...; nodes first."""
+    w0, w1, w2 = weights
+    stop = len(v) - 2
+    return (w0 * v[0:stop:stride] + w1 * v[1:stop + 1:stride]
+            + w2 * v[2:stop + 2:stride])
 
 
 def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
-                          axis: int = -1) -> np.ndarray:
-    """integral_0^{(n-1)h} exp(-mu*y) f(y) dy from samples f at 0, h, ..., (n-1)h.
+                          axis: int = -1, origin: np.ndarray | None = None
+                          ) -> np.ndarray:
+    """integral_0^{(n-1)h} exp(-mu*y) f(y) dy from samples f at 0, h, ..., (n-1)h,
+    or from f(0) = `origin` and `values` at h, 2h, ..., (n-1)h.
 
-    f is interpolated by quadratics over Simpson pairs while the exponential
-    is integrated exactly; an odd interval count is finished on the last
-    interval with the quadratic through the last three nodes.  The pairs
-    are summed by the Horner recurrence total = total*exp(-2*mu*h) + pair_k.
-    `mu` may be an array; it must broadcast against `values` with the node
-    axis `axis` removed.
+    f is interpolated by quadratics over Simpson pairs (and on a last odd
+    interval) while the exponential is integrated exactly.  The pairs are
+    summed backwards, total = total*exp(-2*mu*h) + pair_k, by blocks of
+    node-first views, so no temporary outgrows a block.  `mu` has the shape
+    of `values` without the node axis `axis`, or broadcasts to it.
     """
-    v = np.moveaxis(np.asarray(values, dtype=complex), axis, -1)
-    n = v.shape[-1] - 1
+    v = np.moveaxis(np.asarray(values, dtype=complex), axis, 0)
+    mu = np.asarray(mu, dtype=complex)
+    off = int(origin is not None)  # node j is v[j - off]
+    n = len(v) + off - 1
     if n < 2:
         raise ValueError("need at least three samples")
-    mu = np.asarray(mu, dtype=complex)
-
-    terms = _pair_terms(v, h, mu)
+    weights = _pair_weights(mu, h)
     step = np.exp(-2.0 * h * mu)
-    total = terms[..., -1]
-    for term in np.moveaxis(terms, -1, 0)[-2::-1]:
-        total = total * step + term
-    if n % 2:
-        # Last interval [y_{n-1}, y_n]: quadratic through the last three
-        # nodes, moments of the segment [h, 2h] in local coordinates.
-        t0, t1, t2 = _segment_weights(mu, h, "tail")
-        base = np.exp(-mu * ((n - 2) * h))
-        total = total + base * (t0 * v[..., n - 2] + t1 * v[..., n - 1]
-                                + t2 * v[..., n])
+    block = max(1, _BLOCK_ENTRIES // v[0].size)
+    total = 0j
+    for hi in range(n // 2, off, -block):  # pairs lo..hi-1
+        lo = max(off, hi - block)
+        for term in _pair_terms(v[2 * lo - off:2 * hi + 1 - off], weights)[::-1]:
+            total = total * step + term
+    if off:
+        total = total * step + _pair_terms(np.stack((origin, v[0], v[1])),
+                                           weights)[0]
+    if n % 2:  # last interval: the quadratic through the last three nodes
+        total = total + np.exp(-mu * ((n - 2) * h)) * exp_weighted_segment(
+            v[n - 2 - off], v[n - 1 - off], v[n - off], h, mu, "tail")
     return total
 
 
@@ -142,23 +151,24 @@ def halfline_integral(slice_values: np.ndarray, mu: np.ndarray,
                       dx2: float, axis: int = -1) -> np.ndarray:
     """integral_0^{L_x2} exp(-mu*y) f(y) dy from samples at the stored nodes.
 
-    The missing origin sample is supplied by extrapolation; the exponential
-    factor is integrated exactly (order 4 in the forcing smoothness).
+    The origin sample is extrapolated (the stack is not copied); the
+    exponential factor is integrated exactly (order 4 in the smoothness).
     """
-    vals = np.asarray(slice_values, dtype=complex)
-    origin = np.expand_dims(extrapolate_origin(vals, axis), axis)
-    return exp_weighted_integral(np.concatenate((origin, vals), axis=axis),
-                                 dx2, mu, axis)
+    return exp_weighted_integral(slice_values, dx2, mu, axis,
+                                 extrapolate_origin(slice_values, axis))
 
 
 def _segment_weights(mu, h: float, part: str):
-    if part == "head":
-        return _quadratic_weights(*_moments(mu * h, h), h)
+    """Weights of f0, f1, f2 (at u = 0, h, 2h) for the integral over r in
+    [0, h] of exp(-mu*r)*q(r) ("head") or exp(-mu*r)*q(h + r) ("tail", the
+    [h, 2h] moments without their factor exp(-mu*h): no cancellation).
+    """
+    m0, m1, m2 = _moments(mu * h, h)
     if part == "tail":
-        a = _moments(mu * h, h)
-        b = _moments(mu * (2.0 * h), 2.0 * h)
-        return _quadratic_weights(b[0] - a[0], b[1] - a[1], b[2] - a[2], h)
-    raise ValueError("part must be 'head' or 'tail'")
+        m1, m2 = m1 + h * m0, m2 + h * (2.0 * m1 + h * m0)
+    elif part != "head":
+        raise ValueError("part must be 'head' or 'tail'")
+    return _quadratic_weights(m0, m1, m2, h)
 
 
 def exp_weighted_segment(f0, f1, f2, h: float, mu, part: str):
@@ -166,5 +176,7 @@ def exp_weighted_segment(f0, f1, f2, h: float, mu, part: str):
 
     q being the quadratic through the samples (f0, f1, f2) at u = 0, h, 2h.
     """
-    w0, w1, w2 = _segment_weights(np.asarray(mu, dtype=complex), h, part)
-    return w0 * f0 + w1 * f1 + w2 * f2
+    mu = np.asarray(mu, dtype=complex)
+    w0, w1, w2 = _segment_weights(mu, h, part)
+    total = w0 * f0 + w1 * f1 + w2 * f2
+    return total if part == "head" else np.exp(-mu * h) * total

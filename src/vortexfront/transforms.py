@@ -70,6 +70,18 @@ def spectral_slices(field: FieldGrid, gamma: float | None = None
             weighted_forward(field.f_minus, field.grid, gamma))
 
 
+def _bin_slices(field: FieldGrid, gamma: float, it: int, ix: int
+                ) -> list[np.ndarray]:
+    """Bin (it, ix) of :func:`spectral_slices` by a direct weighted DFT."""
+    g = field.grid
+    turns = np.add.outer(it * np.arange(g.n_t) % g.n_t / g.n_t,
+                         ix * np.arange(g.n_x1) % g.n_x1 / g.n_x1)
+    kernel = (np.exp(-2j * np.pi * turns)
+              * (_weight(g, gamma) * (g.dt * g.dx1))[:, None])
+    return [np.tensordot(kernel.real, f, 2) + 1j * np.tensordot(kernel.imag, f, 2)
+            for f in (field.f_plus, field.f_minus)]
+
+
 class _HalfSpectrum:
     """The x1 rfft of one real forcing side, laid out (n_x2, n_t, n_x1//2+1).
 
@@ -77,10 +89,6 @@ class _HalfSpectrum:
     """
 
     def __init__(self, samples: np.ndarray, grid: GridSpec):
-        samples = np.asarray(samples)
-        if samples.ndim != 3 or samples.shape[:2] != (grid.n_t, grid.n_x1):
-            raise ValueError(f"samples shape {samples.shape} does not fit "
-                             "the grid")
         self.grid = grid
         self.x1_hat = np.empty((samples.shape[2], grid.n_t, grid.n_x1 // 2 + 1),
                                dtype=complex)
@@ -93,6 +101,12 @@ class _HalfSpectrum:
         return np.fft.fft(spec, axis=1, out=spec)
 
 
+def _x2_norm(per_level: np.ndarray, grid: GridSpec) -> float:
+    """sqrt of the x2 integral over [0, L_x2], origin level extrapolated."""
+    full = np.concatenate(([extrapolate_origin(per_level)], per_level))
+    return float(np.sqrt(simpson_closed(full, grid.dx2)))
+
+
 def _halfspace_norm_of(spec: np.ndarray, grid: GridSpec, s: float,
                        gamma: float) -> float:
     """:func:`halfspace_norm` from one side's :meth:`_HalfSpectrum.slices`."""
@@ -100,8 +114,7 @@ def _halfspace_norm_of(spec: np.ndarray, grid: GridSpec, s: float,
     weight[:, 1:grid.n_x1 - spec.shape[2] + 1] *= 2.0  # conjugate pairs
     per_level = ((np.abs(spec) ** 2).reshape(len(spec), -1) @ weight.ravel()
                  / (grid.L_t * grid.L_x1))
-    full = np.concatenate(([extrapolate_origin(per_level)], per_level))
-    return float(np.sqrt(simpson_closed(full, grid.dx2)))
+    return _x2_norm(per_level, grid)
 
 
 def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
@@ -111,7 +124,15 @@ def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
     The x2 integral runs over [0, L_x2] with the origin slice value
     extrapolated from the stored nodes.  Each slice norm sums the half
     spectrum, weight 2 on columns that stand for a conjugate pair; the
-    Nyquist bins are kept.
+    Nyquist bins are kept.  At s = 0 that sum is, by discrete Plancherel,
+    dt*dx1*sum over (t, x1) of exp(-2*gamma*t)*F^2, taken with no transform.
     """
-    return _halfspace_norm_of(_HalfSpectrum(samples, grid).slices(gamma),
-                              grid, s, gamma)
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 3 or samples.shape[:2] != (grid.n_t, grid.n_x1):
+        raise ValueError(f"samples shape {samples.shape} does not fit the grid")
+    if s != 0:
+        return _halfspace_norm_of(_HalfSpectrum(samples, grid).slices(gamma),
+                                  grid, s, gamma)
+    per_level = (np.exp(-2.0 * gamma * grid.t_nodes)
+                 @ np.einsum("ijk,ijk->ik", samples, samples))
+    return _x2_norm((grid.dt * grid.dx1) * per_level, grid)

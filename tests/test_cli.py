@@ -193,3 +193,32 @@ def test_reconstruct_profile_csv(capsys, tmp_path, field_file):
     assert float(first[0]) == 0.0
     # continuity of P at the interface: both sides share P(0)
     assert float(first[1]) == pytest.approx(float(first[3]), rel=1e-12)
+
+
+@pytest.mark.parametrize("delta,eta", [(6.3, 6.3), (-12.6, -18.8), (0.0, 0.0)])
+def test_reconstruct_matches_full_slices(capsys, tmp_path, field_file,
+                                         delta, eta):
+    # The command reads the bin by a direct weighted DFT; the reference
+    # takes it from the full complex spectral_slices stacks.
+    out_path = tmp_path / "profile.csv"
+    code, _, _ = run(capsys, ["reconstruct", "--v", "2", "--c", "1",
+                              "--in", field_file, "--gamma", "1",
+                              "--delta", str(delta), "--eta", str(eta),
+                              "--out", str(out_path)])
+    assert code == 0
+    got = np.loadtxt(out_path, delimiter=",", skiprows=1)
+    field = vf.read_field(field_file)
+    grid, medium = field.grid, vf.Medium.symmetric(2.0, 1.0)
+    it = int(np.argmin(np.abs(grid.delta_axis - delta)))
+    ix = int(np.argmin(np.abs(grid.eta_axis - eta)))
+    freq = vf.Frequency(1.0, float(grid.delta_axis[it]), float(grid.eta_axis[ix]))
+    sol = vf.solve_front(field, medium)
+    state = vf.solve_boundary_system(freq, medium, complex(sol.f_hat[it, ix]),
+                                     complex(sol.system.i_plus[it, ix]),
+                                     complex(sol.system.i_minus[it, ix]))
+    sp, sm = vf.spectral_slices(field, 1.0)
+    prof = vf.reconstruct_profile(freq, medium, state, sp[it, ix], sm[it, ix],
+                                  grid.dx2)
+    want = np.column_stack((prof.x2_nodes, prof.p_plus.real, prof.p_plus.imag,
+                            prof.p_minus.real, prof.p_minus.imag))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))

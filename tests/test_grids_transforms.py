@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vortexfront as vf
-from vortexfront import FieldGrid, GridSpec
+from vortexfront import FieldGrid, GridSpec, quadrature
 from vortexfront.quadrature import (exp_weighted_integral, exp_weighted_segment,
                                     extrapolate_origin, simpson_closed)
 
@@ -146,10 +146,14 @@ def test_halfspace_norm_matches_full_transform():
         grid = GridSpec(16, n_x1, 21, 2.0, 1.0, 3.0)
         taper = bump(grid.x2_nodes / grid.L_x2)
         samples = rng.standard_normal((16, n_x1, 21)) * taper
-        for s, gamma in ((0.0, 1.0), (1.0, 3.0), (0.7, 1.5)):
+        for s, gamma in ((0.0, 1.0), (0.0, 64.0), (1.0, 3.0), (0.7, 1.5)):
             want = fft2_halfspace_norm(samples, grid, s, gamma)
             got = vf.halfspace_norm(samples, grid, s, gamma)
             assert got == pytest.approx(want, rel=1e-13)
+            # s = 0 sums the physical samples; a zero field is exactly zero.
+            assert vf.halfspace_norm(0.0 * samples, grid, s, gamma) == 0.0
+            with pytest.raises(ValueError):
+                vf.halfspace_norm(samples[:, :1], grid, s, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +231,42 @@ def test_exp_weighted_integral_node_axis():
         for i, j in np.ndindex(3, 4):
             one = complex(exp_weighted_integral(vals[:, i, j], h, mu[i, j]))
             assert abs(one - last[i, j]) <= 1e-15 * scale
-        half_first = vf.halfline_integral(vals, mu, h, axis=0)
-        half_last = vf.halfline_integral(np.moveaxis(vals, 0, -1), mu, h)
-        assert np.max(np.abs(half_first - half_last)) <= 1e-15 * np.max(np.abs(half_last))
+
+
+@pytest.mark.parametrize("block_entries", [12, 36, 4096])
+def test_halfline_integral_blocks_match_per_entry(monkeypatch, block_entries):
+    # The origin enters the first pair instead of being prepended; node axis
+    # first and last equal per-entry calls on the prepended samples, with
+    # Horner blocks of 1, 3 and all pairs of the (3, 4) planes.
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(71)
+    h = 0.1
+    mu = rng.uniform(0.2, 4.0, (3, 4)) + 1j * rng.uniform(-3.0, 3.0, (3, 4))
+    for n in (5, 6, 7, 8, 31, 32, 33, 192, 193):
+        vals = rng.standard_normal((n, 3, 4)) + 1j * rng.standard_normal((n, 3, 4))
+        first = vf.halfline_integral(vals, mu, h, axis=0)
+        last = vf.halfline_integral(np.moveaxis(vals, 0, -1), mu, h)
+        want = np.empty((3, 4), dtype=complex)
+        for i, j in np.ndindex(3, 4):
+            full = np.concatenate(([extrapolate_origin(vals[:, i, j])], vals[:, i, j]))
+            want[i, j] = complex(exp_weighted_integral(full, h, mu[i, j]))
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(first - want)) <= 1e-15 * scale
+        assert np.max(np.abs(last - want)) <= 1e-15 * scale
+
+
+def test_halfline_integral_does_not_copy_the_stack():
+    import tracemalloc
+    rng = np.random.default_rng(73)
+    stack = rng.standard_normal((192, 64, 33)) + 1j * rng.standard_normal((192, 64, 33))
+    mu = rng.uniform(0.2, 4.0, (64, 33)) + 1j * rng.uniform(-3.0, 3.0, (64, 33))
+    tracemalloc.start()
+    try:
+        vf.halfline_integral(stack, mu, 0.01, axis=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * stack.nbytes
 
 
 def test_exp_weighted_segment_head_tail():
@@ -245,6 +282,19 @@ def test_exp_weighted_segment_head_tail():
     ref_tail = complex(mp.quad(lambda u: mp.e ** (-mp.mpc(mu) * u) * f(u), [h, 2 * h]))
     assert abs(head - ref_head) <= 1e-13 * abs(ref_head)
     assert abs(tail - ref_tail) <= 1e-13 * abs(ref_tail)
+
+
+def test_exp_weighted_segment_tail_without_cancellation():
+    # exp(mu*h) times the [h, 2h] integral of 1 is (1 - exp(-mu*h))/mu; the
+    # tail moments are shifted head moments, so no digits cancel at large mu*h.
+    import cmath
+    h = 0.5
+    for muh in (1e-3, 0.3, 1.0, 10.0, 20.0, 30.0):
+        for arg in (0.0, 0.7, -1.2):
+            mu = muh / h * cmath.exp(1j * arg)
+            got = cmath.exp(mu * h) * complex(exp_weighted_segment(1.0, 1.0, 1.0, h, mu, "tail"))
+            want = (1.0 - cmath.exp(-mu * h)) / mu
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_bump_is_supported_and_smooth():
