@@ -197,11 +197,14 @@ def cmd_reconstruct(args) -> int:
     medium = _medium(args)
     field = read_field(args.infile, gamma=args.gamma, s=args.s)
     grid = field.grid
-    sol = solve_front(field, medium)
     deltas = grid.delta_axis
     etas = grid.eta_axis
     it = int(np.argmin(np.abs(deltas - args.delta)))
     ix = int(np.argmin(np.abs(etas - args.eta)))
+    if it == grid.n_t // 2 or ix == grid.n_x1 // 2:
+        raise ValueError(f"bin delta={deltas[it]:.12g} eta={etas[ix]:.12g} is "
+                         "an unpaired Nyquist bin, which the solver zeroes")
+    sol = solve_front(field, medium)
     freq = Frequency(args.gamma, float(deltas[it]), float(etas[ix]))
     sys_ = sol.system
     state = solve_boundary_system(freq, medium, complex(sol.f_hat[it, ix]),

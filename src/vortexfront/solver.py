@@ -79,10 +79,13 @@ def _assemble(grid: GridSpec, medium: Medium, g: float,
     tau = g + 1j * grid.delta_axis[:, None]
     mu_p, mu_m, sigma = mu_symbol_grid(tau, grid.eta_axis[None, :], medium)
     full = []
-    for mu, sl in zip((mu_p, mu_m), slices):
+    slices = iter(slices)
+    for mu in (mu_p, mu_m):
+        sl = next(slices)
         i_half = halfline_integral(sl, mu[:, :sl.shape[2]], grid.dx2, axis=0)
         full += [_paired_full(i_half, grid),
                  _paired_full(np.abs(sl[-1]), grid)]
+        del sl  # freed before the next side's spectrum is built
     i_p, last_p, i_m, last_m = full
     m = i_p / mu_p - i_m / mu_m
     g_hat = -(mu_p * mu_m / (mu_p + mu_m)) * m
@@ -102,9 +105,9 @@ def build_system(fieldgrid: FieldGrid, medium: Medium,
     g = grid.gamma if gamma is None else gamma
     if g < 1.0:
         raise ValueError("the solver requires gamma >= 1")
-    # A generator: one side's spectrum is held at a time.
+    # A generator: one side's spectrum is held at a time, weighted in place.
     return _assemble(grid, medium, g,
-                     (_HalfSpectrum(f, grid).slices(g)
+                     (_HalfSpectrum(f, grid).slices(g, in_place=True)
                       for f in (fieldgrid.f_plus, fieldgrid.f_minus)))
 
 

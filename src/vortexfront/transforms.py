@@ -92,12 +92,19 @@ class _HalfSpectrum:
         self.grid = grid
         self.x1_hat = np.empty((samples.shape[2], grid.n_t, grid.n_x1 // 2 + 1),
                                dtype=complex)
-        np.fft.rfft(np.moveaxis(samples, 2, 0), axis=-1, out=self.x1_hat)
+        # One (n_x1, n_x2) t-plane at a time: it fits in cache, where a
+        # whole-stack rfft along the strided x1 axis streams from memory.
+        for i, plane in enumerate(samples):
+            np.fft.rfft(plane.T, axis=-1, out=self.x1_hat[:, i])
 
-    def slices(self, gamma: float) -> np.ndarray:
-        """The bins 0..n_x1//2 of :func:`weighted_forward`, x2 leading."""
+    def slices(self, gamma: float, in_place: bool = False) -> np.ndarray:
+        """The bins 0..n_x1//2 of :func:`weighted_forward`, x2 leading.
+
+        in_place reuses (and overwrites) x1_hat, for a last call.
+        """
         g = self.grid
-        spec = self.x1_hat * (_weight(g, gamma) * (g.dt * g.dx1))[:, None]
+        w = (_weight(g, gamma) * (g.dt * g.dx1))[:, None]
+        spec = np.multiply(self.x1_hat, w, out=self.x1_hat if in_place else None)
         return np.fft.fft(spec, axis=1, out=spec)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,3 +223,20 @@ def test_reconstruct_matches_full_slices(capsys, tmp_path, field_file,
     want = np.column_stack((prof.x2_nodes, prof.p_plus.real, prof.p_plus.imag,
                             prof.p_minus.real, prof.p_minus.imag))
     assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
+
+
+@pytest.mark.parametrize("delta,eta", [(0.0, -25.0), (-50.0, 6.3)])
+def test_reconstruct_refuses_nyquist_bins(capsys, tmp_path, field_file,
+                                          delta, eta):
+    # The row n_t//2 and the column n_x1//2 are unpaired: the solver zeroes
+    # them, so no decaying profile exists there.
+    out_path = tmp_path / "profile.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run(capsys, ["reconstruct", "--v", "2", "--c", "1",
+                                    "--in", field_file, "--gamma", "1",
+                                    "--delta", str(delta), "--eta", str(eta),
+                                    "--out", str(out_path)])
+    assert code == 2
+    assert "Nyquist bin" in err
+    assert not out_path.exists()

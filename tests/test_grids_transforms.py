@@ -7,6 +7,7 @@ import vortexfront as vf
 from vortexfront import FieldGrid, GridSpec, quadrature
 from vortexfront.quadrature import (exp_weighted_integral, exp_weighted_segment,
                                     extrapolate_origin, simpson_closed)
+from vortexfront.transforms import _HalfSpectrum
 
 from conftest import bump, fft2_halfspace_norm, smooth_field
 
@@ -154,6 +155,38 @@ def test_halfspace_norm_matches_full_transform():
             assert vf.halfspace_norm(0.0 * samples, grid, s, gamma) == 0.0
             with pytest.raises(ValueError):
                 vf.halfspace_norm(samples[:, :1], grid, s, gamma)
+
+
+@pytest.mark.parametrize("n_x1,n_x2", [(2, 17), (8, 24), (64, 45)])
+def test_half_spectrum_matches_whole_stack_rfft(tmp_path, n_x1, n_x2):
+    # The per-plane x1 rfft is bitwise the whole-stack one, for a C-ordered
+    # stack and for read_field's strided column views alike.
+    grid = GridSpec(16, n_x1, n_x2, 1.0, 1.0, 2.0)
+    rng = np.random.default_rng(n_x1 + n_x2)
+    stack = rng.standard_normal((16, n_x1, n_x2)) * bump(grid.x2_nodes / 2.0)
+    path = tmp_path / "f.vfgrid"
+    vf.write_field(path, FieldGrid(stack, -stack, grid))
+    views = vf.read_field(path).f_minus
+    assert not views.flags.c_contiguous
+    for samples in (stack, views):
+        want = np.fft.rfft(np.moveaxis(samples, 2, 0), axis=-1)
+        got = _HalfSpectrum(samples, grid).x1_hat
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_half_spectrum_in_place_slices_match_copying():
+    # The one-gamma solve weights x1_hat in place; the gamma sweep reuses
+    # it, so a copying call must leave it as it was.
+    field = smooth_field(n_t=16, n_x1=8, n_x2=21)
+    reused = _HalfSpectrum(field.f_plus, field.grid)
+    before = reused.x1_hat.tobytes()
+    for gamma in (1.0, 3.5):
+        copied = reused.slices(gamma)
+        assert reused.x1_hat.tobytes() == before
+        last = _HalfSpectrum(field.f_plus, field.grid)
+        in_place = last.slices(gamma, in_place=True)
+        assert np.shares_memory(in_place, last.x1_hat)
+        assert in_place.tobytes() == copied.tobytes()
 
 
 # ---------------------------------------------------------------------------

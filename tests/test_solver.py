@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -186,6 +187,21 @@ def test_front_solution_norms_finite(fixture_field, fixture_solution,
     assert set(fixture_solution.norms) == {0.0, 1.0}
     check_hermitian_and_complex_path(fixture_solution, fixture_field,
                                      weakly_stable)
+
+
+def test_solve_front_leaves_field_and_holds_one_spectrum(weakly_stable):
+    # The one-gamma solve weights its x1 spectrum in place and frees each
+    # side's before the next is built; the forcing itself is untouched.
+    field = smooth_field()
+    plus, minus = field.f_plus.tobytes(), field.f_minus.tobytes()
+    tracemalloc.start()
+    try:
+        vf.solve_front(field, weakly_stable)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.f_plus.tobytes() == plus and field.f_minus.tobytes() == minus
+    assert peak < 0.75 * (field.f_plus.nbytes + field.f_minus.nbytes)
 
 
 def test_solve_front_refuses_overflowing_front(weakly_stable):
