@@ -3,7 +3,8 @@ estimate sweeps, the ill-posedness probe and pressure reconstruction.
 
 Exit codes: 0 success, 2 argument/validation error, 3 regime refusal,
 4 I/O error.  All output is deterministic: identical inputs produce
-byte-identical files.
+byte-identical files, with every CSV value written as %.17g.
+`reconstruct` solves only the bin nearest to --delta, --eta.
 """
 
 from __future__ import annotations
@@ -18,13 +19,26 @@ import numpy as np
 from .domain import Frequency, Medium, RegimeError
 from .grids import read_field
 from .pressure import reconstruct_profile, solve_boundary_system
-from .solver import blowup_probe, solve_front, verify_estimate
+from .solver import (_bin_system, _front_hat, _require_weakly_stable,
+                     blowup_probe, solve_front, verify_estimate)
 from .symbol import classify, mu_symbol_grid, symbol_grid, symbol_roots
-from .transforms import _bin_slices, halfspace_norm
+from .transforms import halfspace_norm
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _rows(*columns) -> str:
+    """CSV rows of the broadcast columns (row-major), each value as %.17g."""
+    table = np.column_stack([c.ravel() for c in np.broadcast_arrays(*columns)])
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    return "".join(line % tuple(row) for row in table.tolist())
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is not given."""
+    if out:
+        with open(out, "w", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_window(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -64,12 +78,7 @@ def cmd_classify(args) -> int:
                "stability_class": report.stability_class.value,
                "mach_ratio": report.mach_ratio,
                "Y0": report.y0, "Y1": report.y1, "Y2": report.y2}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -78,27 +87,19 @@ def cmd_grid(args) -> int:
     gammas, deltas, etas = _parse_window(args.window)
     if np.any(gammas < 0):
         raise ValueError("gamma samples must be nonnegative")
-    rows = []
-    header = ("gamma,delta,eta,re_sigma,im_sigma,abs_sigma,"
-              "re_mu_plus,im_mu_plus,re_mu_minus,im_mu_minus")
+    dd, ee = np.meshgrid(deltas, etas, indexing="ij")
+    parts = ["gamma,delta,eta,re_sigma,im_sigma,abs_sigma,"
+             "re_mu_plus,im_mu_plus,re_mu_minus,im_mu_minus\n"]
+    # Per gamma plane: one table for the whole window raises the peak RSS.
     for g in gammas:
-        dd, ee = np.meshgrid(deltas, etas, indexing="ij")
         if g == 0.0 and np.any((dd == 0.0) & (ee == 0.0)):
             raise ValueError("window contains the excluded origin (0, 0, 0)")
-        tau = g + 1j * dd
-        mu_p, mu_m, sig = mu_symbol_grid(tau, ee, medium)
-        for i in range(len(deltas)):
-            for j in range(len(etas)):
-                rows.append(",".join(_fmt(x) for x in (
-                    g, deltas[i], etas[j], sig[i, j].real, sig[i, j].imag,
-                    abs(sig[i, j]), mu_p[i, j].real, mu_p[i, j].imag,
-                    mu_m[i, j].real, mu_m[i, j].imag)))
-    text = header + "\n" + "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        mu_p, mu_m, sig = mu_symbol_grid(g + 1j * dd, ee, medium)
+        # hypot, not np.abs: the vector abs loop may round differently.
+        parts.append(_rows(g, dd, ee, sig.real, sig.imag,
+                           np.hypot(sig.real, sig.imag), mu_p.real,
+                           mu_p.imag, mu_m.real, mu_m.imag))
+    _emit("".join(parts), args.out)
     return 0
 
 
@@ -116,8 +117,7 @@ def cmd_roots(args) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
+        _emit(text + "\n", args.out)
     return 0
 
 
@@ -128,19 +128,16 @@ def cmd_solve(args) -> int:
     grid = field.grid
     os.makedirs(args.out, exist_ok=True)
     front_path = os.path.join(args.out, "front.csv")
-    with open(front_path, "w", newline="\n") as fh:
-        fh.write("t,x1,f\n")
-        for i, t in enumerate(grid.t_nodes):
-            for j, x1 in enumerate(grid.x1_nodes):
-                fh.write(f"{_fmt(t)},{_fmt(x1)},{_fmt(sol.f_phys[i, j])}\n")
+    _emit("t,x1,f\n" + _rows(grid.t_nodes[:, None], grid.x1_nodes,
+                             sol.f_phys), front_path)
     nfp = halfspace_norm(field.f_plus, grid, args.s, args.gamma)
     nfm = halfspace_norm(field.f_minus, grid, args.s, args.gamma)
     denom = nfp ** 2 + nfm ** 2
     r = args.gamma ** 3 * sol.norms[args.s + 1.0] ** 2 / denom if denom > 0 else None
-    norms = {_fmt(k): v for k, v in sorted(sol.norms.items())}
+    norms = {format(k, ".17g"): v for k, v in sorted(sol.norms.items())}
     payload = {"gamma": args.gamma, "s": args.s, "norms": norms, "r": r}
-    with open(os.path.join(args.out, "norms.json"), "w", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+          os.path.join(args.out, "norms.json"))
     print(f"front written to {front_path}")
     for k, v in sorted(sol.norms.items()):
         print(f"norm s={k:g}: {v:.12g}")
@@ -154,18 +151,10 @@ def cmd_verify(args) -> int:
     gammas = [float(x) for x in args.gammas.split(",")]
     field = read_field(args.infile, gamma=min(gammas), s=args.s)
     report = verify_estimate(field, medium, gammas, args.s)
-    header = "gamma,r,r_prime,g1_ratio,pointwise_min,pointwise_ok"
-    lines = [header]
-    for row in report.rows:
-        lines.append(",".join([_fmt(row.gamma), _fmt(row.r), _fmt(row.r_prime),
-                               _fmt(row.g1_ratio), _fmt(row.pointwise_min),
-                               "1" if row.pointwise_ok else "0"]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    rows = [(r.gamma, r.r, r.r_prime, r.g1_ratio, r.pointwise_min,
+             float(r.pointwise_ok)) for r in report.rows]
+    _emit("gamma,r,r_prime,g1_ratio,pointwise_min,pointwise_ok\n"
+          + _rows(*np.array(rows).T), args.out)
     c = report.constants
     print(f"c_elliptic: {c.c_elliptic:.12g}")
     print(f"c_cofactor: {c.c_cofactor:.12g}")
@@ -179,15 +168,8 @@ def cmd_probe(args) -> int:
     medium = _medium(args)
     gammas = [float(x) for x in args.gammas.split(",")]
     result = blowup_probe(medium, args.eta, gammas)
-    lines = ["gamma,abs_inv_sigma"]
-    for g, v in zip(result.gammas, result.inv_abs_sigma):
-        lines.append(f"{_fmt(g)},{_fmt(v)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("gamma,abs_inv_sigma\n"
+          + _rows(result.gammas, result.inv_abs_sigma), args.out)
     print(f"root_gamma: {result.root_gamma:.12g}")
     print(f"fitted_exponent: {result.fitted_exponent:.6g}")
     return 0
@@ -196,34 +178,20 @@ def cmd_probe(args) -> int:
 def cmd_reconstruct(args) -> int:
     medium = _medium(args)
     field = read_field(args.infile, gamma=args.gamma, s=args.s)
+    _require_weakly_stable(classify(medium), "reconstruct")
     grid = field.grid
-    deltas = grid.delta_axis
-    etas = grid.eta_axis
-    it = int(np.argmin(np.abs(deltas - args.delta)))
-    ix = int(np.argmin(np.abs(etas - args.eta)))
-    if it == grid.n_t // 2 or ix == grid.n_x1 // 2:
-        raise ValueError(f"bin delta={deltas[it]:.12g} eta={etas[ix]:.12g} is "
-                         "an unpaired Nyquist bin, which the solver zeroes")
-    sol = solve_front(field, medium)
-    freq = Frequency(args.gamma, float(deltas[it]), float(etas[ix]))
-    sys_ = sol.system
-    state = solve_boundary_system(freq, medium, complex(sol.f_hat[it, ix]),
-                                  complex(sys_.i_plus[it, ix]),
-                                  complex(sys_.i_minus[it, ix]))
-    sp, sm = _bin_slices(field, args.gamma, it, ix)
+    delta, eta = (float(axis[np.argmin(np.abs(axis - value))])
+                  for axis, value in ((grid.delta_axis, args.delta),
+                                      (grid.eta_axis, args.eta)))
+    freq = Frequency(args.gamma, delta, eta)
+    sys_, (sp, sm) = _bin_system(field, freq, medium)
+    state = solve_boundary_system(freq, medium, complex(_front_hat(sys_)),
+                                  complex(sys_.i_plus), complex(sys_.i_minus))
     profile = reconstruct_profile(freq, medium, state, sp, sm, grid.dx2)
-    lines = ["x2,re_p_plus,im_p_plus,re_p_minus,im_p_minus"]
-    for k in range(len(profile.x2_nodes)):
-        lines.append(",".join(_fmt(x) for x in (
-            profile.x2_nodes[k], profile.p_plus[k].real, profile.p_plus[k].imag,
-            profile.p_minus[k].real, profile.p_minus[k].imag)))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    print(f"bin: delta={deltas[it]:.12g} eta={etas[ix]:.12g}")
+    _emit("x2,re_p_plus,im_p_plus,re_p_minus,im_p_minus\n"
+          + _rows(profile.x2_nodes, profile.p_plus.real, profile.p_plus.imag,
+                  profile.p_minus.real, profile.p_minus.imag), args.out)
+    print(f"bin: delta={delta:.12g} eta={eta:.12g}")
     return 0
 
 

@@ -22,7 +22,7 @@ from .domain import Frequency, Medium
 from .quadrature import (_pair_terms, _pair_weights, _segment_weights,
                          exp_weighted_integral, exp_weighted_segment,
                          extrapolate_origin)
-from .symbol import decay_root_pair, symbol
+from .symbol import decay_root_pair, mu_symbol_grid
 
 __all__ = ["BoundaryState", "PressureProfile", "solve_boundary_system",
            "reconstruct_profile", "front_equation_residual", "ode_residual"]
@@ -161,10 +161,9 @@ def front_equation_residual(freq: Frequency, medium: Medium,
     taup = freq.tau + 1j * medium.w1 * freq.eta
     res1 = abs((taup * taup - (medium.V1 * freq.eta) ** 2) * f_hat
                + 0.5 * c * c * (state.dp_plus0 + state.dp_minus0))
-    roots = decay_root_pair(freq, medium)
-    mu_p, mu_m = roots.mu_plus, roots.mu_minus
-    res2 = abs(symbol(freq, medium) * f_hat
-               + (mu_p * mu_m / (mu_p + mu_m)) * m_value)
+    mu_p, mu_m, sigma = (complex(a[0]) for a in
+                         mu_symbol_grid([freq.tau], [freq.eta], medium))
+    res2 = abs(sigma * f_hat + (mu_p * mu_m / (mu_p + mu_m)) * m_value)
     return max(float(res1), float(res2))
 
 

@@ -24,7 +24,8 @@ from .domain import Frequency, Medium, RegimeError, StabilityClass
 from .grids import FieldGrid, GridSpec
 from .quadrature import halfline_integral
 from .symbol import classify, mu_symbol_grid, symbol_grid
-from .transforms import _HalfSpectrum, _halfspace_norm_of, sobolev_norm
+from .transforms import (_bin_slices, _HalfSpectrum, _halfspace_norm_of,
+                         sobolev_norm)
 
 __all__ = [
     "MValue", "SpectralSystem", "FrontSolution", "EstimateConstants",
@@ -44,7 +45,7 @@ class MValue:
 
 @dataclass
 class SpectralSystem:
-    """All per-bin quantities of one weighted solve."""
+    """All per-bin quantities of one weighted solve (scalars for one bin)."""
 
     grid: GridSpec
     gamma: float
@@ -73,6 +74,17 @@ def _paired_full(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.concatenate((half, np.conj(mirror)), axis=1)
 
 
+def _system(grid: GridSpec, g: float, mu_p, mu_m, sigma, i_p, last_p,
+            i_m, last_m) -> SpectralSystem:
+    """M, g and the truncation bounds, on the whole grid or at one bin."""
+    m = i_p / mu_p - i_m / mu_m
+    g_hat = -(mu_p * mu_m / (mu_p + mu_m)) * m
+    trunc_p = np.exp(-mu_p.real * grid.L_x2) * last_p
+    trunc_m = np.exp(-mu_m.real * grid.L_x2) * last_m
+    return SpectralSystem(grid, g, mu_p, mu_m, sigma, i_p, i_m, m, g_hat,
+                          trunc_p, trunc_m)
+
+
 def _assemble(grid: GridSpec, medium: Medium, g: float,
               slices) -> SpectralSystem:
     """The system from the plus and minus :meth:`_HalfSpectrum.slices`."""
@@ -86,13 +98,7 @@ def _assemble(grid: GridSpec, medium: Medium, g: float,
         full += [_paired_full(i_half, grid),
                  _paired_full(np.abs(sl[-1]), grid)]
         del sl  # freed before the next side's spectrum is built
-    i_p, last_p, i_m, last_m = full
-    m = i_p / mu_p - i_m / mu_m
-    g_hat = -(mu_p * mu_m / (mu_p + mu_m)) * m
-    trunc_p = np.exp(-mu_p.real * grid.L_x2) * last_p
-    trunc_m = np.exp(-mu_m.real * grid.L_x2) * last_m
-    return SpectralSystem(grid, g, mu_p, mu_m, sigma, i_p, i_m, m, g_hat,
-                          trunc_p, trunc_m)
+    return _system(grid, g, mu_p, mu_m, sigma, *full)
 
 
 def build_system(fieldgrid: FieldGrid, medium: Medium,
@@ -117,7 +123,28 @@ def _bin_index(axis: np.ndarray, value: float, name: str) -> int:
     if abs(axis[idx] - value) > 1e-9 * max(abs(value), spacing):
         raise ValueError(f"{name} = {value:g} is not a grid frequency "
                          f"(nearest bin {axis[idx]:g})")
+    if idx == axis.size // 2:
+        raise ValueError(f"{name} = {axis[idx]:.12g} is an unpaired Nyquist "
+                         "bin, which the solver zeroes")
     return idx
+
+
+def _bin_system(fieldgrid: FieldGrid, freq: Frequency, medium: Medium
+                ) -> tuple[SpectralSystem, list[np.ndarray]]:
+    """The :func:`build_system` scalars and the two x2 slices of one bin,
+    by a direct weighted DFT per side: O(n_t*n_x1*n_x2), no FFT."""
+    if freq.gamma < 1.0:
+        raise ValueError("the solver requires gamma >= 1")
+    grid = fieldgrid.grid
+    it = _bin_index(grid.delta_axis, freq.delta, "delta")
+    ix = _bin_index(grid.eta_axis, freq.eta, "eta")
+    (mu_p,), (mu_m,), (sigma,) = mu_symbol_grid(
+        [freq.gamma + 1j * grid.delta_axis[it]], [grid.eta_axis[ix]], medium)
+    slices = _bin_slices(fieldgrid, freq.gamma, it, ix)
+    full = []
+    for mu, sl in zip((mu_p, mu_m), slices):
+        full += [halfline_integral(sl, mu, grid.dx2), np.abs(sl[-1])]
+    return _system(grid, freq.gamma, mu_p, mu_m, sigma, *full), slices
 
 
 def forcing_functional(fieldgrid: FieldGrid, freq: Frequency,
@@ -125,17 +152,12 @@ def forcing_functional(fieldgrid: FieldGrid, freq: Frequency,
     """The functional M at one grid frequency, with its truncation bound.
 
     freq.gamma >= 1 is required so both forcing integrals converge; freq's
-    (delta, eta) must coincide with a transform bin of the field's grid.
+    (delta, eta) must be a paired bin of the field's grid (not Nyquist).
+    Only that bin is computed, in O(n_t*n_x1*n_x2) with no FFT.
     """
-    if freq.gamma < 1.0:
-        raise ValueError("forcing_functional requires gamma >= 1")
-    grid = fieldgrid.grid
-    it = _bin_index(grid.delta_axis, freq.delta, "delta")
-    ix = _bin_index(grid.eta_axis, freq.eta, "eta")
-    sys = build_system(fieldgrid, medium, freq.gamma)
-    assert sys.mu_plus[it, ix].real > 0 and sys.mu_minus[it, ix].real > 0
-    bound = float(sys.trunc_plus[it, ix] + sys.trunc_minus[it, ix])
-    return MValue(complex(sys.m[it, ix]), bound)
+    sys, _ = _bin_system(fieldgrid, freq, medium)
+    assert sys.mu_plus.real > 0 and sys.mu_minus.real > 0
+    return MValue(complex(sys.m), float(sys.trunc_plus + sys.trunc_minus))
 
 
 @dataclass
@@ -152,6 +174,15 @@ class FrontSolution:
 
     def norm(self, s: float) -> float:
         return sobolev_norm(self.f_hat, s, self.gamma, self.grid)
+
+
+def _require_weakly_stable(report, what: str) -> None:
+    """Refuse (RegimeError) a medium outside the weakly stable regime."""
+    regime = report.stability_class.value
+    if report.stability_class is not StabilityClass.WEAKLY_STABLE:
+        raise RegimeError(regime, f"{what} requires the weakly stable regime "
+                          f"(v/c > sqrt(2)); medium is {regime} "
+                          f"(v/c = {report.mach_ratio:g})")
 
 
 def _front_hat(sys: SpectralSystem) -> np.ndarray:
@@ -174,12 +205,7 @@ def solve_front(fieldgrid: FieldGrid, medium: Medium,
     are returned at indices {0, s, s+1}.
     """
     report = classify(medium)
-    if report.stability_class is not StabilityClass.WEAKLY_STABLE:
-        raise RegimeError(
-            report.stability_class.value,
-            f"solve_front requires the weakly stable regime (v/c > sqrt(2)); "
-            f"medium is {report.stability_class.value} "
-            f"(v/c = {report.mach_ratio:g})")
+    _require_weakly_stable(report, "solve_front")
     grid = fieldgrid.grid
     g = grid.gamma if gamma is None else gamma
     s_index = grid.s if s is None else s
@@ -316,10 +342,7 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
     if any(g < 1.0 for g in gammas):
         raise ValueError("estimate sweep requires gamma >= 1")
     report = classify(medium)
-    if report.stability_class is not StabilityClass.WEAKLY_STABLE:
-        raise RegimeError(report.stability_class.value,
-                          "the a priori estimate holds only in the weakly "
-                          "stable regime")
+    _require_weakly_stable(report, "the a priori estimate")
     grid = fieldgrid.grid
     if float(np.max(np.abs(fieldgrid.f_plus))) == 0.0 and \
             float(np.max(np.abs(fieldgrid.f_minus))) == 0.0:

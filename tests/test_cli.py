@@ -7,6 +7,7 @@ import pytest
 
 import vortexfront as vf
 from vortexfront.cli import main
+from vortexfront.symbol import mu_symbol_grid
 
 from conftest import smooth_field
 
@@ -240,3 +241,51 @@ def test_reconstruct_refuses_nyquist_bins(capsys, tmp_path, field_file,
     assert code == 2
     assert "Nyquist bin" in err
     assert not out_path.exists()
+
+
+def test_reconstruct_regime_refusal(capsys, tmp_path, field_file):
+    out_path = tmp_path / "profile.csv"
+    code, _, err = run(capsys, ["reconstruct", "--v", "1", "--c", "1",
+                                "--in", field_file, "--delta", "6.3",
+                                "--eta", "6.3", "--out", str(out_path)])
+    assert code == 3
+    assert "elliptic_unstable" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reconstruct_large_gamma(capsys, tmp_path, field_file):
+    # One bin and no physical front: nothing overflows at gamma*L_t > 709.
+    out_path = tmp_path / "profile.csv"
+    code, _, _ = run(capsys, ["reconstruct", "--v", "2", "--c", "1",
+                              "--in", field_file, "--gamma", "800",
+                              "--delta", "6.3", "--eta", "6.3",
+                              "--out", str(out_path)])
+    assert code == 0
+    got = np.loadtxt(out_path, delimiter=",", skiprows=1)
+    assert got.shape == (24 + 1, 5) and np.all(np.isfinite(got))
+
+
+def test_grid_csv_bytes(capsys, tmp_path):
+    # Each value formatted on its own, |Sigma| by the scalar abs: the
+    # command's table writer must give the same bytes.
+    medium = vf.Medium.symmetric(2.0, 1.0)
+    gammas = np.linspace(0.0, 2.0, 3)
+    deltas, etas = np.linspace(-6.0, 6.3, 21), np.linspace(-6.1, 6.2, 21)
+    lines = ["gamma,delta,eta,re_sigma,im_sigma,abs_sigma,"
+             "re_mu_plus,im_mu_plus,re_mu_minus,im_mu_minus"]
+    for g in gammas:
+        dd, ee = np.meshgrid(deltas, etas, indexing="ij")
+        mu_p, mu_m, sig = mu_symbol_grid(g + 1j * dd, ee, medium)
+        for i in range(len(deltas)):
+            for j in range(len(etas)):
+                lines.append(",".join(format(float(x), ".17g") for x in (
+                    g, deltas[i], etas[j], sig[i, j].real, sig[i, j].imag,
+                    abs(sig[i, j]), mu_p[i, j].real, mu_p[i, j].imag,
+                    mu_m[i, j].real, mu_m[i, j].imag)))
+    out_path = tmp_path / "grid.csv"
+    code, _, _ = run(capsys, ["grid", "--v", "2", "--c", "1", "--window",
+                              "0:2:3,-6:6.3:21,-6.1:6.2:21",
+                              "--out", str(out_path)])
+    assert code == 0
+    assert out_path.read_bytes() == ("\n".join(lines) + "\n").encode()

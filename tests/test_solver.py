@@ -8,6 +8,7 @@ import pytest
 
 import vortexfront as vf
 from vortexfront import FieldGrid, Frequency, GridSpec, Medium, RegimeError
+from vortexfront.solver import _bin_system, _front_hat
 from vortexfront.symbol import mu_grid
 
 from conftest import bump, exp_oracle_field, fft2_halfspace_norm, smooth_field
@@ -77,6 +78,56 @@ def test_forcing_functional_requires_grid_bin():
         vf.forcing_functional(field, Frequency(1.0, 0.123, 0.0), med)
     with pytest.raises(ValueError, match="gamma"):
         vf.forcing_functional(field, Frequency(0.5, 0.0, 0.0), med)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 3.0])
+def test_bin_system_matches_build_system(weakly_stable, gamma):
+    # The plus-side bump reaches L_x2, so the truncation bound is not zero.
+    field = smooth_field(n_t=16, n_x1=16, y_width=2.05)
+    grid = field.grid
+    full = vf.build_system(field, weakly_stable, gamma)
+    f_hat = vf.solve_front(field, weakly_stable, gamma).f_hat
+    scale = {k: np.max(np.abs(v)) for k, v in
+             (("m", full.m), ("g_hat", full.g_hat), ("f_hat", f_hat))}
+    for it in range(grid.n_t):
+        for ix in range(grid.n_x1):
+            if it == grid.n_t // 2 or ix == grid.n_x1 // 2:
+                continue
+            freq = Frequency(gamma, float(grid.delta_axis[it]),
+                             float(grid.eta_axis[ix]))
+            one, _ = _bin_system(field, freq, weakly_stable)
+            got = {"m": one.m, "g_hat": one.g_hat, "f_hat": _front_hat(one)}
+            want = {"m": full.m[it, ix], "g_hat": full.g_hat[it, ix],
+                    "f_hat": f_hat[it, ix]}
+            for k in got:
+                assert abs(got[k] - want[k]) <= 1e-13 * scale[k], (it, ix, k)
+            bound = full.trunc_plus[it, ix] + full.trunc_minus[it, ix]
+            assert bound > 0.0
+            assert abs(one.trunc_plus + one.trunc_minus - bound) \
+                <= 1e-12 * bound
+
+
+def test_forcing_functional_refuses_nyquist_bins(weakly_stable):
+    field = smooth_field(n_t=16, n_x1=8, n_x2=24)
+    grid = field.grid
+    for delta, eta in ((grid.delta_axis[8], 0.0), (0.0, grid.eta_axis[4])):
+        with pytest.raises(ValueError, match="Nyquist"):
+            vf.forcing_functional(field, Frequency(1.0, delta, eta),
+                                  weakly_stable)
+
+
+def test_forcing_functional_reads_one_bin(weakly_stable):
+    # One bin needs its two x2 profiles, not the transform of the field.
+    field = smooth_field()
+    freq = Frequency(1.0, float(field.grid.delta_axis[3]),
+                     float(field.grid.eta_axis[-2]))
+    tracemalloc.start()
+    try:
+        vf.forcing_functional(field, freq, weakly_stable)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * field.f_plus.nbytes
 
 
 def test_quadrature_order_under_doubling():
