@@ -17,19 +17,12 @@ import sys
 import numpy as np
 
 from .domain import Frequency, Medium, RegimeError
-from .grids import read_field
+from .grids import _rows, read_field
 from .pressure import reconstruct_profile, solve_boundary_system
 from .solver import (_bin_system, _front_hat, _require_weakly_stable,
                      blowup_probe, solve_front, verify_estimate)
 from .symbol import classify, mu_symbol_grid, symbol_grid, symbol_roots
 from .transforms import halfspace_norm
-
-
-def _rows(*columns) -> str:
-    """CSV rows of the broadcast columns (row-major), each value as %.17g."""
-    table = np.column_stack([c.ravel() for c in np.broadcast_arrays(*columns)])
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    return "".join(line % tuple(row) for row in table.tolist())
 
 
 def _emit(text: str, out: str | None) -> None:

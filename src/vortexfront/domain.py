@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 SQRT2 = math.sqrt(2.0)
@@ -16,6 +19,60 @@ REGIME_RTOL = 1e-12
 # Absolute tolerance (in units of |eta|) used to snap a boundary root to the
 # loci where it vanishes exactly.
 ENDPOINT_ATOL = 1e-12
+
+# Chunks per core in :func:`_split`.  With a core shared with other work,
+# one chunk per core waits for the slow one: on a 2-vCPU host with another
+# process busy half the time, a 128x128x256 solve and its two half-space
+# norms took a median 176 ms in two chunks per stage and 166 ms in eight,
+# against 198 ms on one thread.
+_CHUNKS_PER_CORE = 4
+
+
+def _workers() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _split(fn, n: int) -> None:
+    """Run fn(lo, hi) over contiguous chunks of range(n) on the usable cores.
+
+    The range is cut into a few chunks per core, each taken by the next
+    free thread (the calling thread is one of them), so a core slowed by
+    other work takes fewer.  Each fn call must write only the outputs of
+    its own indices, computed by arithmetic that does not depend on the
+    chunk bounds, so results do not depend on the core count.  Workers see
+    the caller's context (np.errstate); the first exception raised in any
+    chunk is re-raised here once every thread has stopped.
+    """
+    k = min(_workers(), n)
+    size = -(-n // (_CHUNKS_PER_CORE * k))
+    starts = iter(range(0, n, size))
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    lo = next(starts, None)
+                if lo is None:
+                    return
+                fn(lo, min(lo + size, n))
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(work,)) for _ in range(k - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 class RegimeError(RuntimeError):

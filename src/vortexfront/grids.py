@@ -12,6 +12,10 @@ __all__ = ["GridSpec", "FieldGrid", "suggested_depth", "read_field",
 
 # A forcing field must have decayed by this factor at the truncation depth.
 DECAY_FACTOR = 1e-6
+# VFGRID data rows formatted per write.  A chunk's values are held as Python
+# floats: writing a 32x32x192 field in chunks of 16384 rows raised the peak
+# RSS by about 1 MB, in chunks of 65536 rows by 11 MB, at the same speed.
+_WRITE_ROWS = 1 << 14
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -130,6 +134,14 @@ class FieldGrid:
         return FieldGrid(self.f_plus * factor, self.f_minus * factor, self.grid)
 
 
+def _rows(*columns, sep: str = ",") -> str:
+    """Text rows of the broadcast columns (row-major), each value as %.17g,
+    formatted by one % over the whole table."""
+    table = np.column_stack([c.ravel() for c in np.broadcast_arrays(*columns)])
+    line = sep.join(["%.17g"] * len(columns)) + "\n"
+    return line * len(table) % tuple(table.ravel().tolist())
+
+
 def write_field(path, field: FieldGrid) -> None:
     """Write a field in the plain-text VFGRID format.
 
@@ -143,8 +155,9 @@ def write_field(path, field: FieldGrid) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(f"VFGRID 1 {g.n_t} {g.n_x1} {g.n_x2} "
                  f"{g.L_t:.17g} {g.L_x1:.17g} {g.L_x2:.17g}\n")
-        for a, b in zip(fp, fm):
-            fh.write(f"{a:.17g} {b:.17g}\n")
+        for lo in range(0, fp.size, _WRITE_ROWS):
+            hi = lo + _WRITE_ROWS
+            fh.write(_rows(fp[lo:hi], fm[lo:hi], sep=" "))
 
 
 def read_field(path, gamma: float = 1.0, s: float = 0.0) -> FieldGrid:

@@ -7,10 +7,12 @@ transform solves
 
 where M collects the exponentially weighted half-space forcing integrals.
 Division by Sigma is safe in the weakly stable regime because its zeros sit
-on Re(tau) = 0 only.  Per-bin work is independent (no shared state), so the
-arrays may be filled concurrently; the transforms are the only sequential
-barriers.  The forcing is real: the transforms and the depth quadrature run
-on the half spectrum, filled out to the full grid by Hermitian symmetry.
+on Re(tau) = 0 only.  Per-bin work is independent (no shared state).  The
+forcing is real: the transforms and the depth quadrature run on the half
+spectrum, filled out to the full grid by Hermitian symmetry.  The x1 rfft
+and the weighted t-FFT are split into contiguous chunks on the usable
+cores; every entry is computed the same way in any split, so the results
+do not depend on the core count.
 """
 
 from __future__ import annotations

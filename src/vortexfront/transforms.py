@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .domain import _split
 from .grids import FieldGrid, GridSpec
 from .quadrature import extrapolate_origin, simpson_closed
 
@@ -92,10 +93,14 @@ class _HalfSpectrum:
         self.grid = grid
         self.x1_hat = np.empty((samples.shape[2], grid.n_t, grid.n_x1 // 2 + 1),
                                dtype=complex)
+
         # One (n_x1, n_x2) t-plane at a time: it fits in cache, where a
         # whole-stack rfft along the strided x1 axis streams from memory.
-        for i, plane in enumerate(samples):
-            np.fft.rfft(plane.T, axis=-1, out=self.x1_hat[:, i])
+        def planes(lo, hi):
+            for i in range(lo, hi):
+                np.fft.rfft(samples[i].T, axis=-1, out=self.x1_hat[:, i])
+
+        _split(planes, grid.n_t)
 
     def slices(self, gamma: float, in_place: bool = False) -> np.ndarray:
         """The bins 0..n_x1//2 of :func:`weighted_forward`, x2 leading.
@@ -104,8 +109,14 @@ class _HalfSpectrum:
         """
         g = self.grid
         w = (_weight(g, gamma) * (g.dt * g.dx1))[:, None]
-        spec = np.multiply(self.x1_hat, w, out=self.x1_hat if in_place else None)
-        return np.fft.fft(spec, axis=1, out=spec)
+        spec = self.x1_hat if in_place else np.empty_like(self.x1_hat)
+
+        def levels(lo, hi):
+            part = np.multiply(self.x1_hat[lo:hi], w, out=spec[lo:hi])
+            np.fft.fft(part, axis=1, out=part)
+
+        _split(levels, len(spec))
+        return spec
 
 
 def _x2_norm(per_level: np.ndarray, grid: GridSpec) -> float:

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,3 +294,30 @@ def test_grid_csv_bytes(capsys, tmp_path):
                               "--out", str(out_path)])
     assert code == 0
     assert out_path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and two usable CPUs")
+def test_outputs_do_not_depend_on_the_core_count(tmp_path, field_file):
+    # The same commands pinned to one CPU (one worker) and unpinned.
+    env = dict(os.environ, PYTHONPATH=str(Path(vf.__file__).resolve().parents[1]))
+    one_cpu = {min(os.sched_getaffinity(0))}
+
+    def outputs(preexec_fn):
+        out = tmp_path / "out"  # stdout names the output paths
+        shutil.rmtree(out, ignore_errors=True)
+        base = [sys.executable, "-m", "vortexfront.cli"]
+        medium = ["--v", "2", "--c", "1", "--in", field_file]
+        texts = [subprocess.run(base + cmd, env=env, preexec_fn=preexec_fn,
+                                capture_output=True, check=True,
+                                timeout=300).stdout
+                 for cmd in (["solve", *medium, "--gamma", "1", "--s", "1",
+                              "--out", str(out / "solve")],
+                             ["verify", *medium, "--gammas", "1,2,4", "--s", "0",
+                              "--out", str(out / "verify.csv")])]
+        return texts + [p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()]
+
+    pinned = outputs(lambda: os.sched_setaffinity(0, one_cpu))
+    assert pinned == outputs(None)
+    assert len(pinned) == 5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vortexfront as vf
-from vortexfront import FieldGrid, GridSpec, quadrature
+from vortexfront import FieldGrid, GridSpec, grids, quadrature
 from vortexfront.quadrature import (exp_weighted_integral, exp_weighted_segment,
                                     extrapolate_origin, simpson_closed)
 from vortexfront.transforms import _HalfSpectrum
@@ -56,6 +56,24 @@ def test_vfgrid_round_trip(tmp_path):
     path2 = tmp_path / "g.vfgrid"
     vf.write_field(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_vfgrid_bytes_match_per_value_formatting(monkeypatch, tmp_path):
+    # The table writer gives the bytes of one f-string per value, signed
+    # zero, subnormals, extremes and negatives included, across row chunks.
+    monkeypatch.setattr(grids, "_WRITE_ROWS", 5)
+    grid = GridSpec(2, 2, 16, 1.0, 0.3, 2.0)
+    rng = np.random.default_rng(5)
+    fp = rng.standard_normal((2, 2, 16)) * 10.0 ** rng.integers(-300, 300, (2, 2, 16))
+    fp[..., -1] = 0.0
+    fp[0, 0, :6] = [-0.0, 5e-324, -5e-324, 1e300, -1e300, -1.0 / 3.0]
+    fm = -fp[::-1]
+    fm[1, 1, -1] = -0.0
+    path = tmp_path / "f.vfgrid"
+    vf.write_field(path, FieldGrid(fp, fm, grid))
+    lines = ["VFGRID 1 2 2 16 1 0.29999999999999999 2"]
+    lines += [f"{a:.17g} {b:.17g}" for a, b in zip(fp.reshape(-1), fm.reshape(-1))]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_vfgrid_rejects_malformed(tmp_path):
