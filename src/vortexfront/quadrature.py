@@ -9,16 +9,21 @@ nodes): order 4 in the smoothness of f, uniformly in mu.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = ["extrapolate_origin", "simpson_closed", "exp_weighted_integral",
            "exp_weighted_segment", "halfline_integral"]
 
-# Below this |mu*h| the closed-form moments lose digits to cancellation and
-# a truncated series is used instead (14 terms reach full precision).
-_SERIES_CUTOFF = 0.25
-_SERIES_TERMS = 16
-# Pair-term entries per Horner block: all pairs of a 1-D call, a stack by planes.
+# Below this |z| = |mu*span| the closed-form moments cancel (3e-15 relative at 1,
+# 1e-13 at 0.25); the series, coefficient 1/(k! (k+j+1)) at row k, column j, is used.
+_SERIES_CUTOFF = 1.7
+_SERIES_TERMS = 21
+_SERIES_COEFFS = np.array([[1.0 / (math.factorial(k) * (k + j + 1)) for j in range(3)]
+                           for k in range(_SERIES_TERMS)], dtype=complex)
+# Entries per block of chain or series powers: a 1-D call's pairs, a stack by planes.
 _BLOCK_ENTRIES = 4096
 
 
@@ -60,35 +65,32 @@ def simpson_closed(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
 
 
 def _moments(z: np.ndarray, span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """m_j = integral_0^span exp(-mu*u) u^j du, j = 0, 1, 2, with z = mu*span."""
+    """m_j = integral_0^span exp(-mu*u) u^j du, j = 0, 1, 2, with z = mu*span.
+
+    Below the cutoff m_j = span^(j+1) sum_k (-z)^k C[k, j]: one product of
+    a block of powers with the table C gives all three sums.
+    """
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < _SERIES_CUTOFF
-    m0 = np.empty(z.shape, dtype=complex)
-    m1 = np.empty(z.shape, dtype=complex)
-    m2 = np.empty(z.shape, dtype=complex)
-
+    m = np.empty((3,) + z.shape, dtype=complex)
     if small.any():
-        zs = z[small]
-        s0 = np.zeros_like(zs)
-        s1 = np.zeros_like(zs)
-        s2 = np.zeros_like(zs)
-        term = np.ones_like(zs)
-        for k in range(_SERIES_TERMS):
-            s0 += term / (k + 1)
-            s1 += term / (k + 2)
-            s2 += term / (k + 3)
-            term = term * (-zs) / (k + 1)
-        m0[small] = span * s0
-        m1[small] = span * span * s1
-        m2[small] = span ** 3 * s2
+        w = -z[small]
+        series = np.empty((w.size, 3), dtype=complex)
+        rows = max(1, _BLOCK_ENTRIES // _SERIES_TERMS)
+        for lo in range(0, w.size, rows):  # (-z)^k for a block of entries
+            powers = np.repeat(w[lo:lo + rows, None], _SERIES_TERMS, axis=1)
+            powers[:, 0] = 1.0
+            np.multiply.accumulate(powers, axis=1, out=powers)
+            np.matmul(powers, _SERIES_COEFFS, out=series[lo:lo + rows])
+        m[:, small] = (series * [span, span * span, span ** 3]).T
     if not small.all():
         zl = z[~small]
         mu = zl / span
         e = np.exp(-zl)
-        m0[~small] = (1.0 - e) / mu
-        m1[~small] = (1.0 - e * (1.0 + zl)) / (mu * mu)
-        m2[~small] = (2.0 - e * (2.0 + 2.0 * zl + zl * zl)) / (mu ** 3)
-    return m0, m1, m2
+        m[0, ~small] = (1.0 - e) / mu
+        m[1, ~small] = (1.0 - e * (1.0 + zl)) / (mu * mu)
+        m[2, ~small] = (2.0 - e * (2.0 + 2.0 * zl + zl * zl)) / (mu ** 3)
+    return m[0], m[1], m[2]
 
 
 def _quadratic_weights(m0, m1, m2, h: float):
@@ -119,10 +121,13 @@ def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
     or from f(0) = `origin` and `values` at h, 2h, ..., (n-1)h.
 
     f is interpolated by quadratics over Simpson pairs (and on a last odd
-    interval) while the exponential is integrated exactly.  The pairs are
-    summed backwards, total = total*exp(-2*mu*h) + pair_k, by blocks of
-    node-first views, so no temporary outgrows a block.  `mu` has the shape
-    of `values` without the node axis `axis`, or broadcasts to it.
+    interval) while the exponential is integrated exactly.  The pairs sum to
+    w0*R0 + w1*R1 + w2*R2, R_c = sum_k s^k x_{2k+c} with s = exp(-2*mu*h),
+    and the chains are summed backwards by blocks of node-first views: one
+    contraction with s^0..s^(B-1) per block of B pairs, or R *= s;
+    R += x[2k:2k+3] where a block is one pair.  No temporary outgrows a
+    block.  `mu` has the shape of `values` without the node axis `axis`, or
+    broadcasts to it.
     """
     v = np.moveaxis(np.asarray(values, dtype=complex), axis, 0)
     mu = np.asarray(mu, dtype=complex)
@@ -130,17 +135,27 @@ def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
     n = len(v) + off - 1
     if n < 2:
         raise ValueError("need at least three samples")
-    weights = _pair_weights(mu, h)
-    step = np.exp(-2.0 * h * mu)
-    block = max(1, _BLOCK_ENTRIES // v[0].size)
-    total = 0j
+    w0, w1, w2 = _pair_weights(mu, h)
+    block = min(max(1, _BLOCK_ENTRIES // v[0].size), n // 2)
+    powers = np.repeat(np.exp(-2.0 * h * mu)[None], block + 1, axis=0)
+    powers[0] = 1.0  # s^0 .. s^block
+    if block > 1:  # accumulating along axis 0 loops once per plane entry
+        np.multiply.accumulate(powers, axis=0, out=powers)
+    pairs = as_strided(v[off:], (n // 2 - off, 3) + v.shape[1:],  # pair k at k - off
+                       (2 * v.strides[0],) + v.strides, writeable=False)
+    chains = np.zeros((3,) + np.broadcast_shapes(v.shape[1:], mu.shape), dtype=complex)
     for hi in range(n // 2, off, -block):  # pairs lo..hi-1
         lo = max(off, hi - block)
-        for term in _pair_terms(v[2 * lo - off:2 * hi + 1 - off], weights)[::-1]:
-            total = total * step + term
+        chains *= powers[hi - lo]
+        if hi - lo == 1:
+            chains += pairs[lo - off]
+        else:
+            chains += np.einsum("jc...,j...->c...", pairs[lo - off:hi - off],
+                                powers[:hi - lo])
     if off:
-        total = total * step + _pair_terms(np.stack((origin, v[0], v[1])),
-                                           weights)[0]
+        chains *= powers[1]
+        chains += (origin, v[0], v[1])
+    total = w0 * chains[0] + w1 * chains[1] + w2 * chains[2]
     if n % 2:  # last interval: the quadratic through the last three nodes
         total = total + np.exp(-mu * ((n - 2) * h)) * exp_weighted_segment(
             v[n - 2 - off], v[n - 1 - off], v[n - off], h, mu, "tail")

@@ -320,6 +320,88 @@ def test_halfline_integral_does_not_copy_the_stack():
     assert peak < 0.1 * stack.nbytes
 
 
+def _mp_moments(z, span):
+    """m_j = integral_0^span exp(-mu*u) u^j du, j = 0, 1, 2, z = mu*span, in mpmath."""
+    import mpmath as mp
+    z = mp.mpc(z)
+    mu, e = z / span, mp.exp(-z)
+    return [(1 - e) / mu, (1 - e * (1 + z)) / mu ** 2,
+            (2 - e * (2 + 2 * z + z * z)) / mu ** 3]
+
+
+def test_moments_match_mpmath_across_the_series_cutoff():
+    # The tabled series below _SERIES_CUTOFF and the closed form above it:
+    # 1e-14 relative over |z| = 1e-8 .. 60 on one plane that mixes both
+    # branches (and spans two series blocks), and each branch within 1e-15
+    # just either side of the cutoff, all round the circle.  Re z < 0 (arg
+    # 2.8) occurs in head segments.
+    import mpmath as mp
+    span = 0.3
+    args = np.array([0.0, 0.7, -1.2, 1.5, 2.8])
+    plane = np.geomspace(1e-8, 60.0, 61)[:, None] * np.exp(1j * args)
+    cut = quadrature._SERIES_CUTOFF
+    edge = (np.array([cut * (1 - 1e-12), cut * (1 + 1e-12)])[:, None]
+            * np.exp(1j * np.linspace(-np.pi, np.pi, 48, endpoint=False)))
+    for z, rtol in ((plane, 1e-14), (edge, 1e-15)):
+        got = np.stack(quadrature._moments(z, span), axis=-1)
+        for idx in np.ndindex(z.shape):
+            with mp.workdps(50):
+                want = np.array([complex(m) for m in _mp_moments(z[idx], span)])
+            assert np.all(np.abs(got[idx] - want) <= rtol * np.abs(want)), z[idx]
+            one = np.array(quadrature._moments(np.asarray(z[idx]), span))
+            assert np.all(np.abs(one - want) <= rtol * np.abs(want)), z[idx]
+
+
+def _interpolant_integral(f, h, mu):
+    """integral of exp(-mu*y) times the piecewise quadratic of exp_weighted_integral
+    (Simpson pairs, the last odd interval from the last three nodes), in mpmath."""
+    import mpmath as mp
+    n = len(f) - 1
+    with mp.workdps(40):
+        mu = mp.mpc(mu)
+
+        def piece(k, part):  # quadratic through nodes k..k+2 over [k + part, k + 2]*h
+            f0, f1, f2 = (mp.mpc(x) for x in f[k:k + 3])
+            coef = (f0, (-3 * f0 + 4 * f1 - f2) / (2 * h),
+                    (f0 - 2 * f1 + f2) / (2 * h * h))
+            m = _mp_moments(2 * h * mu, 2 * h)
+            if part:
+                m = [a - b for a, b in zip(m, _mp_moments(h * mu, h))]
+            return mp.exp(-mu * k * h) * sum(c * mj for c, mj in zip(coef, m))
+
+        total = sum(piece(k, 0) for k in range(0, n - 1, 2))
+        if n % 2:
+            total += piece(n - 2, 1)
+        return complex(total)
+
+
+@pytest.mark.parametrize("block_entries", [3, 4096])
+def test_exp_weighted_integral_where_the_chain_underflows(monkeypatch, block_entries):
+    # At |mu*h| = 10..60, s^k = exp(-2k*mu*h) underflows within a few pairs.
+    # Blocks of one pair (in-place chains) and of all pairs (one contraction),
+    # node axis first and last, even and odd interval counts, against the
+    # same interpolant integrated in mpmath; no RuntimeWarning.
+    import warnings
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(79)
+    h = 0.05
+    mu = np.array([10.0 * np.exp(0.3j), 40.0 * np.exp(-0.5j), 60.0]) / h
+    for n in (40, 41):
+        vals = rng.standard_normal((n + 1, 3)) + 1j * rng.standard_normal((n + 1, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            whole = (exp_weighted_integral(vals, h, mu, axis=0),
+                     exp_weighted_integral(vals.T, h, mu))
+            half = (vf.halfline_integral(vals[1:], mu, h, axis=0),
+                    vf.halfline_integral(vals[1:].T, mu, h))
+        for i in range(3):
+            full = np.concatenate(([extrapolate_origin(vals[1:, i])], vals[1:, i]))
+            for got, f in ((whole, vals[:, i]), (half, full)):
+                want = _interpolant_integral(f, h, mu[i])
+                for g in got:
+                    assert abs(g[i] - want) <= 1e-14 * abs(want)
+
+
 def test_exp_weighted_segment_head_tail():
     import cmath
     h = 0.2

@@ -267,6 +267,23 @@ def test_solve_front_refuses_overflowing_front(weakly_stable):
     assert math.isfinite(rep.rows[0].r) and rep.rows[0].r > 0.0
 
 
+def test_inverse_path_wrap_around_shrinks_with_gamma_l_t(weakly_stable):
+    # f_phys is a numerical inverse Laplace-Fourier transform on a periodic
+    # t-box: its wrap-around error is of order exp(-gamma*L_t).  Early
+    # forcing (t in [0.1, 0.5]) at dt = 1/64, against a box of L_t = 8 at
+    # gamma = 2, over t < 0.6, where exp(gamma*t) amplifies rounding little.
+    def front(L_t, gamma):
+        field = smooth_field(n_t=int(64 * L_t), n_x1=32, n_x2=96, L_t=L_t)
+        return vf.solve_front(field, weakly_stable, gamma).f_phys[:39]
+
+    ref = front(8.0, 2.0)
+    errs = [np.max(np.abs(front(2.0, gamma) - ref)) / np.max(np.abs(ref))
+            for gamma in (4.0, 8.0)]
+    for err, gamma_l_t in zip(errs, (8.0, 16.0)):
+        assert err <= 10.0 * math.exp(-gamma_l_t) + 1e-5
+    assert errs[1] < 1e-2 * errs[0]
+
+
 # ---------------------------------------------------------------------------
 # estimate machinery
 
