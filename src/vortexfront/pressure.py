@@ -9,6 +9,8 @@ the prescribed jump of P' driven by the front, and one decay condition per
 side.  The solution is evaluated in the exponentially split form so that
 the growing mode is cancelled analytically whenever the decay condition
 holds; inconsistent user data keeps the growing term and emits a warning.
+Its exp(-mu|x-y|) convolution, parity-chain recurrences to the right and (on
+the reversed samples) to the left, is one log-depth scan for both sides.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Frequency, Medium
-from .quadrature import (_pair_terms, _pair_weights, _segment_weights,
-                         exp_weighted_integral, exp_weighted_segment,
-                         extrapolate_origin)
+# exp_weighted_integral is only a name here: bench/workloads.py wraps it by
+# name.  ROADMAP item 3 deletes it together with its pin in test_layering.py.
+from .quadrature import (_pair_weights, _segment_weights, exp_weighted_integral,
+                         exp_weighted_segment, extrapolate_origin)
 from .symbol import decay_root_pair, mu_symbol_grid
 
 __all__ = ["BoundaryState", "PressureProfile", "solve_boundary_system",
@@ -78,32 +81,34 @@ def solve_boundary_system(freq: Frequency, medium: Medium, f_hat: complex,
     return BoundaryState(p0, p0, dp_p, dp_m)
 
 
-def _split_convolution(full: np.ndarray, mu: complex, h: float,
-                       c: float) -> np.ndarray:
+def _split_convolution(full: np.ndarray, mu, h: float, c: float) -> np.ndarray:
     """(1/(2 c^2 mu)) integral_0^L exp(-mu*|x-y|) Fhat(y) dy at every node.
 
-    `full` holds Fhat at 0, h, ..., L.  The kink at y = x splits the kernel:
-    R_k = integral_{x_k}^L exp(-mu*(y - x_k)) Fhat dy, and L_k is R on the
-    reversed samples.  Both obey X_k = pair_k + exp(-2 mu h) X_{k+2} (pair_k
-    the Simpson pair at node k): two parity chains each, seeded by X_n = 0
-    and the single interval next to the far end.
+    `full` holds Fhat at 0, h, ..., L on its first axis; `mu` broadcasts
+    over any trailing axes.  The kink at y = x splits the kernel: R_k =
+    integral_{x_k}^L exp(-mu*(y - x_k)) Fhat dy, and L_k is R on the
+    reversed samples, reversed back at the end.  Both obey X_k = pair_k +
+    s*X_{k+2}, s = exp(-2 mu h) (pair_k the Simpson pair at node k), seeded
+    by X_n = 0 and the single interval next to the far end.  Stacked on a
+    last axis, they are summed by a Hillis-Steele scan, X[:-d] += s^(d/2)
+    X[d:] for d = 2, 4, 8, ...: nonnegative powers only, which may underflow.
     """
+    mu = np.asarray(mu, dtype=complex)
     n = full.shape[0] - 1
+    both = np.stack((full, full[::-1]), axis=-1)
+    w0, w1, w2 = _pair_weights(mu[..., None], h)
+    chains = np.zeros(both.shape, dtype=complex)  # X_n = 0
+    chains[:n - 1] = w0 * both[:-2] + w1 * both[1:-1] + w2 * both[2:]
     # R_{n-1} on [L - h, L] and L_1 on [0, h], each a single interval.
-    tail = np.dot(_segment_weights(mu, h, "tail"), full[n - 2:])
-    head = exp_weighted_segment(full[0], full[1], full[2], h, -mu, "head")
-    seeds = (complex(tail), complex(np.exp(-mu * h) * head))
-    pairs = _pair_terms(np.stack((full, full[::-1]), axis=1),
-                        _pair_weights(mu, h), stride=1)
-    step = complex(np.exp(-2.0 * h * mu))
-    chains = []
-    for terms, seed in zip(pairs.T.tolist(), seeds):
-        chain = [0j, seed]
-        for term in reversed(terms):
-            chain.append(term + step * chain[-2])
-        chains.append(chain[::-1])
-    right, left = np.array(chains)
-    return (left[::-1] + right) / (2.0 * c * c * mu)
+    w0, w1, w2 = _segment_weights(mu, h, "tail")
+    chains[n - 1, ..., 0] = w0 * full[n - 2] + w1 * full[n - 1] + w2 * full[n]
+    chains[n - 1, ..., 1] = np.exp(-mu * h) * exp_weighted_segment(
+        full[0], full[1], full[2], h, -mu, "head")
+    step, d = np.exp(-2.0 * h * mu)[..., None], 2
+    while d <= n:
+        chains[:-d] += step * chains[d:]
+        step, d = step * step, 2 * d
+    return (chains[::-1, ..., 1] + chains[..., 0]) / (2.0 * c * c * mu)
 
 
 def reconstruct_profile(freq: Frequency, medium: Medium, state: BoundaryState,
@@ -114,33 +119,31 @@ def reconstruct_profile(freq: Frequency, medium: Medium, state: BoundaryState,
     slice_plus / slice_minus hold Fhat at the stored nodes dx2..L_x2 (the
     origin value is extrapolated).  Written as
     (decaying exponential) + (exp(-mu|x-y|) convolution) + (growing defect),
-    the last term nonzero only when the decay condition fails.
+    the last term nonzero only when the decay condition fails.  Both sides
+    are solved in one call on the stacked samples.
     """
-    c = medium.c
-    n = len(np.asarray(slice_plus))
-    nodes = np.arange(n + 1) * dx2
+    sl = np.asarray(np.stack((slice_plus, slice_minus), axis=-1), dtype=complex)
+    full = np.concatenate((extrapolate_origin(sl, axis=0)[None], sl))
+    nodes = np.arange(len(full)) * dx2
     roots = decay_root_pair(freq, medium)
-    profs, grew = [], []
-    for side, sl, mu, p0, dp0 in (
-            ("plus", slice_plus, roots.mu_plus, state.p_plus0, state.dp_plus0),
-            ("minus", slice_minus, roots.mu_minus, state.p_minus0,
-             -state.dp_minus0)):
-        sl = np.asarray(sl, dtype=complex)
-        b = dp0 / mu
-        full = np.concatenate(([extrapolate_origin(sl)], sl))
-        t_side = complex(exp_weighted_integral(full, dx2, mu)) / (c * c * mu)
+    mu = np.array([roots.mu_plus, roots.mu_minus])
+    conv = _split_convolution(full, mu, dx2, medium.c)
+    profs, grew = conv.T.copy(), []
+    # t_side = R_0/(c^2 mu) = 2 conv(0): the left chain vanishes at x2 = 0.
+    for side, prof, mu_s, t_side, p0, dp0 in zip(
+            ("plus", "minus"), profs, mu.tolist(), (2.0 * conv[0]).tolist(),
+            (state.p_plus0, state.p_minus0), (state.dp_plus0, -state.dp_minus0)):
+        b = dp0 / mu_s
         defect = p0 + b - t_side
         scale = abs(p0) + abs(b) + abs(t_side)
-        prof = 0.5 * (p0 - b) * np.exp(-mu * nodes) \
-            + _split_convolution(full, mu, dx2, c)
+        prof += 0.5 * (p0 - b) * np.exp(-mu_s * nodes)
         growing = scale > 0 and abs(defect) > GROWTH_DEFECT_RTOL * scale
         if growing:
             warnings.warn(
                 f"boundary data on the {side} side violate the decay "
                 f"condition (relative defect {abs(defect) / scale:.3e}); "
                 "the growing exponential is retained", RuntimeWarning)
-            prof = prof + 0.5 * defect * np.exp(mu * nodes)
-        profs.append(prof)
+            prof += 0.5 * defect * np.exp(mu_s * nodes)
         grew.append(growing)
     return PressureProfile(nodes, *profs, *grew)
 

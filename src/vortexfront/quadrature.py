@@ -68,13 +68,17 @@ def _moments(z: np.ndarray, span: float) -> tuple[np.ndarray, np.ndarray, np.nda
     """m_j = integral_0^span exp(-mu*u) u^j du, j = 0, 1, 2, with z = mu*span.
 
     Below the cutoff m_j = span^(j+1) sum_k (-z)^k C[k, j]: one product of
-    a block of powers with the table C gives all three sums.
+    a block of powers with the table C gives all three sums.  A z on one
+    side of the cutoff is taken whole; only a mixed z is split by masks.
     """
     z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < _SERIES_CUTOFF
     m = np.empty((3,) + z.shape, dtype=complex)
-    if small.any():
-        w = -z[small]
+    flat, m_flat = z.reshape(-1), m.reshape(3, -1)
+    small = np.abs(flat) < _SERIES_CUTOFF
+    count = np.count_nonzero(small)
+    if count:
+        pick = slice(None) if count == small.size else small
+        w = -flat[pick]
         series = np.empty((w.size, 3), dtype=complex)
         rows = max(1, _BLOCK_ENTRIES // _SERIES_TERMS)
         for lo in range(0, w.size, rows):  # (-z)^k for a block of entries
@@ -82,14 +86,15 @@ def _moments(z: np.ndarray, span: float) -> tuple[np.ndarray, np.ndarray, np.nda
             powers[:, 0] = 1.0
             np.multiply.accumulate(powers, axis=1, out=powers)
             np.matmul(powers, _SERIES_COEFFS, out=series[lo:lo + rows])
-        m[:, small] = (series * [span, span * span, span ** 3]).T
-    if not small.all():
-        zl = z[~small]
+        m_flat[:, pick] = (series * [span, span * span, span ** 3]).T
+    if count < small.size:
+        pick = ~small if count else slice(None)
+        zl = flat[pick]
         mu = zl / span
         e = np.exp(-zl)
-        m[0, ~small] = (1.0 - e) / mu
-        m[1, ~small] = (1.0 - e * (1.0 + zl)) / (mu * mu)
-        m[2, ~small] = (2.0 - e * (2.0 + 2.0 * zl + zl * zl)) / (mu ** 3)
+        m_flat[0, pick] = (1.0 - e) / mu
+        m_flat[1, pick] = (1.0 - e * (1.0 + zl)) / (mu * mu)
+        m_flat[2, pick] = (2.0 - e * (2.0 + 2.0 * zl + zl * zl)) / (mu ** 3)
     return m[0], m[1], m[2]
 
 
@@ -104,14 +109,6 @@ def _quadratic_weights(m0, m1, m2, h: float):
 def _pair_weights(mu, h: float):
     """Weights of f0, f1, f2 at nodes 0, h, 2h for one Simpson pair [0, 2h]."""
     return _quadratic_weights(*_moments(mu * (2.0 * h), 2.0 * h), h)
-
-
-def _pair_terms(v: np.ndarray, weights, stride: int = 2) -> np.ndarray:
-    """Simpson-pair integrals over v[k:k+3], k = 0, stride, ...; nodes first."""
-    w0, w1, w2 = weights
-    stop = len(v) - 2
-    return (w0 * v[0:stop:stride] + w1 * v[1:stop + 1:stride]
-            + w2 * v[2:stop + 2:stride])
 
 
 def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,

@@ -352,6 +352,23 @@ def test_moments_match_mpmath_across_the_series_cutoff():
             assert np.all(np.abs(one - want) <= rtol * np.abs(want)), z[idx]
 
 
+@pytest.mark.parametrize("shape", [(), (4,)])
+@pytest.mark.parametrize("radii", [(0.01, 0.3, 0.7, 0.99), (1.01, 2.0, 9.0, 40.0)])
+def test_moments_one_sided_match_a_mixed_call(shape, radii):
+    # z wholly below (or above) the cutoff is evaluated without masks; its
+    # moments are bitwise those of the same entries of a mixed call whose
+    # subset on that side has the same size
+    cut, span = quadrature._SERIES_CUTOFF, 0.3
+    z = cut * np.array(radii) * np.exp(1j * np.array([0.0, 0.7, -2.8, 1.5]))
+    z = z[:int(np.prod(shape))]
+    far = cut / np.array(radii[:2]) * np.exp(1j * np.array([0.4, -1.0]))  # other side
+    mixed = np.insert(z, [0, len(z)], far)
+    one = quadrature._moments(z.reshape(shape), span)
+    both = quadrature._moments(mixed, span)
+    for m_one, m_both in zip(one, both):
+        assert np.asarray(m_one).tobytes() == m_both[1:-1].tobytes()
+
+
 def _interpolant_integral(f, h, mu):
     """integral of exp(-mu*y) times the piecewise quadratic of exp_weighted_integral
     (Simpson pairs, the last odd interval from the last three nodes), in mpmath."""

@@ -145,6 +145,25 @@ def test_reconstruct_warns_on_inconsistent_data():
     assert prof.growing_plus and not prof.growing_minus
 
 
+def test_reconstruct_warns_on_inconsistent_minus_data():
+    # the minus-side mirror: only that side grows and the warning names it;
+    # the plus profile is the one consistent data give, so the sides,
+    # solved stacked, do not cross
+    n, L = 64, 8.0
+    h = L / n
+    zero = np.zeros(n, dtype=complex)
+    mu_p, mu_m = roots_at(FREQ, MED)
+    good = vf.BoundaryState(1.0, 1.0, -mu_p * 1.0, mu_m * 1.0)
+    bad = vf.BoundaryState(1.0, 1.0, -mu_p * 1.0, mu_m * 1.0 + 0.05)
+    with pytest.warns(RuntimeWarning, match="minus side") as record:
+        prof = vf.reconstruct_profile(FREQ, MED, bad, zero, zero, h)
+    assert len(record) == 1
+    assert prof.growing_minus and not prof.growing_plus
+    want = vf.reconstruct_profile(FREQ, MED, good, zero, zero, h)
+    assert np.array_equal(prof.p_plus, want.p_plus)
+    assert not np.array_equal(prof.p_minus, want.p_minus)
+
+
 def test_decay_row_holds_post_hoc():
     n, L = 256, 12.0
     slice_p, slice_m, h = exp_slices(n, L)
@@ -204,10 +223,11 @@ def test_front_equation_residual_closure_and_sensitivity():
     assert res_bad > 1e3 * tol
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 8, 31, 32])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 31, 32, 191, 192])
 def test_split_convolution_matches_per_node_reference(n):
-    # the parity-chain recurrences against a full quadrature at every node,
-    # from the series branch of the moments (|mu h| = 1e-3) to |mu h| = 30
+    # the parity-chain scan against a full quadrature at every node, from
+    # the series branch of the moments (|mu h| = 1e-3) to |mu h| = 30; then
+    # a (n+1, 3) stack with three mu against the three 1-D calls
     rng = np.random.default_rng(n)
     full = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     h, c = 0.05, 1.3
@@ -217,6 +237,14 @@ def test_split_convolution_matches_per_node_reference(n):
             got = _split_convolution(full, mu, h, c)
             want = per_node_convolution(full, mu, h, c)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    stack = rng.standard_normal((n + 1, 3)) + 1j * rng.standard_normal((n + 1, 3))
+    mus = np.array([1e-3, 0.7 * cmath.exp(1.2j), 30.0 * cmath.exp(-1.45j)]) / h
+    got = _split_convolution(stack, mus, h, c)
+    assert got.shape == (n + 1, 3)
+    for col, mu, conv in zip(stack.T, mus, got.T):
+        for want in (_split_convolution(col, mu, h, c),
+                     per_node_convolution(col, mu, h, c)):
+            assert np.abs(conv - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
