@@ -34,6 +34,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _require_finite(what: str, *values) -> None:
+    if not all(np.isfinite(v).all() for v in values):
+        raise ArithmeticError(f"{what} is not finite (overflow)")
+
+
 def _parse_window(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -87,11 +92,13 @@ def cmd_grid(args) -> int:
     for g in gammas:
         if g == 0.0 and np.any((dd == 0.0) & (ee == 0.0)):
             raise ValueError("window contains the excluded origin (0, 0, 0)")
-        mu_p, mu_m, sig = mu_symbol_grid(g + 1j * dd, ee, medium)
-        # hypot, not np.abs: the vector abs loop may round differently.
-        parts.append(_rows(g, dd, ee, sig.real, sig.imag,
-                           np.hypot(sig.real, sig.imag), mu_p.real,
-                           mu_p.imag, mu_m.real, mu_m.imag))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu_p, mu_m, sig = mu_symbol_grid(g + 1j * dd, ee, medium)
+            # hypot, not np.abs: the vector abs loop may round differently.
+            cols = (g, dd, ee, sig.real, sig.imag, np.hypot(sig.real, sig.imag),
+                    mu_p.real, mu_p.imag, mu_m.real, mu_m.imag)
+        _require_finite(f"the symbol at gamma = {g:.6g}", *cols)
+        parts.append(_rows(*cols))
     _emit("".join(parts), args.out)
     return 0
 
@@ -101,12 +108,15 @@ def cmd_roots(args) -> int:
     if args.eta == 0.0:
         raise ValueError("--eta must be nonzero")
     roots = symbol_roots(medium, args.eta)
-    sig = symbol_grid(np.asarray(roots), np.full(len(roots), args.eta), medium)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sig = np.abs(symbol_grid(np.asarray(roots),
+                                 np.full(len(roots), args.eta), medium))
+    _require_finite(f"the symbol at its roots for eta = {args.eta:.6g}", roots, sig)
     payload = {"eta": args.eta,
                "regime": classify(medium).stability_class.value,
                "roots_re": [r.real for r in roots],
                "roots_im": [r.imag for r in roots],
-               "abs_sigma_at_roots": [float(a) for a in np.abs(sig)]}
+               "abs_sigma_at_roots": [float(a) for a in sig]}
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -23,8 +23,8 @@ import numpy as np
 from .domain import Frequency, Medium
 # exp_weighted_integral is only a name here: bench/workloads.py wraps it by
 # name.  ROADMAP item 3 deletes it together with its pin in test_layering.py.
-from .quadrature import (_pair_weights, _segment_weights, exp_weighted_integral,
-                         exp_weighted_segment, extrapolate_origin)
+from .quadrature import (exp_weighted_integral, exp_weighted_segment,
+                         extrapolate_origin)
 from .symbol import decay_root_pair, mu_symbol_grid
 
 __all__ = ["BoundaryState", "PressureProfile", "solve_boundary_system",
@@ -33,6 +33,7 @@ __all__ = ["BoundaryState", "PressureProfile", "solve_boundary_system",
 # Relative size of the decay-condition defect below which the growing
 # exponential is dropped as pure rounding noise.
 GROWTH_DEFECT_RTOL = 1e-8
+_BASIS = np.eye(3)  # Lagrange basis at 0, h, 2h: its head integrals are weights
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,7 @@ def solve_boundary_system(freq: Frequency, medium: Medium, f_hat: complex,
     """
     if freq.gamma <= 0.0:
         raise ValueError("the boundary system requires gamma > 0")
-    c = medium.c
-    roots = decay_root_pair(freq, medium)
+    c, roots = medium.c, decay_root_pair(freq, medium)
     mu_p, mu_m = roots.mu_plus, roots.mu_minus
     s = mu_p + mu_m
     if abs(s) <= 1e-13 * (abs(mu_p) + abs(mu_m)):
@@ -88,27 +88,28 @@ def _split_convolution(full: np.ndarray, mu, h: float, c: float) -> np.ndarray:
     over any trailing axes.  The kink at y = x splits the kernel: R_k =
     integral_{x_k}^L exp(-mu*(y - x_k)) Fhat dy, and L_k is R on the
     reversed samples, reversed back at the end.  Both obey X_k = pair_k +
-    s*X_{k+2}, s = exp(-2 mu h) (pair_k the Simpson pair at node k), seeded
-    by X_n = 0 and the single interval next to the far end.  Stacked on a
-    last axis, they are summed by a Hillis-Steele scan, X[:-d] += s^(d/2)
-    X[d:] for d = 2, 4, 8, ...: nonnegative powers only, which may underflow.
+    s*X_{k+2}, s = exp(-2 mu h), from X_n = 0 and X_n-1 = exp(-mu h)*H(-mu;
+    x_n, x_n-1, x_n-2), with pair_k = H(mu; x_k, x_k+1, x_k+2) + s*H(-mu;
+    x_k+2, x_k+1, x_k) and H(m; g) = integral_0^h exp(-m*r) q_g(r) dr, q_g
+    the quadratic through g.  The chains, stacked on a second axis, are
+    summed by a Hillis-Steele scan, X[:-d] += s^(d/2) X[d:] for d = 2, 4,
+    8, ...: nonnegative powers only, which may underflow.
     """
     mu = np.asarray(mu, dtype=complex)
     n = full.shape[0] - 1
-    both = np.stack((full, full[::-1]), axis=-1)
-    w0, w1, w2 = _pair_weights(mu[..., None], h)
+    both = np.array((full, full[::-1])).swapaxes(0, 1)  # node, direction, ...
+    w = exp_weighted_segment(*_BASIS.reshape((3, 3) + (1,) * (mu.ndim + 1)), h,
+                             np.array((mu, -mu)), "head")
+    rev = w[::-1, 1]  # rev[j]: the -mu weight of node 2 - j
+    decay, step = np.exp([-h * mu, -2.0 * h * mu])
+    w0, w1, w2 = w[:, 0] + step * rev
     chains = np.zeros(both.shape, dtype=complex)  # X_n = 0
     chains[:n - 1] = w0 * both[:-2] + w1 * both[1:-1] + w2 * both[2:]
-    # R_{n-1} on [L - h, L] and L_1 on [0, h], each a single interval.
-    w0, w1, w2 = _segment_weights(mu, h, "tail")
-    chains[n - 1, ..., 0] = w0 * full[n - 2] + w1 * full[n - 1] + w2 * full[n]
-    chains[n - 1, ..., 1] = np.exp(-mu * h) * exp_weighted_segment(
-        full[0], full[1], full[2], h, -mu, "head")
-    step, d = np.exp(-2.0 * h * mu)[..., None], 2
-    while d <= n:
+    chains[n - 1] = decay * sum(r * x for r, x in zip(rev, both[n - 2:]))
+    for d in (2 ** k for k in range(1, n.bit_length())):
         chains[:-d] += step * chains[d:]
-        step, d = step * step, 2 * d
-    return (chains[::-1, ..., 1] + chains[..., 0]) / (2.0 * c * c * mu)
+        step = step * step
+    return (chains[::-1, 1] + chains[:, 0]) / (2.0 * c * c * mu)
 
 
 def reconstruct_profile(freq: Frequency, medium: Medium, state: BoundaryState,
@@ -122,21 +123,22 @@ def reconstruct_profile(freq: Frequency, medium: Medium, state: BoundaryState,
     the last term nonzero only when the decay condition fails.  Both sides
     are solved in one call on the stacked samples.
     """
-    sl = np.asarray(np.stack((slice_plus, slice_minus), axis=-1), dtype=complex)
-    full = np.concatenate((extrapolate_origin(sl, axis=0)[None], sl))
+    sl = np.array((slice_plus, slice_minus), dtype=complex)
+    full = np.concatenate((extrapolate_origin(sl)[:, None], sl), axis=1).T
     nodes = np.arange(len(full)) * dx2
     roots = decay_root_pair(freq, medium)
     mu = np.array([roots.mu_plus, roots.mu_minus])
     conv = _split_convolution(full, mu, dx2, medium.c)
     profs, grew = conv.T.copy(), []
     # t_side = R_0/(c^2 mu) = 2 conv(0): the left chain vanishes at x2 = 0.
-    for side, prof, mu_s, t_side, p0, dp0 in zip(
-            ("plus", "minus"), profs, mu.tolist(), (2.0 * conv[0]).tolist(),
+    for side, prof, decay, mu_s, t_side, p0, dp0 in zip(
+            ("plus", "minus"), profs, np.exp(-mu[:, None] * nodes),
+            mu.tolist(), (2.0 * conv[0]).tolist(),
             (state.p_plus0, state.p_minus0), (state.dp_plus0, -state.dp_minus0)):
         b = dp0 / mu_s
         defect = p0 + b - t_side
         scale = abs(p0) + abs(b) + abs(t_side)
-        prof += 0.5 * (p0 - b) * np.exp(-mu_s * nodes)
+        prof += 0.5 * (p0 - b) * decay
         growing = scale > 0 and abs(defect) > GROWTH_DEFECT_RTOL * scale
         if growing:
             warnings.warn(
@@ -178,16 +180,11 @@ def ode_residual(profile: PressureProfile, freq: Frequency, medium: Medium,
     Returned at the interior nodes dx2..(L_x2 - dx2); O(h^2) for profiles
     built from consistent data.
     """
-    h = float(profile.x2_nodes[1] - profile.x2_nodes[0])
-    c = medium.c
+    h, c = float(profile.x2_nodes[1] - profile.x2_nodes[0]), medium.c
     out = []
-    for side in ("plus", "minus"):
-        q = profile.p_plus if side == "plus" else profile.p_minus
-        v1 = medium.v1_plus if side == "plus" else medium.v1_minus
-        sl = np.asarray(slice_plus if side == "plus" else slice_minus,
-                        dtype=complex)
+    for q, v1, sl in zip((profile.p_plus, profile.p_minus),
+                         (medium.v1_plus, medium.v1_minus), (slice_plus, slice_minus)):
         coef = (freq.tau + 1j * v1 * freq.eta) ** 2 + (c * freq.eta) ** 2
         second = (q[2:] - 2.0 * q[1:-1] + q[:-2]) / (h * h)
-        res = coef * q[1:-1] - c * c * second - sl[:-1]
-        out.append(res)
+        out.append(coef * q[1:-1] - c * c * second - np.asarray(sl, dtype=complex)[:-1])
     return out[0], out[1]

@@ -33,7 +33,8 @@ def extrapolate_origin(values: np.ndarray, axis: int = -1) -> np.ndarray:
     Error O(h^5) for smooth data, below the O(h^4) of the integration rules
     that consume it.
     """
-    v = np.moveaxis(np.asarray(values), axis, -1)
+    v = np.asarray(values)
+    v = v if axis in (-1, v.ndim - 1) else np.moveaxis(v, axis, -1)
     if v.shape[-1] < 5:
         raise ValueError("need at least five samples to extrapolate the origin")
     return (5.0 * v[..., 0] - 10.0 * v[..., 1] + 10.0 * v[..., 2]
@@ -82,7 +83,7 @@ def _moments(z: np.ndarray, span: float) -> tuple[np.ndarray, np.ndarray, np.nda
         series = np.empty((w.size, 3), dtype=complex)
         rows = max(1, _BLOCK_ENTRIES // _SERIES_TERMS)
         for lo in range(0, w.size, rows):  # (-z)^k for a block of entries
-            powers = np.repeat(w[lo:lo + rows, None], _SERIES_TERMS, axis=1)
+            powers = w[lo:lo + rows, None].repeat(_SERIES_TERMS, axis=1)
             powers[:, 0] = 1.0
             np.multiply.accumulate(powers, axis=1, out=powers)
             np.matmul(powers, _SERIES_COEFFS, out=series[lo:lo + rows])
@@ -106,11 +107,6 @@ def _quadratic_weights(m0, m1, m2, h: float):
     return w0, w1, w2
 
 
-def _pair_weights(mu, h: float):
-    """Weights of f0, f1, f2 at nodes 0, h, 2h for one Simpson pair [0, 2h]."""
-    return _quadratic_weights(*_moments(mu * (2.0 * h), 2.0 * h), h)
-
-
 def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
                           axis: int = -1, origin: np.ndarray | None = None
                           ) -> np.ndarray:
@@ -132,7 +128,7 @@ def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
     n = len(v) + off - 1
     if n < 2:
         raise ValueError("need at least three samples")
-    w0, w1, w2 = _pair_weights(mu, h)
+    w0, w1, w2 = _quadratic_weights(*_moments(mu * (2.0 * h), 2.0 * h), h)
     block = min(max(1, _BLOCK_ENTRIES // v[0].size), n // 2)
     powers = np.repeat(np.exp(-2.0 * h * mu)[None], block + 1, axis=0)
     powers[0] = 1.0  # s^0 .. s^block

@@ -39,17 +39,15 @@ def signed_sqrt(a, b):
     """Square root of a + i*b with nonnegative imaginary part, elementwise.
 
     Returns sgn(b)*sqrt((r+a)/2) + i*sqrt((r-a)/2) with r = |a+ib| and the
-    convention sgn(0) = 1, which fixes the branch on the negative real axis.
-    The smaller component is obtained from |b|/(2*larger) so both components
-    carry full relative accuracy.  Scalars in give a complex out.
+    convention sgn(0) = 1, also for b = -0.0, which fixes the branch on the
+    negative real axis.  One complex np.sqrt of a + i*|b| (C99 csqrt, Kahan's
+    branch-safe algorithm) gives both components to full relative accuracy.
+    Scalars in give a complex out.
     """
-    large = np.sqrt(0.5 * (np.hypot(a, b) + np.abs(a)))
-    # large = 0 only where a = b = 0; the floor keeps 0/0 out of small.
-    small = np.abs(b) / np.fmax(2.0 * large, np.finfo(float).tiny)
-    pos = a >= 0.0
-    out = np.empty(large.shape, dtype=complex)
-    out.real = np.where(pos, large, small)
-    out.imag = np.where(pos, small, large)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a
+    out.imag = np.abs(b)
+    np.sqrt(out, out=out)
     np.negative(out.real, out=out.real, where=b < 0.0)
     return complex(out) if out.ndim == 0 else out
 
@@ -62,8 +60,8 @@ _CASES = (BranchCase.INTERIOR, BranchCase.BOUNDARY_REAL,
 def _roots(tau, eta, v1, c) -> tuple[np.ndarray, np.ndarray]:
     """Decay roots and _CASES codes over broadcast arrays of tau, eta, v1.
 
-    Each entry takes the branch of :func:`decay_root` from its own Re(tau);
-    Re(tau) < 0 is refused.
+    Each entry takes the branch of :func:`decay_root` from its own Re(tau)
+    (Re(tau) < 0 is refused), through one :func:`signed_sqrt` call.
     """
     if c <= 0:
         raise ValueError("sound speed c must be positive")
@@ -112,13 +110,12 @@ def decay_root_pair(freq: Frequency, medium: Medium) -> RootPair:
     """Both decay roots of a medium, with branch metadata."""
     mu, case = _roots(freq.tau, freq.eta,
                       np.array([medium.v1_plus, medium.v1_minus]), medium.c)
-    return RootPair(complex(mu[0]), complex(mu[1]),
-                    _CASES[case[0]], _CASES[case[1]])
+    return RootPair(*(complex(m) for m in mu), *(_CASES[k] for k in case))
 
 
 def mu_symbol_grid(tau: np.ndarray, eta: np.ndarray, medium: Medium
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mu_plus, mu_minus, Sigma) over frequency arrays, each root computed once.
+    """(mu_plus, mu_minus, Sigma) over frequency arrays, from one root call.
 
     Branch per entry from Re(tau).  Sigma is the difference form of
     :func:`ratio_sq`, (tau + i*w1*eta)^2 - (c^2/2)*(mu_plus - mu_minus)^2
@@ -126,8 +123,10 @@ def mu_symbol_grid(tau: np.ndarray, eta: np.ndarray, medium: Medium
     """
     tau = np.asarray(tau, dtype=complex)
     eta = np.asarray(eta, dtype=float)
-    mu_p = mu_grid(tau, eta, medium.v1_plus, medium.c)
-    mu_m = mu_grid(tau, eta, medium.v1_minus, medium.c)
+    # Sides on a leading axis: each half is contiguous, like a separate array.
+    v1 = np.array([medium.v1_plus, medium.v1_minus]).reshape(
+        (2,) + (1,) * max(tau.ndim, eta.ndim))
+    mu_p, mu_m = _roots(tau, eta, v1, medium.c)[0]
     taup = tau + 1j * medium.w1 * eta
     diff = medium.c * (mu_p - mu_m)
     return mu_p, mu_m, taup * taup - 0.5 * diff * diff - (medium.V1 * eta) ** 2
@@ -148,7 +147,7 @@ def symbol(freq: Frequency, medium: Medium) -> complex:
     """The order-2 front symbol Sigma(tau, eta).
 
     Well defined on the whole frequency set, including the boundary points
-    where the root sum vanishes.  Units 1/time^2.
+    where the root sum vanishes; one root-kernel call.  Units 1/time^2.
     """
     # One-entry arrays: numpy rounds a product of complex scalars
     # differently from its array loop, and symbol_grid must agree.
@@ -165,13 +164,11 @@ def ratio_sq(freq: Frequency, medium: Medium) -> complex:
     ((V1/c)^2 - 1)/(4*(V1/c)^2) there).  For eta = 0 both roots coincide
     and the ratio is exactly 1/4.
     """
-    c = medium.c
-    eta = freq.eta
+    c, eta, v1 = medium.c, freq.eta, medium.V1
     if eta == 0.0:
         return complex(0.25, 0.0)
-    v1 = medium.V1
-    mu_p = decay_root(freq, medium.v1_plus, c)
-    mu_m = decay_root(freq, medium.v1_minus, c)
+    pair = decay_root_pair(freq, medium)
+    mu_p, mu_m = pair.mu_plus, pair.mu_minus
     if v1 == 0.0:
         # No velocity jump: the roots coincide and the quotient is direct.
         s = mu_p + mu_m

@@ -87,6 +87,30 @@ def test_grid_rejects_origin(capsys):
     assert "origin" in err
 
 
+@pytest.mark.parametrize("window", ["1e200:1e200:1,0:0:1,1:1:1",
+                                    "0:1:2,1e155:1e155:1,1:1:1"])
+def test_grid_refuses_overflow(capsys, tmp_path, window):
+    # An overflowing window exits 2 before it writes, with no RuntimeWarning
+    # (an error in this suite); it used to write nan and inf rows with exit 0.
+    out_path = tmp_path / "grid.csv"
+    args = ["grid", "--v", "2", "--c", "1", "--window", window]
+    code, out, err = run(capsys, args + ["--out", str(out_path)])
+    assert (code, out) == (2, "") and "not finite" in err
+    assert not out_path.exists()
+    assert run(capsys, args)[:2] == (2, "")
+
+
+@pytest.mark.parametrize("v", ["2", "1"])
+def test_roots_refuses_overflow(capsys, tmp_path, v):
+    # |Sigma| at the roots overflows at eta = 1e300 in both regimes: exit 2,
+    # nothing printed or written (it used to print NaN with exit 0).
+    out_path = tmp_path / "roots.json"
+    code, out, err = run(capsys, ["roots", "--v", v, "--c", "1", "--eta",
+                                  "1e300", "--out", str(out_path)])
+    assert (code, out) == (2, "") and "not finite" in err
+    assert not out_path.exists()
+
+
 def test_roots_output(capsys):
     code, out, _ = run(capsys, ["roots", "--v", "2", "--c", "1", "--eta", "1"])
     assert code == 0

@@ -247,6 +247,34 @@ def test_split_convolution_matches_per_node_reference(n):
             assert np.abs(conv - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("batch", [1, 2, 50])
+def test_split_convolution_weights_match_the_separate_formulas(batch):
+    # Three nodes (n = 2) and the Lagrange basis as samples expose the
+    # weights: node 0 gives the Simpson pair, node 2 the pair reversed and
+    # node 1 both seeds, the tail of mu plus exp(-mu h) times the head of
+    # -mu.  |mu h| runs across the series cutoff 1.7, also straddled by
+    # mu h and 2 mu h; batches of 2 and 50 mu mix both sides in one
+    # moments call.  Worst measured 1.4e-15 of each set's largest weight.
+    from vortexfront import quadrature
+    h, c = 0.05, 1.3
+    radii = np.array([1e-3, 0.3, 0.84, 0.86, 1.2, 1.69, 1.71, 3.0, 10.0, 30.0])
+    mus = (np.multiply.outer(radii, np.exp(1j * np.array([0.0, 0.7, -0.7, 1.3,
+                                                         -1.45]))) / h).ravel()
+    basis = np.eye(3, dtype=complex)
+    for lo in range(0, mus.size, batch):
+        mu = mus[lo:lo + batch]
+        full = np.broadcast_to(basis[:, :, None], (3, 3, mu.size))
+        got = _split_convolution(full, mu, h, c) * (2.0 * c * c * mu)
+        pair = np.array(quadrature._quadratic_weights(
+            *quadrature._moments(2.0 * h * mu, 2.0 * h), h))
+        seeds = np.array(quadrature._segment_weights(mu, h, "tail")) + np.exp(
+            -mu * h) * np.array([quadrature.exp_weighted_segment(
+                *basis[j, :, None], h, -mu, "head") for j in range(3)])
+        for node, want in ((0, pair), (2, pair[::-1]), (1, seeds)):
+            assert np.all(np.abs(got[node] - want)
+                          <= 4e-15 * np.abs(want).max(axis=0)), (node, mu)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pressure_oracle_every_bin(weakly_stable):
     # every non-Nyquist bin: no growing mode, the front equation closes, both

@@ -7,7 +7,7 @@ import pytest
 import vortexfront as vf
 from vortexfront import Frequency, Medium, RegimeError
 from vortexfront.domain import BranchCase, MachClass, StabilityClass
-from vortexfront.symbol import mu_grid, mu_symbol_grid, symbol_grid
+from vortexfront.symbol import _roots, mu_grid, mu_symbol_grid, symbol_grid
 
 from conftest import bisect_real
 
@@ -554,3 +554,133 @@ def test_frequency_validation():
         Frequency(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         Frequency(math.nan, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The root kernel against a 40-digit oracle
+
+EPS = np.finfo(float).eps
+
+
+def _mp_root(tau, eta, v1, c):
+    """The decay root from the exact inputs, in mpmath: Re(mu) > 0 inside,
+    and on Re(tau) = 0 the real root or i*sgn(y)*sqrt(-alpha)."""
+    import mpmath as mp
+    x = mp.mpf(tau.real) / c
+    y = (mp.mpf(tau.imag) + mp.mpf(v1) * mp.mpf(eta)) / c
+    alpha = mp.mpc(x, y) ** 2 + mp.mpf(eta) ** 2
+    if x > 0:
+        return mp.sqrt(alpha)
+    if alpha.real >= 0:
+        return mp.mpc(mp.sqrt(alpha.real), 0)
+    return mp.mpc(0, mp.sign(y) * mp.sqrt(-alpha.real))
+
+
+def _oracle_frequencies(rng, v, c, n=200):
+    def slog(lo, hi, k):
+        return 10.0 ** rng.uniform(lo, hi, k) * rng.choice([-1.0, 1.0], k)
+    # Interior, |eta| >> |tau| to |tau| >> |eta|; Re(tau) = 0 rows; and
+    # a ~ 0 with tiny b: tiny Re(tau), delta near a locus -(v1 +- c)*eta
+    # (a quarter on Re(tau) = 0, some within the snap to mu = 0).
+    e = slog(-3, 3, n)
+    near = -(rng.choice([v, -v], n) + rng.choice([c, -c], n)) * e * (
+        1.0 + slog(-15, -3, n))
+    gap = np.abs(e) * 10.0 ** rng.uniform(-16, -4, n)
+    gap[:n // 4] = 0.0
+    tau = np.concatenate((10.0 ** rng.uniform(-8, 3, n) + 1j * slog(-8, 3, n),
+                          1j * slog(-6, 3, n), gap + 1j * near))
+    return tau, np.concatenate((slog(-8, 3, n), slog(-6, 3, n), e))
+
+
+@pytest.mark.parametrize("v, c", [(2.0, 1.0), (0.7, 1.0), (3.0, 0.5)])
+def test_root_kernel_matches_mpmath(v, c):
+    # Error bounds are 2-3x the worst measured over these sets (1.4 eps*kappa
+    # for the roots, 29 eps for Sigma).  kappa = 1 + scale^2/|mu|^2 is the
+    # conditioning of mu = sqrt(alpha) in the inputs, large only near the
+    # loci; Sigma's error is relative to c^2*scale^2 and the smaller root.
+    import mpmath as mp
+    medium = Medium.symmetric(v, c)
+    tau, eta = _oracle_frequencies(np.random.default_rng(2024), v, c)
+    mu_p, mu_m, sig = mu_symbol_grid(tau, eta, medium)
+    # One kernel call for both sides is bitwise the per-side calls, also
+    # on broadcast (tau column, eta row) grids.
+    grid = mu_symbol_grid(tau[:, None], eta[None, :60], medium)
+    for got, on_grid, v1 in ((mu_p, grid[0], v), (mu_m, grid[1], -v)):
+        assert got.tobytes() == mu_grid(tau, eta, v1, c).tobytes()
+        assert on_grid.tobytes() == mu_grid(tau[:, None], eta[None, :60],
+                                            v1, c).tobytes()
+    taup, diff = tau + 1j * medium.w1 * eta, c * (mu_p - mu_m).copy()
+    sigma = taup * taup - 0.5 * diff * diff - (medium.V1 * eta) ** 2
+    assert sig.tobytes() == sigma.tobytes()  # as from separate root arrays
+    case = _roots(tau, eta, np.reshape([v, -v], (2, 1)), c)[1]
+    scale = np.hypot(np.abs(tau), eta) / c
+    with mp.workdps(40):
+        for i in range(len(tau)):
+            want = []
+            for side, (got, v1) in enumerate(((mu_p[i], v), (mu_m[i], -v))):
+                if case[side, i] == 2:  # within ENDPOINT_ATOL of a locus
+                    assert got == 0
+                    continue
+                exact = _mp_root(tau[i], eta[i], v1, c)
+                kappa = 1.0 + (scale[i] / float(abs(exact))) ** 2
+                assert abs(mp.mpc(got) - exact) <= 4 * EPS * kappa * abs(exact), (
+                    tau[i], eta[i], v1)
+                want.append(exact)
+            if len(want) == 2:
+                sigma = c * c * (want[0] * want[1] - mp.mpf(eta[i]) ** 2)
+                bound = 64 * EPS * (c * scale[i]) ** 2 * (
+                    1.0 + scale[i] / float(min(abs(want[0]), abs(want[1]))))
+                assert abs(mp.mpc(sig[i]) - sigma) <= bound, (tau[i], eta[i])
+
+
+@pytest.mark.parametrize("v, c", [(2.0, 1.0), (3.0, 0.5)])
+def test_root_kernel_exact_inputs_near_the_loci(v, c):
+    # Dyadic inputs make x and y exact, so only the kernel's own arithmetic
+    # rounds: near the loci eta^2 - y^2 must be factored to keep mu to 2 eps
+    # relative (worst measured 0.72 eps; unfactored, 1.7e11 eps).
+    import mpmath as mp
+    rng = np.random.default_rng(9)
+    n = 200
+    eta = rng.integers(1, 64, n) / 8.0 * rng.choice([-1.0, 1.0], n)
+    v1 = rng.choice([v, -v], n)
+    delta = (-(v1 + rng.choice([c, -c], n))
+             + 2.0 ** -rng.integers(8, 45, n) * rng.choice([-1.0, 1.0], n)) * eta
+    gamma = np.abs(eta) * 2.0 ** -rng.integers(20, 60, n)
+    gamma[:n // 2] = 0.0
+    tau = gamma + 1j * delta
+    mu, case = _roots(tau, eta, np.reshape([v, -v], (2, 1)), c)
+    with mp.workdps(40):
+        for side, v1 in enumerate((v, -v)):
+            for i in range(n):
+                if case[side, i] == 2:
+                    assert mu[side, i] == 0
+                    continue
+                exact = _mp_root(tau[i], eta[i], v1, c)
+                assert abs(mp.mpc(mu[side, i]) - exact) <= 2 * EPS * abs(exact)
+
+
+def test_signed_sqrt_matches_mpmath_componentwise():
+    # Both components to 3 eps relative (worst measured 1.0 eps), from
+    # subnormal to 1e300, a ~ 0 with tiny b, and b = +-0.0 with sgn = +1.
+    import mpmath as mp
+    rng = np.random.default_rng(5)
+
+    def slog(lo, hi, k):
+        return 10.0 ** rng.uniform(lo, hi, k) * rng.choice([-1.0, 1.0], k)
+    a = np.concatenate((slog(-300, 300, 600), slog(-300, -290, 100),
+                        slog(-3, 3, 100), np.zeros(20)))
+    b = np.concatenate((slog(-300, 300, 600), slog(-310, -300, 100),
+                        rng.choice([0.0, -0.0], 100), slog(-3, 3, 20)))
+    z = vf.signed_sqrt(a, b)
+    for i in range(len(a)):
+        with mp.workdps(40):
+            root = mp.sqrt(mp.mpc(a[i], abs(b[i])))
+        want = (-root.real if b[i] < 0.0 else root.real, root.imag)
+        for got, exact in zip((z[i].real, z[i].imag), want):
+            if abs(exact) < np.finfo(float).tiny:  # zero or subnormal
+                assert abs(got - exact) <= np.finfo(float).smallest_subnormal
+            else:
+                assert abs(got - exact) <= 3 * EPS * abs(exact), (a[i], b[i])
+    assert vf.signed_sqrt(-4.0, -0.0) == 2j
+    assert not np.signbit(vf.signed_sqrt(-4.0, -0.0).real)
+    assert vf.signed_sqrt(4.0, -0.0) == 2.0
