@@ -18,6 +18,13 @@ DECAY_FACTOR = 1e-6
 _WRITE_ROWS = 1 << 14
 
 
+def _refuse_nonfinite(**values: float) -> None:
+    """Raise ValueError naming the first of the values that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -46,6 +53,8 @@ class GridSpec:
             raise ValueError("n_t and n_x1 must be powers of two")
         if self.n_x2 < 16:
             raise ValueError("n_x2 must be at least 16")
+        _refuse_nonfinite(L_t=self.L_t, L_x1=self.L_x1, L_x2=self.L_x2,
+                          gamma=self.gamma, s=self.s)
         if not (self.L_t > 0 and self.L_x1 > 0 and self.L_x2 > 0):
             raise ValueError("box lengths must be positive")
         if self.gamma < 1.0:
@@ -168,11 +177,11 @@ def read_field(path, gamma: float = 1.0, s: float = 0.0) -> FieldGrid:
             raise ValueError("not a VFGRID version-1 file")
         n_t, n_x1, n_x2 = (int(x) for x in header[2:5])
         L_t, L_x1, L_x2 = (float(x) for x in header[5:8])
+        grid = GridSpec(n_t, n_x1, n_x2, L_t, L_x1, L_x2, gamma=gamma, s=s)
         data = np.loadtxt(fh, dtype=float, ndmin=2)
     count = n_t * n_x1 * n_x2
     if data.shape != (count, 2):
         raise ValueError(f"expected {count} data rows of 2 columns, "
                          f"got array of shape {data.shape}")
-    grid = GridSpec(n_t, n_x1, n_x2, L_t, L_x1, L_x2, gamma=gamma, s=s)
     shape = (n_t, n_x1, n_x2)
     return FieldGrid(data[:, 0].reshape(shape), data[:, 1].reshape(shape), grid)

@@ -10,7 +10,8 @@ side.  The solution is evaluated in the exponentially split form so that
 the growing mode is cancelled analytically whenever the decay condition
 holds; inconsistent user data keeps the growing term and emits a warning.
 Its exp(-mu|x-y|) convolution, parity-chain recurrences to the right and (on
-the reversed samples) to the left, is one log-depth scan for both sides.
+the reversed samples) to the left, is one log-depth scan for both sides,
+with the pair and single-interval rules of the depth quadrature.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = ["BoundaryState", "PressureProfile", "solve_boundary_system",
 # Relative size of the decay-condition defect below which the growing
 # exponential is dropped as pure rounding noise.
 GROWTH_DEFECT_RTOL = 1e-8
-_BASIS = np.eye(3)  # Lagrange basis at 0, h, 2h: its head integrals are weights
 
 
 @dataclass(frozen=True)
@@ -88,24 +88,21 @@ def _split_convolution(full: np.ndarray, mu, h: float, c: float) -> np.ndarray:
     over any trailing axes.  The kink at y = x splits the kernel: R_k =
     integral_{x_k}^L exp(-mu*(y - x_k)) Fhat dy, and L_k is R on the
     reversed samples, reversed back at the end.  Both obey X_k = pair_k +
-    s*X_{k+2}, s = exp(-2 mu h), from X_n = 0 and X_n-1 = exp(-mu h)*H(-mu;
-    x_n, x_n-1, x_n-2), with pair_k = H(mu; x_k, x_k+1, x_k+2) + s*H(-mu;
-    x_k+2, x_k+1, x_k) and H(m; g) = integral_0^h exp(-m*r) q_g(r) dr, q_g
-    the quadratic through g.  The chains, stacked on a second axis, are
-    summed by a Hillis-Steele scan, X[:-d] += s^(d/2) X[d:] for d = 2, 4,
-    8, ...: nonnegative powers only, which may underflow.
+    s*X_{k+2}, s = exp(-2 mu h), from X_n = 0 and X_n-1 = tail(x_n-2,
+    x_n-1, x_n), the pair and tail rules of the depth quadrature (one
+    exp_weighted_segment call on every node triple).  The chains, stacked
+    on a second axis, are summed by a Hillis-Steele scan, X[:-d] +=
+    s^(d/2) X[d:] for d = 2, 4, 8, ...: nonnegative powers only, which may
+    underflow.
     """
     mu = np.asarray(mu, dtype=complex)
     n = full.shape[0] - 1
     both = np.array((full, full[::-1])).swapaxes(0, 1)  # node, direction, ...
-    w = exp_weighted_segment(*_BASIS.reshape((3, 3) + (1,) * (mu.ndim + 1)), h,
-                             np.array((mu, -mu)), "head")
-    rev = w[::-1, 1]  # rev[j]: the -mu weight of node 2 - j
-    decay, step = np.exp([-h * mu, -2.0 * h * mu])
-    w0, w1, w2 = w[:, 0] + step * rev
+    pair, tail = exp_weighted_segment(both[:-2], both[1:-1], both[2:], h, mu)
+    step = np.exp(-2.0 * h * mu)
     chains = np.zeros(both.shape, dtype=complex)  # X_n = 0
-    chains[:n - 1] = w0 * both[:-2] + w1 * both[1:-1] + w2 * both[2:]
-    chains[n - 1] = decay * sum(r * x for r, x in zip(rev, both[n - 2:]))
+    chains[:n - 1] = pair
+    chains[n - 1] = tail[-1]
     for d in (2 ** k for k in range(1, n.bit_length())):
         chains[:-d] += step * chains[d:]
         step = step * step

@@ -4,7 +4,9 @@ The forcing integrals have the form integral_0^L exp(-mu*y) f(y) dy with
 Re(mu) > 0 possibly large.  Plain product quadrature loses accuracy once
 mu*h is not small, so the rules here integrate the exponential factor
 exactly against a piecewise-quadratic interpolant of f (Simpson-type
-nodes): order 4 in the smoothness of f, uniformly in mu.
+nodes): order 4 in the smoothness of f, uniformly in mu.  The half-line
+integral and the pressure profile share two rules (exp_weighted_segment):
+the Simpson pair and the last interval without its factor exp(-mu*h).
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = ["extrapolate_origin", "simpson_closed", "exp_weighted_integral",
            "exp_weighted_segment", "halfline_integral"]
@@ -23,7 +24,7 @@ _SERIES_CUTOFF = 1.7
 _SERIES_TERMS = 21
 _SERIES_COEFFS = np.array([[1.0 / (math.factorial(k) * (k + j + 1)) for j in range(3)]
                            for k in range(_SERIES_TERMS)], dtype=complex)
-# Entries per block of chain or series powers: a 1-D call's pairs, a stack by planes.
+# Entries per block of series powers in _moments.
 _BLOCK_ENTRIES = 4096
 
 
@@ -116,11 +117,10 @@ def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
     f is interpolated by quadratics over Simpson pairs (and on a last odd
     interval) while the exponential is integrated exactly.  The pairs sum to
     w0*R0 + w1*R1 + w2*R2, R_c = sum_k s^k x_{2k+c} with s = exp(-2*mu*h),
-    and the chains are summed backwards by blocks of node-first views: one
-    contraction with s^0..s^(B-1) per block of B pairs, or R *= s;
-    R += x[2k:2k+3] where a block is one pair.  No temporary outgrows a
-    block.  `mu` has the shape of `values` without the node axis `axis`, or
-    broadcasts to it.
+    and the chains are summed backwards, R *= s; R += x[2k:2k+3], on
+    node-first views: two in-place calls per pair, no temporary larger than
+    a plane.  `mu` has the shape of `values` without the node axis `axis`,
+    or broadcasts to it.
     """
     v = np.moveaxis(np.asarray(values, dtype=complex), axis, 0)
     mu = np.asarray(mu, dtype=complex)
@@ -129,29 +129,15 @@ def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
     if n < 2:
         raise ValueError("need at least three samples")
     w0, w1, w2 = _quadratic_weights(*_moments(mu * (2.0 * h), 2.0 * h), h)
-    block = min(max(1, _BLOCK_ENTRIES // v[0].size), n // 2)
-    powers = np.repeat(np.exp(-2.0 * h * mu)[None], block + 1, axis=0)
-    powers[0] = 1.0  # s^0 .. s^block
-    if block > 1:  # accumulating along axis 0 loops once per plane entry
-        np.multiply.accumulate(powers, axis=0, out=powers)
-    pairs = as_strided(v[off:], (n // 2 - off, 3) + v.shape[1:],  # pair k at k - off
-                       (2 * v.strides[0],) + v.strides, writeable=False)
+    s = np.exp(-2.0 * h * mu)
     chains = np.zeros((3,) + np.broadcast_shapes(v.shape[1:], mu.shape), dtype=complex)
-    for hi in range(n // 2, off, -block):  # pairs lo..hi-1
-        lo = max(off, hi - block)
-        chains *= powers[hi - lo]
-        if hi - lo == 1:
-            chains += pairs[lo - off]
-        else:
-            chains += np.einsum("jc...,j...->c...", pairs[lo - off:hi - off],
-                                powers[:hi - lo])
-    if off:
-        chains *= powers[1]
-        chains += (origin, v[0], v[1])
+    for j in range(2 * (n // 2) - 2 - off, -off - 1, -2):  # pair of nodes j+off..j+off+2
+        chains *= s
+        chains += v[j:j + 3] if j >= 0 else (origin, v[0], v[1])
     total = w0 * chains[0] + w1 * chains[1] + w2 * chains[2]
     if n % 2:  # last interval: the quadratic through the last three nodes
-        total = total + np.exp(-mu * ((n - 2) * h)) * exp_weighted_segment(
-            v[n - 2 - off], v[n - 1 - off], v[n - off], h, mu, "tail")
+        total = total + np.exp(-mu * ((n - 1) * h)) * exp_weighted_segment(
+            v[n - 2 - off], v[n - 1 - off], v[n - off], h, mu)[1]
     return total
 
 
@@ -166,25 +152,26 @@ def halfline_integral(slice_values: np.ndarray, mu: np.ndarray,
                                  extrapolate_origin(slice_values, axis))
 
 
-def _segment_weights(mu, h: float, part: str):
-    """Weights of f0, f1, f2 (at u = 0, h, 2h) for the integral over r in
-    [0, h] of exp(-mu*r)*q(r) ("head") or exp(-mu*r)*q(h + r) ("tail", the
-    [h, 2h] moments without their factor exp(-mu*h): no cancellation).
-    """
-    m0, m1, m2 = _moments(mu * h, h)
-    if part == "tail":
-        m1, m2 = m1 + h * m0, m2 + h * (2.0 * m1 + h * m0)
-    elif part != "head":
-        raise ValueError("part must be 'head' or 'tail'")
-    return _quadratic_weights(m0, m1, m2, h)
+def exp_weighted_segment(f0, f1, f2, h: float, mu):
+    """(pair, tail) of the quadratic q through the samples (f0, f1, f2) at
+    u = 0, h, 2h: pair = integral_0^{2h} exp(-mu*u) q(u) du, the Simpson
+    pair rule, and tail = integral_0^h exp(-mu*r) q(h + r) dr, the last
+    interval without its factor exp(-mu*h).
 
-
-def exp_weighted_segment(f0, f1, f2, h: float, mu, part: str):
-    """integral of exp(-mu*u)*q(u) over [0, h] ("head") or [h, 2h] ("tail"),
-
-    q being the quadratic through the samples (f0, f1, f2) at u = 0, h, 2h.
+    One call of the [0, h] moments on z = (2*mu*h, mu*h), stacked last,
+    gives both.  At 2*mu*h they are the pair's over [0, 2h] divided by
+    2^(j+1), which is exact; at mu*h, shifted by h, the tail's, which
+    neither cancel nor overflow.
     """
     mu = np.asarray(mu, dtype=complex)
-    w0, w1, w2 = _segment_weights(mu, h, part)
+    m0, m1, m2 = _moments(np.multiply.outer(mu, (2.0 * h, h)), h)
+    m0[..., 0] *= 2.0
+    m1[..., 0] *= 4.0
+    m2[..., 0] *= 8.0
+    shift = h * m0[..., 1]  # the tail: moments of (h + r)^j
+    m2[..., 1] += h * (2.0 * m1[..., 1] + shift)
+    m1[..., 1] += shift
+    w0, w1, w2 = _quadratic_weights(m0, m1, m2, h)
+    f0, f1, f2 = (np.asarray(f)[..., None] for f in (f0, f1, f2))
     total = w0 * f0 + w1 * f1 + w2 * f2
-    return total if part == "head" else np.exp(-mu * h) * total
+    return total[..., 0], total[..., 1]

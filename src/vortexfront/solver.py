@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Frequency, Medium, RegimeError, StabilityClass
-from .grids import FieldGrid, GridSpec
+from .grids import FieldGrid, GridSpec, _refuse_nonfinite
 from .quadrature import halfline_integral
 from .symbol import classify, mu_symbol_grid, symbol_grid
 from .transforms import (_bin_slices, _HalfSpectrum, _halfspace_norm_of,
@@ -111,6 +111,7 @@ def build_system(fieldgrid: FieldGrid, medium: Medium,
     """
     grid = fieldgrid.grid
     g = grid.gamma if gamma is None else gamma
+    _refuse_nonfinite(gamma=g)
     if g < 1.0:
         raise ValueError("the solver requires gamma >= 1")
     # A generator: one side's spectrum is held at a time, weighted in place.
@@ -211,6 +212,7 @@ def solve_front(fieldgrid: FieldGrid, medium: Medium,
     grid = fieldgrid.grid
     g = grid.gamma if gamma is None else gamma
     s_index = grid.s if s is None else s
+    _refuse_nonfinite(s=s_index)  # build_system refuses a non-finite gamma
     sys = build_system(fieldgrid, medium, g)
     f_hat = _front_hat(sys)
     u = np.fft.irfft2(f_hat[:, :grid.n_x1 // 2 + 1] / (grid.dt * grid.dx1),
@@ -245,20 +247,14 @@ class EstimateConstants:
     c_bound: float
 
 
-def _hemisphere_points(n_polar: int = 120, n_azimuth: int = 240
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    psi = (np.arange(n_polar) + 0.5) * (0.5 * np.pi / n_polar)
-    theta = (np.arange(n_azimuth) + 0.5) * (2.0 * np.pi / n_azimuth)
-    g = np.cos(psi)[:, None] * np.ones_like(theta)[None, :]
-    d = (np.sin(psi)[:, None] * np.cos(theta)[None, :])
-    e = (np.sin(psi)[:, None] * np.sin(theta)[None, :])
-    return g.ravel(), d.ravel(), e.ravel()
+# The hemisphere sample of estimate_constants: polar and azimuthal counts,
+# and the distance from a root ray within which the cofactor bound applies.
+_N_POLAR, _N_AZIMUTH, _RAY_RADIUS = 120, 240, 0.3
 
 
 def estimate_constants(medium: Medium,
-                       extra_points: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-                       n_polar: int = 120, n_azimuth: int = 240,
-                       ray_radius: float = 0.3) -> EstimateConstants:
+                       extra_points: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                       ) -> EstimateConstants:
     """Sample the hemisphere (plus optional points) for the estimate constants.
 
     extra_points, given as (gamma, delta, eta) arrays, are projected onto
@@ -266,7 +262,11 @@ def estimate_constants(medium: Medium,
     solve's own bins are honest lower/upper bounds for those bins.
     """
     report = classify(medium)
-    g, d, e = _hemisphere_points(n_polar, n_azimuth)
+    psi = (np.arange(_N_POLAR) + 0.5) * (0.5 * np.pi / _N_POLAR)
+    theta = (np.arange(_N_AZIMUTH) + 0.5) * (2.0 * np.pi / _N_AZIMUTH)
+    g = (np.cos(psi)[:, None] * np.ones_like(theta)[None, :]).ravel()
+    d = (np.sin(psi)[:, None] * np.cos(theta)[None, :]).ravel()
+    e = (np.sin(psi)[:, None] * np.sin(theta)[None, :]).ravel()
     if extra_points is not None:
         ge, de, ee = (np.asarray(a, dtype=float).ravel() for a in extra_points)
         lam = np.sqrt(ge * ge + de * de + ee * ee)
@@ -282,12 +282,11 @@ def estimate_constants(medium: Medium,
     c_pointwise = float(((abs_sigma / g) ** 2).min()) * (1.0 - 1e-9)
     if report.stability_class is StabilityClass.WEAKLY_STABLE:
         c, y2 = medium.c, report.y2
-        dist = np.minimum(np.abs(tau - 1j * c * y2 * e),
-                          np.abs(tau + 1j * c * y2 * e))
-        near = dist < ray_radius
+        to_upper = np.abs(tau - 1j * c * y2 * e)  # distances to the two rays
+        to_lower = np.abs(tau + 1j * c * y2 * e)
+        near = np.minimum(to_upper, to_lower) < _RAY_RADIUS
         c_elliptic = float(abs_sigma[~near].min())
-        sign = np.where(np.abs(tau - 1j * c * y2 * e)
-                        <= np.abs(tau + 1j * c * y2 * e), 1.0, -1.0)
+        sign = np.where(to_upper <= to_lower, 1.0, -1.0)
         cof = np.abs(sigma[near] / (tau[near] - sign[near] * 1j * c * y2 * e[near]))
         c_cofactor = float(cof.min()) if near.any() else math.inf
     else:
@@ -341,6 +340,9 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
     """
     if not gammas:
         raise ValueError("need at least one gamma")
+    for g in gammas:
+        _refuse_nonfinite(gamma=g)
+    _refuse_nonfinite(s=s)
     if any(g < 1.0 for g in gammas):
         raise ValueError("estimate sweep requires gamma >= 1")
     report = classify(medium)

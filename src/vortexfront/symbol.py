@@ -34,6 +34,9 @@ __all__ = [
     "symbol_grid",
 ]
 
+# Relative distance from a root ray within which root_cofactor is defined.
+_COFACTOR_RADIUS = 0.5
+
 
 def signed_sqrt(a, b):
     """Square root of a + i*b with nonnegative imaginary part, elementwise.
@@ -248,8 +251,8 @@ def symbol_roots(medium: Medium, eta: float) -> list[complex]:
     return [1j * c * report.y2 * eta, -1j * c * report.y2 * eta]
 
 
-def root_cofactor(freq: Frequency, medium: Medium, root_sign: int = 1,
-                  radius: float = 0.5) -> complex:
+def root_cofactor(freq: Frequency, medium: Medium, root_sign: int = 1
+                  ) -> complex:
     """The cofactor H in Sigma = (tau - root_sign*i*c*Y2*eta)*H near a root ray.
 
     Defined in the weakly stable regime on a neighborhood of the ray
@@ -269,10 +272,10 @@ def root_cofactor(freq: Frequency, medium: Medium, root_sign: int = 1,
     root_tau = root_sign * 1j * c * y2 * freq.eta
     scale = math.sqrt(freq.magnitude_sq)
     dist = abs(freq.tau - root_tau) / scale
-    if dist > radius:
+    if dist > _COFACTOR_RADIUS:
         raise ValueError(
             f"frequency lies at relative distance {dist:.3g} from the root ray, "
-            f"outside the factorization neighborhood (radius {radius:g})")
+            f"outside the factorization neighborhood (radius {_COFACTOR_RADIUS:g})")
     if dist <= 1e-8:
         m = report.mach_ratio
         kappa = math.sqrt(4.0 * m * m + 1.0)  # = m^2 + 1 - Y2^2 > 0

@@ -67,26 +67,33 @@ def per_node_convolution(full, mu, h, c):
 
     (1/(2 c^2 mu)) integral_0^L exp(-mu*|x-y|) Fhat(y) dy: the left and
     right integrals of each node are separate exp_weighted_integral calls,
-    and a side one interval long is a single exp_weighted_segment.
+    and a side one interval long is the tail of one exp_weighted_segment.
     """
     n = full.shape[0] - 1
     out = np.empty(n + 1, dtype=complex)
     rev = full[::-1]
-    decay = np.exp(-mu * h)
     for k in range(n + 1):
         left = right = 0j
         if k >= 2:
             left = complex(exp_weighted_integral(rev[n - k:], h, mu))
         elif k == 1:
-            left = decay * complex(exp_weighted_segment(
-                full[0], full[1], full[2], h, -mu, "head"))
+            left = complex(exp_weighted_segment(full[2], full[1], full[0], h, mu)[1])
         if n - k >= 2:
             right = complex(exp_weighted_integral(full[k:], h, mu))
         elif n - k == 1:
-            right = (1.0 / decay) * complex(exp_weighted_segment(
-                full[n - 2], full[n - 1], full[n], h, mu, "tail"))
+            right = complex(exp_weighted_segment(
+                full[n - 2], full[n - 1], full[n], h, mu)[1])
         out[k] = left + right
     return out / (2.0 * c * c * mu)
+
+
+def mp_moments(z, span):
+    """m_j = integral_0^span exp(-mu*u) u^j du, j = 0, 1, 2, z = mu*span, in mpmath."""
+    import mpmath as mp
+    z = mp.mpc(z)
+    mu, e = z / span, mp.exp(-z)
+    return [(1 - e) / mu, (1 - e * (1 + z)) / mu ** 2,
+            (2 - e * (2 + 2 * z + z * z)) / mu ** 3]
 
 
 def exp_oracle_field(n_x2, L_x2=15.0, n_t=8, n_x1=4):

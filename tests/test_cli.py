@@ -12,6 +12,7 @@ import pytest
 
 import vortexfront as vf
 from vortexfront.cli import main
+from vortexfront.solver import _bin_system, _front_hat
 from vortexfront.symbol import mu_symbol_grid
 
 from conftest import smooth_field
@@ -293,6 +294,85 @@ def test_reconstruct_large_gamma(capsys, tmp_path, field_file):
     assert code == 0
     got = np.loadtxt(out_path, delimiter=",", skiprows=1)
     assert got.shape == (24 + 1, 5) and np.all(np.isfinite(got))
+
+
+@pytest.mark.parametrize("gamma", [1e5, 1e6])
+def test_reconstruct_where_exp_mu_h_overflows(capsys, tmp_path, gamma):
+    # Re(mu)*dx2 is far above 709, so exp(+mu*h) would overflow; the profile
+    # weights never form it.  A dense field keeps the t = 0 samples, all that
+    # exp(-gamma*t) leaves: the profile is finite and nonzero, the decay rows
+    # of both sides hold to 1e-10 (criterion 9), and no mode grows.
+    grid = vf.GridSpec(16, 8, 24, 1.0, 1.0, 2.0)
+    plane = np.cos(2.0 * np.pi * (grid.t_nodes[:, None] + grid.x1_nodes) + 0.3)
+    f = plane[:, :, None] * np.exp(-(grid.x2_nodes / 0.2) ** 2)
+    path, out_path = tmp_path / "dense.vfgrid", tmp_path / "profile.csv"
+    vf.write_field(path, vf.FieldGrid(f, 0.7 * f, grid))
+    code, out, _ = run(capsys, ["reconstruct", "--v", "2", "--c", "1",
+                                "--in", str(path), "--gamma", str(gamma),
+                                "--delta", "6.3", "--eta", "6.3",
+                                "--out", str(out_path)])
+    assert code == 0
+    got = np.loadtxt(out_path, delimiter=",", skiprows=1)
+    assert got.shape == (24 + 1, 5) and np.all(np.isfinite(got))
+    assert np.all(got[0, 1:] != 0.0)
+    medium = vf.Medium.symmetric(2.0, 1.0)
+    freq = vf.Frequency(gamma, 2.0 * np.pi, 2.0 * np.pi)
+    assert f"delta={freq.delta:.12g} eta={freq.eta:.12g}" in out
+    field = vf.read_field(path, gamma=gamma)
+    system, (sp, sm) = _bin_system(field, freq, medium)
+    state = vf.solve_boundary_system(freq, medium, complex(_front_hat(system)),
+                                     complex(system.i_plus), complex(system.i_minus))
+    roots, c2 = vf.decay_root_pair(freq, medium), medium.c ** 2
+    for p0, b, t in ((state.p_plus0, state.dp_plus0 / roots.mu_plus,
+                      complex(system.i_plus) / (c2 * roots.mu_plus)),
+                     (state.p_minus0, -state.dp_minus0 / roots.mu_minus,
+                      complex(system.i_minus) / (c2 * roots.mu_minus))):
+        assert abs(p0 + b - t) <= 1e-10 * (abs(p0) + abs(b) + abs(t))
+    prof = vf.reconstruct_profile(freq, medium, state, sp, sm, grid.dx2)
+    assert not (prof.growing_plus or prof.growing_minus)
+    assert np.array_equal(got[:, 1] + 1j * got[:, 2], prof.p_plus)
+    assert np.array_equal(got[:, 3] + 1j * got[:, 4], prof.p_minus)
+
+
+@pytest.mark.parametrize("flag,value", [("--gamma", "nan"), ("--gamma", "inf"),
+                                        ("--s", "nan"), ("--s", "inf")])
+def test_solve_refuses_non_finite_gamma_and_s(capsys, tmp_path, field_file,
+                                              flag, value):
+    outdir = tmp_path / "out"
+    code, _, err = run(capsys, ["solve", "--v", "2", "--c", "1",
+                                "--in", field_file, flag, value,
+                                "--out", str(outdir)])
+    assert code == 2
+    assert f"{flag[2:]} must be finite" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--gammas", "1,inf"), ("--gammas", "1,nan"),
+                                        ("--gammas", "nan,1"), ("--s", "nan"),
+                                        ("--s", "inf")])
+def test_verify_refuses_non_finite_gamma_and_s(capsys, tmp_path, field_file,
+                                               flag, value):
+    out_path = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, ["verify", "--v", "2", "--c", "1",
+                                "--in", field_file, flag, value,
+                                "--out", str(out_path)])
+    assert code == 2
+    assert f"{flag[2:].rstrip('s')} must be finite" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--gamma", "nan"), ("--gamma", "inf"),
+                                        ("--s", "nan")])
+def test_reconstruct_refuses_non_finite_gamma_and_s(capsys, tmp_path, field_file,
+                                                    flag, value):
+    out_path = tmp_path / "profile.csv"
+    code, _, err = run(capsys, ["reconstruct", "--v", "2", "--c", "1",
+                                "--in", field_file, flag, value,
+                                "--delta", "6.3", "--eta", "6.3",
+                                "--out", str(out_path)])
+    assert code == 2
+    assert f"{flag[2:]} must be finite" in err
+    assert not out_path.exists()
 
 
 def test_grid_csv_bytes(capsys, tmp_path):

@@ -9,7 +9,7 @@ from vortexfront.quadrature import (exp_weighted_integral, exp_weighted_segment,
                                     extrapolate_origin, simpson_closed)
 from vortexfront.transforms import _HalfSpectrum
 
-from conftest import bump, fft2_halfspace_norm, smooth_field
+from conftest import bump, fft2_halfspace_norm, mp_moments, smooth_field
 
 
 def test_gridspec_validation():
@@ -19,6 +19,12 @@ def test_gridspec_validation():
         GridSpec(16, 16, 8, 1.0, 1.0, 1.0)   # n_x2 too small
     with pytest.raises(ValueError):
         GridSpec(16, 16, 32, 1.0, 1.0, 1.0, gamma=0.5)
+    for name, kwargs in (("gamma", {"gamma": math.nan}), ("gamma", {"gamma": math.inf}),
+                         ("s", {"s": math.nan}), ("s", {"s": -math.inf})):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            GridSpec(16, 16, 32, 1.0, 1.0, 1.0, **kwargs)
+    with pytest.raises(ValueError, match="^L_t must be finite"):
+        GridSpec(16, 16, 32, math.inf, 1.0, 1.0)
     g = GridSpec(16, 8, 32, 2.0, 1.0, 4.0)
     assert g.dt == 0.125 and g.dx2 == 0.125
     assert g.x2_nodes[0] == g.dx2 and g.x2_nodes[-1] == g.L_x2
@@ -287,8 +293,9 @@ def test_exp_weighted_integral_node_axis():
 @pytest.mark.parametrize("block_entries", [12, 36, 4096])
 def test_halfline_integral_blocks_match_per_entry(monkeypatch, block_entries):
     # The origin enters the first pair instead of being prepended; node axis
-    # first and last equal per-entry calls on the prepended samples, with
-    # Horner blocks of 1, 3 and all pairs of the (3, 4) planes.
+    # first and last equal per-entry calls on the prepended samples.  The
+    # block size steers only the series moments: blocks of one entry (12
+    # and 36) and of all entries of a plane (4096).
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(71)
     h = 0.1
@@ -320,21 +327,12 @@ def test_halfline_integral_does_not_copy_the_stack():
     assert peak < 0.1 * stack.nbytes
 
 
-def _mp_moments(z, span):
-    """m_j = integral_0^span exp(-mu*u) u^j du, j = 0, 1, 2, z = mu*span, in mpmath."""
-    import mpmath as mp
-    z = mp.mpc(z)
-    mu, e = z / span, mp.exp(-z)
-    return [(1 - e) / mu, (1 - e * (1 + z)) / mu ** 2,
-            (2 - e * (2 + 2 * z + z * z)) / mu ** 3]
-
-
 def test_moments_match_mpmath_across_the_series_cutoff():
     # The tabled series below _SERIES_CUTOFF and the closed form above it:
     # 1e-14 relative over |z| = 1e-8 .. 60 on one plane that mixes both
     # branches (and spans two series blocks), and each branch within 1e-15
-    # just either side of the cutoff, all round the circle.  Re z < 0 (arg
-    # 2.8) occurs in head segments.
+    # just either side of the cutoff, all round the circle, Re z < 0 (arg
+    # 2.8) included.
     import mpmath as mp
     span = 0.3
     args = np.array([0.0, 0.7, -1.2, 1.5, 2.8])
@@ -346,7 +344,7 @@ def test_moments_match_mpmath_across_the_series_cutoff():
         got = np.stack(quadrature._moments(z, span), axis=-1)
         for idx in np.ndindex(z.shape):
             with mp.workdps(50):
-                want = np.array([complex(m) for m in _mp_moments(z[idx], span)])
+                want = np.array([complex(m) for m in mp_moments(z[idx], span)])
             assert np.all(np.abs(got[idx] - want) <= rtol * np.abs(want)), z[idx]
             one = np.array(quadrature._moments(np.asarray(z[idx]), span))
             assert np.all(np.abs(one - want) <= rtol * np.abs(want)), z[idx]
@@ -381,9 +379,9 @@ def _interpolant_integral(f, h, mu):
             f0, f1, f2 = (mp.mpc(x) for x in f[k:k + 3])
             coef = (f0, (-3 * f0 + 4 * f1 - f2) / (2 * h),
                     (f0 - 2 * f1 + f2) / (2 * h * h))
-            m = _mp_moments(2 * h * mu, 2 * h)
+            m = mp_moments(2 * h * mu, 2 * h)
             if part:
-                m = [a - b for a, b in zip(m, _mp_moments(h * mu, h))]
+                m = [a - b for a, b in zip(m, mp_moments(h * mu, h))]
             return mp.exp(-mu * k * h) * sum(c * mj for c, mj in zip(coef, m))
 
         total = sum(piece(k, 0) for k in range(0, n - 1, 2))
@@ -394,10 +392,11 @@ def _interpolant_integral(f, h, mu):
 
 @pytest.mark.parametrize("block_entries", [3, 4096])
 def test_exp_weighted_integral_where_the_chain_underflows(monkeypatch, block_entries):
-    # At |mu*h| = 10..60, s^k = exp(-2k*mu*h) underflows within a few pairs.
-    # Blocks of one pair (in-place chains) and of all pairs (one contraction),
-    # node axis first and last, even and odd interval counts, against the
-    # same interpolant integrated in mpmath; no RuntimeWarning.
+    # At |mu*h| = 10..60, s^k = exp(-2k*mu*h) underflows within a few pairs
+    # of the in-place chains.  Node axis first and last, even and odd
+    # interval counts, against the same interpolant integrated in mpmath;
+    # no RuntimeWarning.  The block size steers only the series moments,
+    # which these |mu*h| do not reach: both sizes take the same path.
     import warnings
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(79)
@@ -419,30 +418,42 @@ def test_exp_weighted_integral_where_the_chain_underflows(monkeypatch, block_ent
                     assert abs(g[i] - want) <= 1e-14 * abs(want)
 
 
-def test_exp_weighted_segment_head_tail():
-    import cmath
+def test_exp_weighted_segment_pair_tail():
+    # pair: the quadratic over [0, 2h]; tail: over [h, 2h] without its
+    # factor exp(-mu*h), i.e. integral_0^h exp(-mu*r) q(h + r) dr
+    import mpmath as mp
     h = 0.2
     mu = 1.3 - 0.4j
     f = lambda u: 2.0 + u - 0.5 * u * u
     samples = (f(0.0), f(h), f(2 * h))
-    head = complex(exp_weighted_segment(*samples, h, mu, "head"))
-    tail = complex(exp_weighted_segment(*samples, h, mu, "tail"))
-    import mpmath as mp
-    ref_head = complex(mp.quad(lambda u: mp.e ** (-mp.mpc(mu) * u) * f(u), [0, h]))
-    ref_tail = complex(mp.quad(lambda u: mp.e ** (-mp.mpc(mu) * u) * f(u), [h, 2 * h]))
-    assert abs(head - ref_head) <= 1e-13 * abs(ref_head)
+    pair, tail = (complex(x) for x in exp_weighted_segment(*samples, h, mu))
+    ref_pair = complex(mp.quad(lambda u: mp.e ** (-mp.mpc(mu) * u) * f(u), [0, 2 * h]))
+    ref_tail = complex(mp.quad(lambda r: mp.e ** (-mp.mpc(mu) * r) * f(h + r), [0, h]))
+    assert abs(pair - ref_pair) <= 1e-13 * abs(ref_pair)
     assert abs(tail - ref_tail) <= 1e-13 * abs(ref_tail)
 
 
+def test_exp_weighted_segment_pair_weights_are_the_half_line_weights():
+    # The pair takes the [0, h] moments at 2*mu*h times 2^(j+1), which is
+    # exact: on the Lagrange basis its weights are bitwise those that
+    # exp_weighted_integral applies, on both sides of the series cutoff.
+    for h in (2.0 / 192, 1.0 / 12, 0.05):
+        mu = np.geomspace(1e-3, 1e3, 60) * np.exp(1j * np.linspace(-1.5, 1.5, 60)) / h
+        pair, _ = exp_weighted_segment(*np.eye(3)[:, :, None], h, mu)
+        want = quadrature._quadratic_weights(
+            *quadrature._moments(mu * (2.0 * h), 2.0 * h), h)
+        assert np.array_equal(pair, np.array(want))
+
+
 def test_exp_weighted_segment_tail_without_cancellation():
-    # exp(mu*h) times the [h, 2h] integral of 1 is (1 - exp(-mu*h))/mu; the
-    # tail moments are shifted head moments, so no digits cancel at large mu*h.
+    # The tail of 1 is (1 - exp(-mu*h))/mu; its moments are shifted [0, h]
+    # moments, so no digits cancel and nothing overflows at large mu*h.
     import cmath
     h = 0.5
-    for muh in (1e-3, 0.3, 1.0, 10.0, 20.0, 30.0):
+    for muh in (1e-3, 0.3, 1.0, 10.0, 20.0, 30.0, 1e3):
         for arg in (0.0, 0.7, -1.2):
             mu = muh / h * cmath.exp(1j * arg)
-            got = cmath.exp(mu * h) * complex(exp_weighted_segment(1.0, 1.0, 1.0, h, mu, "tail"))
+            got = complex(exp_weighted_segment(1.0, 1.0, 1.0, h, mu)[1])
             want = (1.0 - cmath.exp(-mu * h)) / mu
             assert abs(got - want) <= 1e-13 * abs(want)
 

@@ -49,14 +49,42 @@ def test_modules_import_only_lower_layers():
     assert not breaches, breaches
 
 
-def test_benchmark_wrapped_globals_exist():
+def test_benchmark_wrapped_globals_exist(monkeypatch):
     # bench/workloads.py traces these stages by wrapping the module globals
-    # of these names; a rename would break its traced pass.
+    # of these names, and bench/selfcheck.py fails unless the wrapped calls
+    # happen: a pressure profile calls pressure.exp_weighted_segment, and
+    # verify_estimate calls solver.estimate_constants, which calls
+    # solver.symbol_grid.  A rename or a bypass would break its traced pass.
+    import numpy as np
+
+    import vortexfront as vf
     import vortexfront.pressure
     import vortexfront.solver
+    from conftest import smooth_field
 
+    calls, inside = [], []
     for module, name in ((vortexfront.solver, "estimate_constants"),
                          (vortexfront.solver, "symbol_grid"),
                          (vortexfront.pressure, "exp_weighted_integral"),
                          (vortexfront.pressure, "exp_weighted_segment")):
-        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+        fn = getattr(module, name, None)
+        assert callable(fn), f"{module.__name__}.{name}"
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            calls.append((_name, tuple(inside)))
+            inside.append(_name)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(module, name, wrapper)
+
+    medium = vf.Medium.symmetric(2.0, 1.0)
+    zero = np.zeros(16, dtype=complex)
+    vf.reconstruct_profile(vf.Frequency(1.0, 0.5, 1.0), medium,
+                           vf.BoundaryState(0j, 0j, 0j, 0j), zero, zero, 0.1)
+    assert ("exp_weighted_segment", ()) in calls
+    calls.clear()
+    vf.verify_estimate(smooth_field(n_t=8, n_x1=8, n_x2=16), medium, [1.0], 0.0)
+    assert ("estimate_constants", ()) in calls
+    assert ("symbol_grid", ("estimate_constants",)) in calls

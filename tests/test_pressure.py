@@ -8,7 +8,7 @@ import vortexfront as vf
 from vortexfront import Frequency, Medium
 from vortexfront.pressure import _split_convolution
 
-from conftest import per_node_convolution, smooth_field
+from conftest import mp_moments, per_node_convolution, smooth_field
 
 FREQ = Frequency(1.0, 0.4, 0.9)
 MED = Medium.symmetric(2.0, 1.0)
@@ -247,17 +247,36 @@ def test_split_convolution_matches_per_node_reference(n):
             assert np.abs(conv - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _mp_pair_tail_weights(mu, h):
+    """Pair weights (the quadratic through 0, h, 2h over [0, 2h]) and tail
+    weights (over [h, 2h] without its factor exp(-mu h)), 40 digits."""
+    import mpmath as mp
+
+    def weights(m):
+        return np.array([complex(w) for w in (
+            m[0] - 3 * m[1] / (2 * h) + m[2] / (2 * h * h),
+            2 * m[1] / h - m[2] / (h * h),
+            -m[1] / (2 * h) + m[2] / (2 * h * h))])
+
+    with mp.workdps(40):
+        mu = mp.mpc(mu)
+        m = mp_moments(h * mu, h)
+        return (weights(mp_moments(2 * h * mu, 2 * h)),
+                weights([m[0], m[1] + h * m[0], m[2] + 2 * h * m[1] + h * h * m[0]]))
+
+
 @pytest.mark.parametrize("batch", [1, 2, 50])
-def test_split_convolution_weights_match_the_separate_formulas(batch):
+def test_split_convolution_weights_match_mpmath(batch):
     # Three nodes (n = 2) and the Lagrange basis as samples expose the
     # weights: node 0 gives the Simpson pair, node 2 the pair reversed and
-    # node 1 both seeds, the tail of mu plus exp(-mu h) times the head of
-    # -mu.  |mu h| runs across the series cutoff 1.7, also straddled by
-    # mu h and 2 mu h; batches of 2 and 50 mu mix both sides in one
-    # moments call.  Worst measured 1.4e-15 of each set's largest weight.
-    from vortexfront import quadrature
+    # node 1 the tail plus the tail reversed (the seeds of both chains).
+    # |mu h| runs across the series cutoff 1.7, also straddled by the pair's
+    # 2 mu h; batches of 2 and 50 mu mix both sides in one moments call;
+    # Re(mu h) reaches 1e3, where exp(mu h) would overflow.  Worst measured
+    # 1.25e-15 of each set's largest weight.
     h, c = 0.05, 1.3
-    radii = np.array([1e-3, 0.3, 0.84, 0.86, 1.2, 1.69, 1.71, 3.0, 10.0, 30.0])
+    radii = np.array([1e-3, 0.3, 0.84, 0.86, 1.2, 1.69, 1.71, 3.0, 10.0, 30.0,
+                      1e2, 1e3])
     mus = (np.multiply.outer(radii, np.exp(1j * np.array([0.0, 0.7, -0.7, 1.3,
                                                          -1.45]))) / h).ravel()
     basis = np.eye(3, dtype=complex)
@@ -265,14 +284,11 @@ def test_split_convolution_weights_match_the_separate_formulas(batch):
         mu = mus[lo:lo + batch]
         full = np.broadcast_to(basis[:, :, None], (3, 3, mu.size))
         got = _split_convolution(full, mu, h, c) * (2.0 * c * c * mu)
-        pair = np.array(quadrature._quadratic_weights(
-            *quadrature._moments(2.0 * h * mu, 2.0 * h), h))
-        seeds = np.array(quadrature._segment_weights(mu, h, "tail")) + np.exp(
-            -mu * h) * np.array([quadrature.exp_weighted_segment(
-                *basis[j, :, None], h, -mu, "head") for j in range(3)])
-        for node, want in ((0, pair), (2, pair[::-1]), (1, seeds)):
-            assert np.all(np.abs(got[node] - want)
-                          <= 4e-15 * np.abs(want).max(axis=0)), (node, mu)
+        for i, m in enumerate(mu):
+            pair, tail = _mp_pair_tail_weights(m, h)
+            for node, want in ((0, pair), (2, pair[::-1]), (1, tail + tail[::-1])):
+                assert np.all(np.abs(got[node][:, i] - want)
+                              <= 4e-15 * np.abs(want).max()), (node, m)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -231,6 +231,22 @@ def test_solve_front_refusals(fixture_field):
         vf.solve_front(fixture_field, Medium.symmetric(2.0, 1.0), gamma=0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_gamma_and_s_overrides_are_refused(fixture_field, weakly_stable,
+                                                      bad):
+    # nan < 1 is False: without a finiteness check a NaN gamma passed the
+    # gamma >= 1 test and a NaN or infinite s passed every test
+    for call, name in ((lambda: vf.build_system(fixture_field, weakly_stable, bad), "gamma"),
+                       (lambda: vf.solve_front(fixture_field, weakly_stable, gamma=bad), "gamma"),
+                       (lambda: vf.solve_front(fixture_field, weakly_stable, s=bad), "s"),
+                       (lambda: vf.verify_estimate(fixture_field, weakly_stable,
+                                                   [1.0, bad], 0.0), "gamma"),
+                       (lambda: vf.verify_estimate(fixture_field, weakly_stable,
+                                                   [1.0], bad), "s")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call()
+
+
 def test_front_solution_norms_finite(fixture_field, fixture_solution,
                                     weakly_stable):
     for s, val in fixture_solution.norms.items():
