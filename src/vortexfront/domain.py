@@ -26,6 +26,10 @@ ENDPOINT_ATOL = 1e-12
 # norms took a median 176 ms in two chunks per stage and 166 ms in eight,
 # against 198 ms on one thread.
 _CHUNKS_PER_CORE = 4
+# Least work (complex entries) that _split spreads over threads.  On a 2-vCPU
+# host the x1 rfft of 35k entries took 1.4 ms split and 0.54 ms on one
+# thread, and broke even at 104k-135k; the depth pass broke even at 139k.
+_SPLIT_MIN_ENTRIES = 1 << 17
 
 
 def _workers() -> int:
@@ -36,8 +40,10 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _split(fn, n: int) -> None:
-    """Run fn(lo, hi) over contiguous chunks of range(n) on the usable cores.
+def _split(fn, n: int, entries: int) -> None:
+    """Run fn(lo, hi) over contiguous chunks of range(n) on the usable cores,
+    or fn(0, n) on the calling thread when the stage touches fewer than
+    _SPLIT_MIN_ENTRIES entries.
 
     The range is cut into a few chunks per core, each taken by the next
     free thread (the calling thread is one of them), so a core slowed by
@@ -47,6 +53,9 @@ def _split(fn, n: int) -> None:
     the caller's context (np.errstate); the first exception raised in any
     chunk is re-raised here once every thread has stopped.
     """
+    if entries < _SPLIT_MIN_ENTRIES:
+        fn(0, n)
+        return
     k = min(_workers(), n)
     size = -(-n // (_CHUNKS_PER_CORE * k))
     starts = iter(range(0, n, size))

@@ -25,6 +25,19 @@ def _refuse_nonfinite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _sobolev_weight(grid: "GridSpec", gamma: float, s: float) -> np.ndarray:
+    """(gamma^2 + delta^2 + eta^2)^s over the bins; ValueError naming gamma
+    or s where it overflows."""
+    with np.errstate(over="ignore"):
+        lam2 = grid.lambda_sq(gamma)
+        weight = lam2 ** s
+    for name, value, a in (("gamma", gamma, lam2), ("s", s, weight)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} = {value:g} overflows the Sobolev weight "
+                             f"(gamma^2 + delta^2 + eta^2)^s at s = {s:g}")
+    return weight
+
+
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 

@@ -26,6 +26,9 @@ _SERIES_COEFFS = np.array([[1.0 / (math.factorial(k) * (k + j + 1)) for j in ran
                            for k in range(_SERIES_TERMS)], dtype=complex)
 # Entries per block of series powers in _moments.
 _BLOCK_ENTRIES = 4096
+# Complex entries (1 MiB) per block of x2 levels in the depth quadrature: 32
+# levels of a 64x33 plane, 8 of 128x65; one plane is one entry of a 1-D call.
+_LEVEL_BLOCK_ENTRIES = 1 << 16
 
 
 def extrapolate_origin(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -108,6 +111,57 @@ def _quadratic_weights(m0, m1, m2, h: float):
     return w0, w1, w2
 
 
+def _level_block(plane: int) -> int:
+    """Levels per block of the depth quadrature on planes of `plane` entries."""
+    return max(2, 2 * round(_LEVEL_BLOCK_ENTRIES / (2 * plane)))
+
+
+class _DepthSum:
+    """The Simpson pairs of :func:`exp_weighted_integral` on the levels
+    (nodes 1..n) of a stack of planes, summed in blocks of levels.
+
+    With s = exp(-2*mu*h) and P = n//2 the pairs sum to w0*x0 +
+    (w0*s + w2)*E + w1*O + s^(P-1)*(w1*x_{2P-1} + w2*x_{2P}), where the
+    parity chains (O, E) = sum_k s^k (x_{2k+1}, x_{2k+2}), k < P - 1, take
+    the first `chain` levels.  A block of them (an even count fixed by the
+    plane size) sums its partial backwards, acc *= s; acc += part[j:j+2],
+    and the partials join by Horner with exp(-mu*h*block): no power of s
+    is divided, so an underflowing s is harmless.
+    """
+
+    def __init__(self, mu, h: float, n: int, plane: int):
+        self.mu, self.h, self.n = mu, h, n
+        self.block, self.chain = _level_block(plane), 2 * (n // 2 - 1)
+        self.s = np.exp(-2.0 * h * mu)
+        self.step = np.exp(-mu * (h * self.block))
+        self.w = _quadratic_weights(*_moments(mu * (2.0 * h), 2.0 * h), h)
+
+    def partial(self, part, acc):
+        """acc = sum_k s^k part[2k:2k+2], from acc = part[-2:] (or that view)."""
+        for j in range(len(part) - 4, -1, -2):
+            acc *= self.s
+            acc += part[j:j + 2]
+        return acc
+
+    def total(self, origin, partials, ends):
+        """The integral from node 0, the block partials, last block first
+        (the first is overwritten), and the levels chain..n-1, nodes
+        2P-1..n."""
+        (w0, w1, w2), mu, h, n = self.w, self.mu, self.h, self.n
+        total = w0 * origin + np.exp(-mu * (h * self.chain)) * (
+            w1 * ends[0] + w2 * ends[1])
+        chains = next(partials, None)
+        if chains is not None:
+            for partial in partials:
+                chains *= self.step
+                chains += partial
+            total += (w0 * self.s + w2) * chains[1] + w1 * chains[0]
+        if n % 2:  # last interval: the quadratic through the last three nodes
+            total += np.exp(-mu * ((n - 1) * h)) * exp_weighted_segment(
+                *ends[:3], h, mu)[1]
+        return total
+
+
 def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
                           axis: int = -1, origin: np.ndarray | None = None
                           ) -> np.ndarray:
@@ -115,30 +169,21 @@ def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
     or from f(0) = `origin` and `values` at h, 2h, ..., (n-1)h.
 
     f is interpolated by quadratics over Simpson pairs (and on a last odd
-    interval) while the exponential is integrated exactly.  The pairs sum to
-    w0*R0 + w1*R1 + w2*R2, R_c = sum_k s^k x_{2k+c} with s = exp(-2*mu*h),
-    and the chains are summed backwards, R *= s; R += x[2k:2k+3], on
-    node-first views: two in-place calls per pair, no temporary larger than
-    a plane.  `mu` has the shape of `values` without the node axis `axis`,
-    or broadcasts to it.
+    interval) while the exponential is integrated exactly, by the block sums
+    of :class:`_DepthSum` on node-first views, last block first: a few
+    planes at a time, and the stack is never copied.  `mu` has the shape of
+    `values` without the node axis `axis`, or broadcasts to it.
     """
     v = np.moveaxis(np.asarray(values, dtype=complex), axis, 0)
-    mu = np.asarray(mu, dtype=complex)
-    off = int(origin is not None)  # node j is v[j - off]
-    n = len(v) + off - 1
-    if n < 2:
+    if origin is None:
+        origin, v = v[0], v[1:]
+    if len(v) < 2:
         raise ValueError("need at least three samples")
-    w0, w1, w2 = _quadratic_weights(*_moments(mu * (2.0 * h), 2.0 * h), h)
-    s = np.exp(-2.0 * h * mu)
-    chains = np.zeros((3,) + np.broadcast_shapes(v.shape[1:], mu.shape), dtype=complex)
-    for j in range(2 * (n // 2) - 2 - off, -off - 1, -2):  # pair of nodes j+off..j+off+2
-        chains *= s
-        chains += v[j:j + 3] if j >= 0 else (origin, v[0], v[1])
-    total = w0 * chains[0] + w1 * chains[1] + w2 * chains[2]
-    if n % 2:  # last interval: the quadratic through the last three nodes
-        total = total + np.exp(-mu * ((n - 1) * h)) * exp_weighted_segment(
-            v[n - 2 - off], v[n - 1 - off], v[n - off], h, mu)[1]
-    return total
+    rule = _DepthSum(np.asarray(mu, dtype=complex), h, len(v), math.prod(v.shape[1:]))
+    parts = (v[lo:min(lo + rule.block, rule.chain)]
+             for lo in reversed(range(0, rule.chain, rule.block)))
+    return rule.total(origin, (rule.partial(part, part[-2:].copy()) for part in parts),
+                      v[rule.chain:])
 
 
 def halfline_integral(slice_values: np.ndarray, mu: np.ndarray,

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Frequency, Medium, RegimeError, StabilityClass
-from .grids import FieldGrid, GridSpec, _refuse_nonfinite
+from .grids import FieldGrid, GridSpec, _refuse_nonfinite, _sobolev_weight
 from .quadrature import halfline_integral
 from .symbol import classify, mu_symbol_grid, symbol_grid
-from .transforms import (_bin_slices, _HalfSpectrum, _halfspace_norm_of,
-                         sobolev_norm)
+from .transforms import _bin_slices, _depth_pass, _HalfSpectrum, sobolev_norm
 
 __all__ = [
     "MValue", "SpectralSystem", "FrontSolution", "EstimateConstants",
@@ -81,26 +80,25 @@ def _system(grid: GridSpec, g: float, mu_p, mu_m, sigma, i_p, last_p,
     """M, g and the truncation bounds, on the whole grid or at one bin."""
     m = i_p / mu_p - i_m / mu_m
     g_hat = -(mu_p * mu_m / (mu_p + mu_m)) * m
+    if not all(np.isfinite(a).all() for a in (mu_p, mu_m, sigma, g_hat)):
+        raise ValueError(f"gamma = {g:g} overflows the decay roots, the "
+                         "symbol or the forcing integrals")
     trunc_p = np.exp(-mu_p.real * grid.L_x2) * last_p
     trunc_m = np.exp(-mu_m.real * grid.L_x2) * last_m
     return SpectralSystem(grid, g, mu_p, mu_m, sigma, i_p, i_m, m, g_hat,
                           trunc_p, trunc_m)
 
 
-def _assemble(grid: GridSpec, medium: Medium, g: float,
-              slices) -> SpectralSystem:
-    """The system from the plus and minus :meth:`_HalfSpectrum.slices`."""
-    tau = g + 1j * grid.delta_axis[:, None]
-    mu_p, mu_m, sigma = mu_symbol_grid(tau, grid.eta_axis[None, :], medium)
-    full = []
-    slices = iter(slices)
-    for mu in (mu_p, mu_m):
-        sl = next(slices)
-        i_half = halfline_integral(sl, mu[:, :sl.shape[2]], grid.dx2, axis=0)
-        full += [_paired_full(i_half, grid),
-                 _paired_full(np.abs(sl[-1]), grid)]
-        del sl  # freed before the next side's spectrum is built
-    return _system(grid, g, mu_p, mu_m, sigma, *full)
+def _assemble(grid: GridSpec, medium: Medium, g: float, run
+              ) -> tuple[SpectralSystem, list]:
+    """The system and the half-space norms from run(mu_plus, mu_minus), the
+    :func:`_depth_pass` results of both sides on the half spectrum."""
+    with np.errstate(all="ignore"):  # _system refuses what overflows
+        tau = g + 1j * grid.delta_axis[:, None]
+        mu_p, mu_m, sigma = mu_symbol_grid(tau, grid.eta_axis[None, :], medium)
+        sides, norms = run(*(mu[:, :grid.n_x1 // 2 + 1] for mu in (mu_p, mu_m)))
+        full = [_paired_full(a, grid) for side in sides for a in side]
+        return _system(grid, g, mu_p, mu_m, sigma, *full), norms
 
 
 def build_system(fieldgrid: FieldGrid, medium: Medium,
@@ -114,10 +112,10 @@ def build_system(fieldgrid: FieldGrid, medium: Medium,
     _refuse_nonfinite(gamma=g)
     if g < 1.0:
         raise ValueError("the solver requires gamma >= 1")
-    # A generator: one side's spectrum is held at a time, weighted in place.
-    return _assemble(grid, medium, g,
-                     (_HalfSpectrum(f, grid).slices(g, in_place=True)
-                      for f in (fieldgrid.f_plus, fieldgrid.f_minus)))
+    # One side's spectrum is held at a time, and its pass runs in place.
+    return _assemble(grid, medium, g, lambda *mus: ([
+        _depth_pass([_HalfSpectrum(f, grid)], g, [mu], in_place=True)[0][0]
+        for f, mu in zip((fieldgrid.f_plus, fieldgrid.f_minus), mus)], []))[0]
 
 
 def _bin_index(axis: np.ndarray, value: float, name: str) -> int:
@@ -141,13 +139,14 @@ def _bin_system(fieldgrid: FieldGrid, freq: Frequency, medium: Medium
     grid = fieldgrid.grid
     it = _bin_index(grid.delta_axis, freq.delta, "delta")
     ix = _bin_index(grid.eta_axis, freq.eta, "eta")
-    (mu_p,), (mu_m,), (sigma,) = mu_symbol_grid(
-        [freq.gamma + 1j * grid.delta_axis[it]], [grid.eta_axis[ix]], medium)
     slices = _bin_slices(fieldgrid, freq.gamma, it, ix)
-    full = []
-    for mu, sl in zip((mu_p, mu_m), slices):
-        full += [halfline_integral(sl, mu, grid.dx2), np.abs(sl[-1])]
-    return _system(grid, freq.gamma, mu_p, mu_m, sigma, *full), slices
+    with np.errstate(all="ignore"):
+        (mu_p,), (mu_m,), (sigma,) = mu_symbol_grid(
+            [freq.gamma + 1j * grid.delta_axis[it]], [grid.eta_axis[ix]], medium)
+        full = []
+        for mu, sl in zip((mu_p, mu_m), slices):
+            full += [halfline_integral(sl, mu, grid.dx2), np.abs(sl[-1])]
+        return _system(grid, freq.gamma, mu_p, mu_m, sigma, *full), slices
 
 
 def forcing_functional(fieldgrid: FieldGrid, freq: Frequency,
@@ -330,9 +329,10 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
                     gammas: list[float], s: float) -> EstimateReport:
     """Sweep gamma and tabulate the a priori estimate ratios.
 
-    The x1 half spectrum of each side is taken once; per gamma a weight and
-    a t-FFT give the slices that the norms, the system and f_hat all read
-    (no physical front is formed).  The pointwise constant is estimated
+    The x1 half spectrum of each side is taken once; per gamma one
+    :func:`_depth_pass` over both sides gives the half-space norms and the
+    forcing integrals that the system and f_hat read (no slice stack and
+    no physical front is formed).  The pointwise constant is estimated
     over the hemisphere augmented with every bin of the sweep; the
     right-hand-side constant comes from the bin supremum of
     |mu_minus/(mu_plus+mu_minus)|^2 combined with the exact lower bound
@@ -348,6 +348,8 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
     report = classify(medium)
     _require_weakly_stable(report, "the a priori estimate")
     grid = fieldgrid.grid
+    for g in gammas:  # refused here, before estimate_constants overflows
+        _sobolev_weight(grid, g, s)
     if float(np.max(np.abs(fieldgrid.f_plus))) == 0.0 and \
             float(np.max(np.abs(fieldgrid.f_minus))) == 0.0:
         raise ValueError("estimate ratios are undefined for a zero field")
@@ -364,9 +366,8 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
     spectra = [_HalfSpectrum(f, grid)
                for f in (fieldgrid.f_plus, fieldgrid.f_minus)]
     for g in gammas:
-        slices = [spec.slices(g) for spec in spectra]
-        nfp, nfm = (_halfspace_norm_of(sl, grid, s, g) for sl in slices)
-        sys = _assemble(grid, medium, g, slices)
+        sys, (nfp, nfm) = _assemble(grid, medium, g, lambda *mus: _depth_pass(
+            spectra, g, mus, s))
         lam2 = grid.lambda_sq(g)
         nf2 = sobolev_norm(_front_hat(sys), float(s) + 1.0, g, grid) ** 2
         ng = sobolev_norm(sys.g_hat, s, g, grid)

@@ -1,7 +1,8 @@
 """Weighted Fourier transforms and the weighted Sobolev norms.
 
 The solver and the half-space norms read the real half spectrum of
-:class:`_HalfSpectrum`; :func:`weighted_forward` is the full reference path.
+:class:`_HalfSpectrum` through :func:`_depth_pass`; :func:`weighted_forward`
+is the full reference path.
 """
 
 from __future__ import annotations
@@ -9,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import _split
-from .grids import FieldGrid, GridSpec
-from .quadrature import extrapolate_origin, simpson_closed
+from .grids import FieldGrid, GridSpec, _sobolev_weight
+from .quadrature import (_DepthSum, _level_block, extrapolate_origin,
+                         simpson_closed)
 
 __all__ = ["weighted_forward", "weighted_inverse", "sobolev_norm",
            "halfspace_norm", "spectral_slices"]
@@ -58,9 +60,9 @@ def sobolev_norm(f_hat: np.ndarray, s: float, gamma: float,
     (gamma^2 + delta^2 + eta^2)^s |f_hat|^2; with s = 0 this is the
     discrete Plancherel L^2 norm.
     """
-    f_hat = np.asarray(f_hat)
-    lam2 = grid.lambda_sq(gamma)
-    density = np.abs(f_hat) ** 2 if s == 0 else lam2 ** s * np.abs(f_hat) ** 2
+    density = np.abs(np.asarray(f_hat)) ** 2
+    if s != 0:
+        density = _sobolev_weight(grid, gamma, s) * density
     return float(np.sqrt(density.sum() / (grid.L_t * grid.L_x1)))
 
 
@@ -86,7 +88,8 @@ def _bin_slices(field: FieldGrid, gamma: float, it: int, ix: int
 class _HalfSpectrum:
     """The x1 rfft of one real forcing side, laid out (n_x2, n_t, n_x1//2+1).
 
-    It does not depend on gamma; :meth:`slices` adds the weight and t-FFT.
+    It does not depend on gamma; :func:`_depth_pass` adds the weight and
+    t-FFT.
     """
 
     def __init__(self, samples: np.ndarray, grid: GridSpec):
@@ -100,39 +103,66 @@ class _HalfSpectrum:
             for i in range(lo, hi):
                 np.fft.rfft(samples[i].T, axis=-1, out=self.x1_hat[:, i])
 
-        _split(planes, grid.n_t)
+        _split(planes, grid.n_t, self.x1_hat.size)
 
-    def slices(self, gamma: float, in_place: bool = False) -> np.ndarray:
-        """The bins 0..n_x1//2 of :func:`weighted_forward`, x2 leading.
 
-        in_place reuses (and overwrites) x1_hat, for a last call.
-        """
-        g = self.grid
-        w = (_weight(g, gamma) * (g.dt * g.dx1))[:, None]
-        spec = self.x1_hat if in_place else np.empty_like(self.x1_hat)
+def _depth_pass(spectra: list[_HalfSpectrum], gamma: float, mus=(),
+                s: float | None = None, in_place: bool = False):
+    """([(I, |last level|)] per mu, [norm] per side if s is given) of the
+    slices (bins 0..n_x1//2 of :func:`weighted_forward`, x2 leading): I is
+    their :func:`halfline_integral`, norm their :func:`halfspace_norm`.
 
-        def levels(lo, hi):
-            part = np.multiply(self.x1_hat[lo:hi], w, out=spec[lo:hi])
+    One :func:`_split` over the :class:`_DepthSum` level blocks of every
+    side weights a block, runs its t-FFT, adds its level norms and sums its
+    chain partial while it is in cache; levels 0..4 and those after the
+    chains are copied aside.  in_place overwrites x1_hat and leaves each
+    partial in its spent block: no stack is allocated.
+    """
+    g, (n, n_t, nh) = spectra[0].grid, spectra[0].x1_hat.shape
+    w = (_weight(g, gamma) * (g.dt * g.dx1))[:, None]
+    rules = [_DepthSum(mu, g.dx2, n, mu.size) for mu in mus]
+    block, chain = _level_block(n_t * nh), 2 * (n // 2 - 1)
+    keep = [*range(5), *range(chain, n)]
+    ends = np.empty((len(rules), len(keep), n_t, nh), dtype=complex)
+    parts = [[None] * -(-chain // block) for _ in rules]
+    per_level = np.empty((len(spectra) if s is not None else 0, n))
+    if s is not None:
+        weight = _sobolev_weight(g, gamma, s)[:, :nh]
+        weight[:, 1:g.n_x1 - nh + 1] *= 2.0  # conjugate pairs
+        weight = weight.ravel()
+    count = -(-n // block)
+
+    def blocks(start, stop):
+        buf = None if in_place else np.empty((block, n_t, nh), dtype=complex)
+        for side, b in (divmod(i, count) for i in range(start, stop)):
+            lo, hi = b * block, min(b * block + block, n)
+            x1_hat = spectra[side].x1_hat[lo:hi]
+            part = np.multiply(x1_hat, w, out=x1_hat if in_place else buf[:hi - lo])
             np.fft.fft(part, axis=1, out=part)
+            if s is not None:
+                sq = np.abs(part)
+                per_level[side, lo:hi] = np.square(sq, out=sq).reshape(hi - lo, -1) @ weight
+            if rules:
+                for i, level in enumerate(keep):
+                    if lo <= level < hi:
+                        ends[side, i] = part[level - lo]
+                top = min(hi, chain) - lo
+                if top > 0:
+                    acc = part[top - 2:top]
+                    parts[side][b] = rules[side].partial(
+                        part[:top], acc if in_place else acc.copy())
 
-        _split(levels, len(spec))
-        return spec
+    _split(blocks, len(spectra) * count, len(spectra) * n * n_t * nh)
+    return ([(rule.total(extrapolate_origin(end[:5], axis=0), reversed(part),
+                         end[5:]), np.abs(end[-1]))
+             for rule, end, part in zip(rules, ends, parts)],
+            [_x2_norm(a / (g.L_t * g.L_x1), g) for a in per_level])
 
 
 def _x2_norm(per_level: np.ndarray, grid: GridSpec) -> float:
     """sqrt of the x2 integral over [0, L_x2], origin level extrapolated."""
     full = np.concatenate(([extrapolate_origin(per_level)], per_level))
     return float(np.sqrt(simpson_closed(full, grid.dx2)))
-
-
-def _halfspace_norm_of(spec: np.ndarray, grid: GridSpec, s: float,
-                       gamma: float) -> float:
-    """:func:`halfspace_norm` from one side's :meth:`_HalfSpectrum.slices`."""
-    weight = grid.lambda_sq(gamma)[:, :spec.shape[2]] ** s
-    weight[:, 1:grid.n_x1 - spec.shape[2] + 1] *= 2.0  # conjugate pairs
-    per_level = ((np.abs(spec) ** 2).reshape(len(spec), -1) @ weight.ravel()
-                 / (grid.L_t * grid.L_x1))
-    return _x2_norm(per_level, grid)
 
 
 def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
@@ -149,8 +179,8 @@ def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
     if samples.ndim != 3 or samples.shape[:2] != (grid.n_t, grid.n_x1):
         raise ValueError(f"samples shape {samples.shape} does not fit the grid")
     if s != 0:
-        return _halfspace_norm_of(_HalfSpectrum(samples, grid).slices(gamma),
-                                  grid, s, gamma)
+        return _depth_pass([_HalfSpectrum(samples, grid)], gamma, s=s,
+                           in_place=True)[1][0]
     per_level = (np.exp(-2.0 * gamma * grid.t_nodes)
                  @ np.einsum("ijk,ijk->ik", samples, samples))
     return _x2_norm((grid.dt * grid.dx1) * per_level, grid)

@@ -375,6 +375,31 @@ def test_reconstruct_refuses_non_finite_gamma_and_s(capsys, tmp_path, field_file
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("cmd,flag,value,name", [
+    ("solve", "--s", "200", "s"), ("solve", "--gamma", "1e160", "gamma"),
+    ("verify", "--s", "200", "s"), ("verify", "--gammas", "1,1e160", "gamma"),
+    ("reconstruct", "--gamma", "1e160", "gamma")])
+def test_commands_refuse_an_overflowing_weight(capsys, tmp_path, cmd, flag,
+                                               value, name):
+    # (gamma^2 + delta^2 + eta^2)^s overflows at s = 200 on a 16x16x32
+    # field (the parent wrote NaN norms and verify rows with exit 0), and
+    # gamma^2 at gamma = 1e160 (the parent exited 2 after RuntimeWarnings,
+    # blaming a vanishing symbol).  Exit 2 naming the argument, no
+    # RuntimeWarning, nothing written.
+    field_path = tmp_path / "field.vfgrid"
+    vf.write_field(field_path, smooth_field(n_t=16, n_x1=16, n_x2=32))
+    out = tmp_path / "out"
+    where = ["--delta", "6.3", "--eta", "6.3"] if cmd == "reconstruct" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run(capsys, [cmd, "--v", "2", "--c", "1", "--in",
+                                    str(field_path), flag, value, *where,
+                                    "--out", str(out)])
+    assert code == 2
+    assert f"error: {name} = " in err and "overflows" in err
+    assert not out.exists()
+
+
 def test_grid_csv_bytes(capsys, tmp_path):
     # Each value formatted on its own, |Sigma| by the scalar abs: the
     # command's table writer must give the same bytes.
@@ -403,10 +428,14 @@ def test_grid_csv_bytes(capsys, tmp_path):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                     or len(os.sched_getaffinity(0)) < 2,
                     reason="needs CPU affinity and two usable CPUs")
-def test_outputs_do_not_depend_on_the_core_count(tmp_path, field_file):
-    # The same commands pinned to one CPU (one worker) and unpinned.
+def test_outputs_do_not_depend_on_the_core_count(tmp_path):
+    # The same commands pinned to one CPU (one worker) and unpinned, on a
+    # field whose stages are above the work floor of domain._split.
     env = dict(os.environ, PYTHONPATH=str(Path(vf.__file__).resolve().parents[1]))
     one_cpu = {min(os.sched_getaffinity(0))}
+    field_file = str(tmp_path / "field.vfgrid")
+    assert 128 * 64 * 17 > vf.domain._SPLIT_MIN_ENTRIES  # the x1 half spectrum
+    vf.write_field(field_file, smooth_field(n_t=64, n_x1=32, n_x2=128))
 
     def outputs(preexec_fn):
         out = tmp_path / "out"  # stdout names the output paths

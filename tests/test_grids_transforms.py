@@ -7,7 +7,8 @@ import vortexfront as vf
 from vortexfront import FieldGrid, GridSpec, grids, quadrature
 from vortexfront.quadrature import (exp_weighted_integral, exp_weighted_segment,
                                     extrapolate_origin, simpson_closed)
-from vortexfront.transforms import _HalfSpectrum
+from vortexfront.symbol import mu_symbol_grid
+from vortexfront.transforms import _depth_pass, _HalfSpectrum
 
 from conftest import bump, fft2_halfspace_norm, mp_moments, smooth_field
 
@@ -198,19 +199,78 @@ def test_half_spectrum_matches_whole_stack_rfft(tmp_path, n_x1, n_x2):
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-def test_half_spectrum_in_place_slices_match_copying():
-    # The one-gamma solve weights x1_hat in place; the gamma sweep reuses
-    # it, so a copying call must leave it as it was.
-    field = smooth_field(n_t=16, n_x1=8, n_x2=21)
-    reused = _HalfSpectrum(field.f_plus, field.grid)
-    before = reused.x1_hat.tobytes()
+def materialized_slices(spec, gamma):
+    """The weighted, t-transformed half spectrum as one stack, x2 leading."""
+    g = spec.grid
+    w = (np.exp(-gamma * g.t_nodes) * (g.dt * g.dx1))[:, None]
+    return np.fft.fft(spec.x1_hat * w, axis=1)
+
+
+def test_depth_pass_in_place_matches_copying(monkeypatch):
+    # The one-gamma solve runs the pass in place on x1_hat; the gamma sweep
+    # reuses x1_hat, so a copying pass must leave it as it was.  Both give
+    # the same bytes, and on one worker neither allocates more than a few
+    # blocks (32 levels of 64x33 here, of 384 in the stack).
+    import tracemalloc
+    monkeypatch.setattr(vf.domain, "_workers", lambda: 1)
+    field = smooth_field(n_t=64, n_x1=64, n_x2=384)
+    grid, medium = field.grid, vf.Medium.symmetric(2.0, 1.0)
+    reused = _HalfSpectrum(field.f_plus, grid)
+    before, before_size = reused.x1_hat.tobytes(), reused.x1_hat.nbytes
     for gamma in (1.0, 3.5):
-        copied = reused.slices(gamma)
+        tau = gamma + 1j * grid.delta_axis[:, None]
+        mu = mu_symbol_grid(tau, grid.eta_axis[None, :], medium)[0][:, :33]
+        last = _HalfSpectrum(field.f_plus, grid)
+        got, peaks = [], []
+        for spec, in_place in ((reused, False), (last, True)):
+            tracemalloc.start()
+            try:
+                out = _depth_pass([spec], gamma, [mu], 1.0, in_place=in_place)
+                peaks.append(tracemalloc.get_traced_memory()[1] / before_size)
+            finally:
+                tracemalloc.stop()
+            got.append([np.array(a).tobytes() for a in (*out[0][0], *out[1])])
+        assert got[0] == got[1]
         assert reused.x1_hat.tobytes() == before
-        last = _HalfSpectrum(field.f_plus, field.grid)
-        in_place = last.slices(gamma, in_place=True)
-        assert np.shares_memory(in_place, last.x1_hat)
-        assert in_place.tobytes() == copied.tobytes()
+        assert last.x1_hat.tobytes() != before
+        assert peaks[1] < peaks[0] < 0.35
+
+
+@pytest.mark.parametrize("n_x2", [16, 17, 33, 70, 97])
+@pytest.mark.parametrize("block_entries", [4, 480, 1 << 16])
+def test_depth_pass_matches_materialized_slices(monkeypatch, n_x2, block_entries):
+    # Against the slice stack, weighted and t-transformed whole: I is
+    # bitwise halfline_integral of the stack, |last level| bitwise its
+    # modulus, and the norm the per-level sum of the stack, up to the
+    # level sums' rounding (worst measured 2.1e-16).  Blocks of 2 levels
+    # (block_entries 4), of 6 (480 over 16x5 planes: not a divisor of any
+    # n_x2 here) and one block for the whole stack; gamma up to 1e4, where
+    # the powers of s = exp(-2 mu h) underflow within the chains.
+    monkeypatch.setattr(quadrature, "_LEVEL_BLOCK_ENTRIES", block_entries)
+    grid, medium = GridSpec(16, 8, n_x2, 1.0, 1.0, 2.0), vf.Medium.symmetric(2.0, 1.0)
+    rng = np.random.default_rng(n_x2)
+    taper = bump(grid.x2_nodes / grid.L_x2)  # nonzero at t = 0, as gamma = 1e4 needs
+    spectra = [_HalfSpectrum(rng.standard_normal((16, 8, n_x2)) * taper, grid)
+               for _ in range(2)]
+    for gamma, s in ((1.0, 0.0), (3.0, 1.0), (100.0, 0.5), (1e4, 1.0)):
+        tau = gamma + 1j * grid.delta_axis[:, None]
+        mus = [mu[:, :5] for mu in mu_symbol_grid(tau, grid.eta_axis[None, :],
+                                                  medium)[:2]]
+        if gamma == 1e4:  # the powers of s underflow along the chains
+            assert np.all(np.exp(-grid.L_x2 * mus[0]) == 0.0)
+        sides, norms = _depth_pass(spectra, gamma, mus, s)
+        for spec, mu, (i_half, last), norm in zip(spectra, mus, sides, norms):
+            sl = materialized_slices(spec, gamma)
+            want = vf.halfline_integral(sl, mu, grid.dx2, axis=0)
+            assert i_half.tobytes() == want.tobytes()
+            assert last.tobytes() == np.abs(sl[-1]).tobytes()
+            weight = grid.lambda_sq(gamma)[:, :5] ** s
+            weight[:, 1:4] *= 2.0
+            per_level = (np.abs(sl) ** 2 * weight).sum(axis=(1, 2)) / (
+                grid.L_t * grid.L_x1)
+            full = np.concatenate(([extrapolate_origin(per_level)], per_level))
+            want_norm = math.sqrt(simpson_closed(full, grid.dx2))
+            assert norm == pytest.approx(want_norm, rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +354,12 @@ def test_exp_weighted_integral_node_axis():
 def test_halfline_integral_blocks_match_per_entry(monkeypatch, block_entries):
     # The origin enters the first pair instead of being prepended; node axis
     # first and last equal per-entry calls on the prepended samples.  The
-    # block size steers only the series moments: blocks of one entry (12
-    # and 36) and of all entries of a plane (4096).
+    # series moments run in blocks of one entry (12 and 36) and of all
+    # entries of a plane (4096).  The same numbers of entries per level
+    # block cut the 3x4 stacks into blocks of 2 and 4 levels and one block,
+    # and the 1-D calls into blocks of 12 and 36 levels and one block.
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(quadrature, "_LEVEL_BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(71)
     h = 0.1
     mu = rng.uniform(0.2, 4.0, (3, 4)) + 1j * rng.uniform(-3.0, 3.0, (3, 4))

@@ -247,6 +247,33 @@ def test_non_finite_gamma_and_s_overrides_are_refused(fixture_field, weakly_stab
             call()
 
 
+def test_overflowing_weights_are_refused(weakly_stable):
+    # (gamma^2 + delta^2 + eta^2)^s overflows at s = 200 (the parent wrote
+    # NaN norms), and gamma^2 itself at gamma = 1e160 (the parent blamed a
+    # vanishing symbol after RuntimeWarnings): ValueError naming s or gamma,
+    # with no RuntimeWarning on the way.
+    field = smooth_field(n_t=16, n_x1=16, n_x2=32)
+    grid = field.grid
+    on_bin = Frequency(1e160, grid.delta_axis[1], grid.eta_axis[1])
+    f_hat = np.ones((grid.n_t, grid.n_x1), dtype=complex)
+    calls = (
+        (lambda: vf.solve_front(field, weakly_stable, 1.0, 200.0), "s = 20[01] "),
+        (lambda: vf.verify_estimate(field, weakly_stable, [1.0], 200.0), "s = 200 "),
+        (lambda: vf.sobolev_norm(f_hat, 200.0, 1.0, grid), "s = 200 "),
+        (lambda: vf.halfspace_norm(field.f_plus, grid, 200.0, 1.0), "s = 200 "),
+        (lambda: vf.build_system(field, weakly_stable, 1e160), "gamma = 1e\\+160 "),
+        (lambda: vf.solve_front(field, weakly_stable, 1e160), "gamma = 1e\\+160 "),
+        (lambda: vf.verify_estimate(field, weakly_stable, [1.0, 1e160], 0.0),
+         "gamma = 1e\\+160 "),
+        (lambda: vf.forcing_functional(field, on_bin, weakly_stable),
+         "gamma = 1e\\+160 "))
+    for call, message in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"^{message}overflows"):
+                call()
+
+
 def test_front_solution_norms_finite(fixture_field, fixture_solution,
                                     weakly_stable):
     for s, val in fixture_solution.norms.items():
