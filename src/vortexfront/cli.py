@@ -63,19 +63,12 @@ def _medium(args) -> Medium:
 
 def cmd_classify(args) -> int:
     report = classify(_medium(args))
-    lines = [f"mach_class: {report.mach_class.value}",
-             f"stability_class: {report.stability_class.value}",
-             f"mach_ratio: {report.mach_ratio:.12g}",
-             f"Y0: {report.y0:.12g}"]
-    if report.y1 is not None:
-        lines.append(f"Y1: {report.y1:.12g}")
-    if report.y2 is not None:
-        lines.append(f"Y2: {report.y2:.12g}")
-    print("\n".join(lines))
     payload = {"mach_class": report.mach_class.value,
                "stability_class": report.stability_class.value,
                "mach_ratio": report.mach_ratio,
                "Y0": report.y0, "Y1": report.y1, "Y2": report.y2}
+    print("\n".join(f"{k}: {v if isinstance(v, str) else format(v, '.12g')}"
+                    for k, v in payload.items() if v is not None))
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -188,9 +181,12 @@ def cmd_reconstruct(args) -> int:
                                       (grid.eta_axis, args.eta)))
     freq = Frequency(args.gamma, delta, eta)
     sys_, (sp, sm) = _bin_system(field, freq, medium)
-    state = solve_boundary_system(freq, medium, complex(_front_hat(sys_)),
-                                  complex(sys_.i_plus), complex(sys_.i_minus))
-    profile = reconstruct_profile(freq, medium, state, sp, sm, grid.dx2)
+    with np.errstate(all="ignore"):  # as in _bin_system: refused if not finite
+        state = solve_boundary_system(freq, medium, complex(_front_hat(sys_)),
+                                      complex(sys_.i_plus), complex(sys_.i_minus))
+        profile = reconstruct_profile(freq, medium, state, sp, sm, grid.dx2)
+    _require_finite(f"the profile at gamma = {args.gamma:g}", profile.p_plus,
+                    profile.p_minus)
     _emit("x2,re_p_plus,im_p_plus,re_p_minus,im_p_minus\n"
           + _rows(profile.x2_nodes, profile.p_plus.real, profile.p_plus.imag,
                   profile.p_minus.real, profile.p_minus.imag), args.out)
@@ -204,65 +200,53 @@ def build_parser() -> argparse.ArgumentParser:
         description="Front-symbol analysis and spectral front solver")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_medium(p):
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--v", type=float, required=True,
                        help="half tangential velocity jump (> 0)")
-        p.add_argument("--c", type=float, required=True,
-                       help="sound speed (> 0)")
+        p.add_argument("--c", type=float, required=True, help="sound speed (> 0)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("classify", help="stability classification")
-    add_medium(p)
+    p = command("classify", cmd_classify, "stability classification")
     p.add_argument("--out", help="optional JSON output path")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("grid", help="sample the symbol over a frequency window")
-    add_medium(p)
+    p = command("grid", cmd_grid, "sample the symbol over a frequency window")
     p.add_argument("--window", required=True,
                    help="gmin:gmax:gn,dmin:dmax:dn,emin:emax:en")
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("roots", help="symbol roots for a fixed eta")
-    add_medium(p)
+    p = command("roots", cmd_roots, "symbol roots for a fixed eta")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--out", help="optional JSON output path")
-    p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("solve", help="solve the front equation for a field file")
-    add_medium(p)
+    p = command("solve", cmd_solve, "solve the front equation for a field file")
     p.add_argument("--in", dest="infile", required=True, help="VFGRID input")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="estimate sweep over a gamma list")
-    add_medium(p)
+    p = command("verify", cmd_verify, "estimate sweep over a gamma list")
     p.add_argument("--in", dest="infile", required=True, help="VFGRID input")
     p.add_argument("--gammas", default="1,2,4,8,16,32,64",
                    help="comma-separated gamma values (each >= 1)")
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("probe", help="ill-posedness probe near the real root")
-    add_medium(p)
+    p = command("probe", cmd_probe, "ill-posedness probe near the real root")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--gammas", required=True,
                    help="comma-separated gamma values")
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("reconstruct",
-                       help="pressure profiles at one grid frequency")
-    add_medium(p)
+    p = command("reconstruct", cmd_reconstruct,
+                "pressure profiles at one grid frequency")
     p.add_argument("--in", dest="infile", required=True, help="VFGRID input")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_reconstruct)
     return parser
 
 

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Frequency, Medium
+from .domain import Frequency, Medium, RootPair
 # exp_weighted_integral is only a name here: bench/workloads.py wraps it by
 # name.  ROADMAP item 3 deletes it together with its pin in test_layering.py.
 from .quadrature import (exp_weighted_integral, exp_weighted_segment,
                          extrapolate_origin)
-from .symbol import decay_root_pair, mu_symbol_grid
+from .symbol import _sigma, decay_root_pair
 
 __all__ = ["BoundaryState", "PressureProfile", "solve_boundary_system",
            "reconstruct_profile", "front_equation_residual", "ode_residual"]
@@ -38,12 +38,15 @@ GROWTH_DEFECT_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class BoundaryState:
-    """Boundary values P(0) and P'(0) of the two transformed pressures."""
+    """Boundary values P(0) and P'(0) of the two transformed pressures, with
+    the decay roots they were solved with: made by :func:`solve_boundary_system`,
+    a state is only valid at that call's freq and medium."""
 
     p_plus0: complex
     p_minus0: complex
     dp_plus0: complex
     dp_minus0: complex
+    roots: RootPair
 
 
 @dataclass
@@ -78,7 +81,7 @@ def solve_boundary_system(freq: Frequency, medium: Medium, f_hat: complex,
     p0 = ((i_plus + i_minus) / (c * c) - jump) / s
     dp_p = i_plus / (c * c) - mu_p * p0
     dp_m = mu_m * p0 - i_minus / (c * c)
-    return BoundaryState(p0, p0, dp_p, dp_m)
+    return BoundaryState(p0, p0, dp_p, dp_m, roots)
 
 
 def _split_convolution(full: np.ndarray, mu, h: float, c: float) -> np.ndarray:
@@ -90,19 +93,18 @@ def _split_convolution(full: np.ndarray, mu, h: float, c: float) -> np.ndarray:
     reversed samples, reversed back at the end.  Both obey X_k = pair_k +
     s*X_{k+2}, s = exp(-2 mu h), from X_n = 0 and X_n-1 = tail(x_n-2,
     x_n-1, x_n), the pair and tail rules of the depth quadrature (one
-    exp_weighted_segment call on every node triple).  The chains, stacked
-    on a second axis, are summed by a Hillis-Steele scan, X[:-d] +=
-    s^(d/2) X[d:] for d = 2, 4, 8, ...: nonnegative powers only, which may
-    underflow.
+    exp_weighted_segment call).  The chains, stacked on a second axis, are
+    summed by a Hillis-Steele scan, X[:-d] += s^(d/2) X[d:] for d = 2, 4,
+    8, ...: nonnegative powers only, which may underflow.
     """
     mu = np.asarray(mu, dtype=complex)
     n = full.shape[0] - 1
     both = np.array((full, full[::-1])).swapaxes(0, 1)  # node, direction, ...
-    pair, tail = exp_weighted_segment(both[:-2], both[1:-1], both[2:], h, mu)
+    pair, tail = exp_weighted_segment(both, h, mu)
     step = np.exp(-2.0 * h * mu)
     chains = np.zeros(both.shape, dtype=complex)  # X_n = 0
     chains[:n - 1] = pair
-    chains[n - 1] = tail[-1]
+    chains[n - 1] = tail
     for d in (2 ** k for k in range(1, n.bit_length())):
         chains[:-d] += step * chains[d:]
         step = step * step
@@ -118,13 +120,13 @@ def reconstruct_profile(freq: Frequency, medium: Medium, state: BoundaryState,
     origin value is extrapolated).  Written as
     (decaying exponential) + (exp(-mu|x-y|) convolution) + (growing defect),
     the last term nonzero only when the decay condition fails.  Both sides
-    are solved in one call on the stacked samples.
+    are solved in one call on the stacked samples, with the decay roots of
+    `state` (from :func:`solve_boundary_system` at the same freq and medium).
     """
     sl = np.array((slice_plus, slice_minus), dtype=complex)
     full = np.concatenate((extrapolate_origin(sl)[:, None], sl), axis=1).T
     nodes = np.arange(len(full)) * dx2
-    roots = decay_root_pair(freq, medium)
-    mu = np.array([roots.mu_plus, roots.mu_minus])
+    mu = np.array([state.roots.mu_plus, state.roots.mu_minus])
     conv = _split_convolution(full, mu, dx2, medium.c)
     profs, grew = conv.T.copy(), []
     # t_side = R_0/(c^2 mu) = 2 conv(0): the left chain vanishes at x2 = 0.
@@ -157,14 +159,17 @@ def front_equation_residual(freq: Frequency, medium: Medium,
         (tau + i*w1*eta)^2 f - V1^2*eta^2 f + (c^2/2)(dP+ + dP-)(0) = 0
 
     with the boundary-state derivatives, and of the equivalent spectral form
-    Sigma*f + (mu_plus*mu_minus/(mu_plus + mu_minus))*M = 0.
+    Sigma*f + (mu_plus*mu_minus/(mu_plus + mu_minus))*M = 0, with the roots
+    of `state` (from :func:`solve_boundary_system` at the same freq and medium).
     """
     c = medium.c
     taup = freq.tau + 1j * medium.w1 * freq.eta
     res1 = abs((taup * taup - (medium.V1 * freq.eta) ** 2) * f_hat
                + 0.5 * c * c * (state.dp_plus0 + state.dp_minus0))
-    mu_p, mu_m, sigma = (complex(a[0]) for a in
-                         mu_symbol_grid([freq.tau], [freq.eta], medium))
+    mu_p, mu_m = state.roots.mu_plus, state.roots.mu_minus
+    # One-entry arrays round Sigma as mu_symbol_grid does.
+    sigma = complex(_sigma(np.array([freq.tau]), np.array([freq.eta]),
+                           *np.array([[mu_p], [mu_m]]), medium)[0])
     res2 = abs(sigma * f_hat + (mu_p * mu_m / (mu_p + mu_m)) * m_value)
     return max(float(res1), float(res2))
 

@@ -158,7 +158,7 @@ class _DepthSum:
             total += (w0 * self.s + w2) * chains[1] + w1 * chains[0]
         if n % 2:  # last interval: the quadratic through the last three nodes
             total += np.exp(-mu * ((n - 1) * h)) * exp_weighted_segment(
-                *ends[:3], h, mu)[1]
+                ends, h, mu, pairs=False)[1]
         return total
 
 
@@ -197,26 +197,25 @@ def halfline_integral(slice_values: np.ndarray, mu: np.ndarray,
                                  extrapolate_origin(slice_values, axis))
 
 
-def exp_weighted_segment(f0, f1, f2, h: float, mu):
-    """(pair, tail) of the quadratic q through the samples (f0, f1, f2) at
-    u = 0, h, 2h: pair = integral_0^{2h} exp(-mu*u) q(u) du, the Simpson
-    pair rule, and tail = integral_0^h exp(-mu*r) q(h + r) dr, the last
-    interval without its factor exp(-mu*h).
-
-    One call of the [0, h] moments on z = (2*mu*h, mu*h), stacked last,
-    gives both.  At 2*mu*h they are the pair's over [0, 2h] divided by
-    2^(j+1), which is exact; at mu*h, shifted by h, the tail's, which
-    neither cancel nor overflow.
-    """
-    mu = np.asarray(mu, dtype=complex)
-    m0, m1, m2 = _moments(np.multiply.outer(mu, (2.0 * h, h)), h)
-    m0[..., 0] *= 2.0
-    m1[..., 0] *= 4.0
-    m2[..., 0] *= 8.0
-    shift = h * m0[..., 1]  # the tail: moments of (h + r)^j
-    m2[..., 1] += h * (2.0 * m1[..., 1] + shift)
-    m1[..., 1] += shift
+def exp_weighted_segment(f, h: float, mu, pairs: bool = True):
+    """(pair, tail) of the quadratics through node-first samples f at spacing
+    h, `mu` broadcast over the trailing axes: pair[k] = integral_0^{2h}
+    exp(-mu*u) q_k(u) du for q_k through f[k], f[k+1], f[k+2], the Simpson
+    pair rule (None unless `pairs`), and tail = integral_0^h exp(-mu*r)
+    q(h + r) dr for q through the last three samples, the last interval
+    without its factor exp(-mu*h).  The [0, h] moments on z = (2*mu*h, mu*h)
+    (or mu*h alone) give both: at 2*mu*h the pair's over [0, 2h] divided by
+    2^(j+1), exactly; at mu*h, shifted by h, the tail's, which neither
+    cancel nor overflow."""
+    m0, m1, m2 = _moments(np.multiply.outer((2.0 * h, h)[not pairs:],
+                                            np.asarray(mu, dtype=complex)), h)
+    if pairs:
+        m0[0], m1[0], m2[0] = 2.0 * m0[0], 4.0 * m1[0], 8.0 * m2[0]
+    shift = h * m0[-1]  # the tail: moments of (h + r)^j
+    m2[-1] += h * (2.0 * m1[-1] + shift)
+    m1[-1] += shift
     w0, w1, w2 = _quadratic_weights(m0, m1, m2, h)
-    f0, f1, f2 = (np.asarray(f)[..., None] for f in (f0, f1, f2))
-    total = w0 * f0 + w1 * f1 + w2 * f2
-    return total[..., 0], total[..., 1]
+    f = np.asarray(f)
+    # Array loops, also for 1-D f: numpy rounds complex scalars differently.
+    tail = (w0[-1:] * f[-3:-2] + w1[-1:] * f[-2:-1] + w2[-1:] * f[-1:])[0]
+    return (w0[0] * f[:-2] + w1[0] * f[1:-1] + w2[0] * f[2:]) if pairs else None, tail

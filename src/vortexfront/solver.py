@@ -348,8 +348,12 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
     report = classify(medium)
     _require_weakly_stable(report, "the a priori estimate")
     grid = fieldgrid.grid
-    for g in gammas:  # refused here, before estimate_constants overflows
+    for g in gammas:  # refused here, before estimate_constants or r overflows
         _sobolev_weight(grid, g, s)
+        try:
+            g ** 3  # as r takes it, a float power that raises on overflow
+        except OverflowError:
+            raise ValueError(f"gamma = {g:g} overflows gamma^3 in the ratio r") from None
     if float(np.max(np.abs(fieldgrid.f_plus))) == 0.0 and \
             float(np.max(np.abs(fieldgrid.f_minus))) == 0.0:
         raise ValueError("estimate ratios are undefined for a zero field")

@@ -38,19 +38,23 @@ __all__ = [
 _COFACTOR_RADIUS = 0.5
 
 
+def _csqrt(a, b) -> np.ndarray:
+    """sqrt(a + i*|b|), Re >= 0, as one complex np.sqrt (C99 csqrt, Kahan's
+    branch-safe algorithm): both components to full relative accuracy."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a
+    np.abs(b, out=out.imag)
+    return np.sqrt(out, out=out)
+
+
 def signed_sqrt(a, b):
     """Square root of a + i*b with nonnegative imaginary part, elementwise.
 
     Returns sgn(b)*sqrt((r+a)/2) + i*sqrt((r-a)/2) with r = |a+ib| and the
     convention sgn(0) = 1, also for b = -0.0, which fixes the branch on the
-    negative real axis.  One complex np.sqrt of a + i*|b| (C99 csqrt, Kahan's
-    branch-safe algorithm) gives both components to full relative accuracy.
-    Scalars in give a complex out.
+    negative real axis: :func:`_csqrt` signed by b.  Scalars give a complex.
     """
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a
-    out.imag = np.abs(b)
-    np.sqrt(out, out=out)
+    out = _csqrt(a, b)
     np.negative(out.real, out=out.real, where=b < 0.0)
     return complex(out) if out.ndim == 0 else out
 
@@ -64,7 +68,7 @@ def _roots(tau, eta, v1, c) -> tuple[np.ndarray, np.ndarray]:
     """Decay roots and _CASES codes over broadcast arrays of tau, eta, v1.
 
     Each entry takes the branch of :func:`decay_root` from its own Re(tau)
-    (Re(tau) < 0 is refused), through one :func:`signed_sqrt` call.
+    (Re(tau) < 0 is refused), through one :func:`_csqrt` call.
     """
     if c <= 0:
         raise ValueError("sound speed c must be positive")
@@ -76,10 +80,9 @@ def _roots(tau, eta, v1, c) -> tuple[np.ndarray, np.ndarray]:
     y = (tau.imag + v1 * eta) / c
     # eta^2 - y^2 factored for accuracy near the loci.
     a = x * x + (eta - y) * (eta + y)
-    mu = np.asarray(signed_sqrt(a, 2.0 * x * y))
-    # mu now holds sgn(b)*Re(mu) and |Im(mu)|; b = 2*x*y has the sign of y
-    # inside and vanishes on the boundary, so y supplies the sign of Im(mu).
-    np.abs(mu.real, out=mu.real)
+    mu = _csqrt(a, 2.0 * x * y)
+    # mu now holds Re(mu) and |Im(mu)|; b = 2*x*y has the sign of y inside
+    # and vanishes on the boundary, so y supplies the sign of Im(mu).
     np.copysign(mu.imag, y, out=mu.imag)
     boundary = x == 0.0
     case = np.zeros(mu.shape, dtype=int)
@@ -130,9 +133,14 @@ def mu_symbol_grid(tau: np.ndarray, eta: np.ndarray, medium: Medium
     v1 = np.array([medium.v1_plus, medium.v1_minus]).reshape(
         (2,) + (1,) * max(tau.ndim, eta.ndim))
     mu_p, mu_m = _roots(tau, eta, v1, medium.c)[0]
+    return mu_p, mu_m, _sigma(tau, eta, mu_p, mu_m, medium)
+
+
+def _sigma(tau, eta, mu_p, mu_m, medium: Medium):
+    """Sigma from its decay roots: the difference form of :func:`mu_symbol_grid`."""
     taup = tau + 1j * medium.w1 * eta
     diff = medium.c * (mu_p - mu_m)
-    return mu_p, mu_m, taup * taup - 0.5 * diff * diff - (medium.V1 * eta) ** 2
+    return taup * taup - 0.5 * diff * diff - (medium.V1 * eta) ** 2
 
 
 def symbol_grid(tau: np.ndarray, eta: np.ndarray, medium: Medium,

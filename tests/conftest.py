@@ -77,12 +77,11 @@ def per_node_convolution(full, mu, h, c):
         if k >= 2:
             left = complex(exp_weighted_integral(rev[n - k:], h, mu))
         elif k == 1:
-            left = complex(exp_weighted_segment(full[2], full[1], full[0], h, mu)[1])
+            left = complex(exp_weighted_segment(full[2::-1], h, mu)[1])
         if n - k >= 2:
             right = complex(exp_weighted_integral(full[k:], h, mu))
         elif n - k == 1:
-            right = complex(exp_weighted_segment(
-                full[n - 2], full[n - 1], full[n], h, mu)[1])
+            right = complex(exp_weighted_segment(full[n - 2:], h, mu)[1])
         out[k] = left + right
     return out / (2.0 * c * c * mu)
 

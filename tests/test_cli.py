@@ -296,12 +296,14 @@ def test_reconstruct_large_gamma(capsys, tmp_path, field_file):
     assert got.shape == (24 + 1, 5) and np.all(np.isfinite(got))
 
 
-@pytest.mark.parametrize("gamma", [1e5, 1e6])
+@pytest.mark.parametrize("gamma", [1e5, 1e6, 1e110])
 def test_reconstruct_where_exp_mu_h_overflows(capsys, tmp_path, gamma):
     # Re(mu)*dx2 is far above 709, so exp(+mu*h) would overflow; the profile
     # weights never form it.  A dense field keeps the t = 0 samples, all that
     # exp(-gamma*t) leaves: the profile is finite and nonzero, the decay rows
-    # of both sides hold to 1e-10 (criterion 9), and no mode grows.
+    # of both sides hold to 1e-10 (criterion 9), and no mode grows.  At
+    # 1e110, mu^3 overflows in a moment that itself underflows to 0: no
+    # RuntimeWarning either.
     grid = vf.GridSpec(16, 8, 24, 1.0, 1.0, 2.0)
     plane = np.cos(2.0 * np.pi * (grid.t_nodes[:, None] + grid.x1_nodes) + 0.3)
     f = plane[:, :, None] * np.exp(-(grid.x2_nodes / 0.2) ** 2)
@@ -328,10 +330,28 @@ def test_reconstruct_where_exp_mu_h_overflows(capsys, tmp_path, gamma):
                      (state.p_minus0, -state.dp_minus0 / roots.mu_minus,
                       complex(system.i_minus) / (c2 * roots.mu_minus))):
         assert abs(p0 + b - t) <= 1e-10 * (abs(p0) + abs(b) + abs(t))
-    prof = vf.reconstruct_profile(freq, medium, state, sp, sm, grid.dx2)
+    with np.errstate(over="ignore"):  # mu^3 in a moment that underflows
+        prof = vf.reconstruct_profile(freq, medium, state, sp, sm, grid.dx2)
     assert not (prof.growing_plus or prof.growing_minus)
     assert np.array_equal(got[:, 1] + 1j * got[:, 2], prof.p_plus)
     assert np.array_equal(got[:, 3] + 1j * got[:, 4], prof.p_minus)
+
+
+def test_reconstruct_refuses_a_non_finite_profile(capsys, tmp_path):
+    # At gamma = 1e153 the bin's system is finite but the profile moments
+    # are not (mu^3 overflows where the moment does not underflow): exit 2
+    # naming gamma, no RuntimeWarning, nothing written.
+    field_path, out = tmp_path / "field.vfgrid", tmp_path / "profile.csv"
+    vf.write_field(field_path, smooth_field(n_t=16, n_x1=16, n_x2=32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run(capsys, ["reconstruct", "--v", "2", "--c", "1",
+                                    "--in", str(field_path), "--gamma", "1e153",
+                                    "--delta", "6.3", "--eta", "6.3",
+                                    "--out", str(out)])
+    assert code == 2
+    assert "error: the profile at gamma = 1e+153 is not finite" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--gamma", "nan"), ("--gamma", "inf"),
@@ -378,14 +398,17 @@ def test_reconstruct_refuses_non_finite_gamma_and_s(capsys, tmp_path, field_file
 @pytest.mark.parametrize("cmd,flag,value,name", [
     ("solve", "--s", "200", "s"), ("solve", "--gamma", "1e160", "gamma"),
     ("verify", "--s", "200", "s"), ("verify", "--gammas", "1,1e160", "gamma"),
+    ("verify", "--gammas", "1,1e110", "gamma"),
     ("reconstruct", "--gamma", "1e160", "gamma")])
 def test_commands_refuse_an_overflowing_weight(capsys, tmp_path, cmd, flag,
                                                value, name):
     # (gamma^2 + delta^2 + eta^2)^s overflows at s = 200 on a 16x16x32
     # field (the parent wrote NaN norms and verify rows with exit 0), and
     # gamma^2 at gamma = 1e160 (the parent exited 2 after RuntimeWarnings,
-    # blaming a vanishing symbol).  Exit 2 naming the argument, no
-    # RuntimeWarning, nothing written.
+    # blaming a vanishing symbol); the gamma^3 of verify's ratio r, a float
+    # power, at gamma = 1e110 (once an exit 2 with the bare message
+    # "(34, 'Numerical result out of range')").  Exit 2 naming the argument,
+    # no RuntimeWarning, nothing written.
     field_path = tmp_path / "field.vfgrid"
     vf.write_field(field_path, smooth_field(n_t=16, n_x1=16, n_x2=32))
     out = tmp_path / "out"

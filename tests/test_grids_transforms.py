@@ -489,7 +489,8 @@ def test_exp_weighted_segment_pair_tail():
     mu = 1.3 - 0.4j
     f = lambda u: 2.0 + u - 0.5 * u * u
     samples = (f(0.0), f(h), f(2 * h))
-    pair, tail = (complex(x) for x in exp_weighted_segment(*samples, h, mu))
+    pair, tail = exp_weighted_segment(samples, h, mu)
+    pair, tail = complex(pair[0]), complex(tail)
     ref_pair = complex(mp.quad(lambda u: mp.e ** (-mp.mpc(mu) * u) * f(u), [0, 2 * h]))
     ref_tail = complex(mp.quad(lambda r: mp.e ** (-mp.mpc(mu) * r) * f(h + r), [0, h]))
     assert abs(pair - ref_pair) <= 1e-13 * abs(ref_pair)
@@ -502,7 +503,7 @@ def test_exp_weighted_segment_pair_weights_are_the_half_line_weights():
     # exp_weighted_integral applies, on both sides of the series cutoff.
     for h in (2.0 / 192, 1.0 / 12, 0.05):
         mu = np.geomspace(1e-3, 1e3, 60) * np.exp(1j * np.linspace(-1.5, 1.5, 60)) / h
-        pair, _ = exp_weighted_segment(*np.eye(3)[:, :, None], h, mu)
+        (pair,), _ = exp_weighted_segment(np.eye(3)[:, :, None], h, mu)
         want = quadrature._quadratic_weights(
             *quadrature._moments(mu * (2.0 * h), 2.0 * h), h)
         assert np.array_equal(pair, np.array(want))
@@ -516,7 +517,7 @@ def test_exp_weighted_segment_tail_without_cancellation():
     for muh in (1e-3, 0.3, 1.0, 10.0, 20.0, 30.0, 1e3):
         for arg in (0.0, 0.7, -1.2):
             mu = muh / h * cmath.exp(1j * arg)
-            got = complex(exp_weighted_segment(1.0, 1.0, 1.0, h, mu)[1])
+            got = complex(exp_weighted_segment(np.ones(3), h, mu)[1])
             want = (1.0 - cmath.exp(-mu * h)) / mu
             assert abs(got - want) <= 1e-13 * abs(want)
 

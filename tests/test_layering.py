@@ -81,8 +81,9 @@ def test_benchmark_wrapped_globals_exist(monkeypatch):
 
     medium = vf.Medium.symmetric(2.0, 1.0)
     zero = np.zeros(16, dtype=complex)
-    vf.reconstruct_profile(vf.Frequency(1.0, 0.5, 1.0), medium,
-                           vf.BoundaryState(0j, 0j, 0j, 0j), zero, zero, 0.1)
+    freq = vf.Frequency(1.0, 0.5, 1.0)
+    vf.reconstruct_profile(freq, medium, vf.BoundaryState(
+        0j, 0j, 0j, 0j, vf.decay_root_pair(freq, medium)), zero, zero, 0.1)
     assert ("exp_weighted_segment", ()) in calls
     calls.clear()
     vf.verify_estimate(smooth_field(n_t=8, n_x1=8, n_x2=16), medium, [1.0], 0.0)

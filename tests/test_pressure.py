@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 import vortexfront as vf
 from vortexfront import Frequency, Medium
 from vortexfront.pressure import _split_convolution
+from vortexfront.symbol import mu_symbol_grid
 
 from conftest import mp_moments, per_node_convolution, smooth_field
 
@@ -104,9 +107,10 @@ def test_reconstruct_pure_decaying_exponential():
     n, L = 128, 8.0
     h = L / n
     zero = np.zeros(n, dtype=complex)
-    mu_p, mu_m = roots_at(FREQ, MED)
+    roots = vf.decay_root_pair(FREQ, MED)
+    mu_p, mu_m = roots.mu_plus, roots.mu_minus
     p0 = 0.8 - 0.3j
-    state = vf.BoundaryState(p0, p0, -mu_p * p0, mu_m * p0)
+    state = vf.BoundaryState(p0, p0, -mu_p * p0, mu_m * p0, roots)
     prof = vf.reconstruct_profile(FREQ, MED, state, zero, zero, h)
     nodes = prof.x2_nodes
     for q, mu in ((prof.p_plus, mu_p), (prof.p_minus, mu_m)):
@@ -138,8 +142,9 @@ def test_reconstruct_warns_on_inconsistent_data():
     n, L = 64, 8.0
     h = L / n
     zero = np.zeros(n, dtype=complex)
-    mu_p, mu_m = roots_at(FREQ, MED)
-    bad = vf.BoundaryState(1.0, 1.0, -mu_p * 1.0 + 0.05, mu_m * 1.0)
+    roots = vf.decay_root_pair(FREQ, MED)
+    mu_p, mu_m = roots.mu_plus, roots.mu_minus
+    bad = vf.BoundaryState(1.0, 1.0, -mu_p * 1.0 + 0.05, mu_m * 1.0, roots)
     with pytest.warns(RuntimeWarning, match="decay condition"):
         prof = vf.reconstruct_profile(FREQ, MED, bad, zero, zero, h)
     assert prof.growing_plus and not prof.growing_minus
@@ -152,9 +157,10 @@ def test_reconstruct_warns_on_inconsistent_minus_data():
     n, L = 64, 8.0
     h = L / n
     zero = np.zeros(n, dtype=complex)
-    mu_p, mu_m = roots_at(FREQ, MED)
-    good = vf.BoundaryState(1.0, 1.0, -mu_p * 1.0, mu_m * 1.0)
-    bad = vf.BoundaryState(1.0, 1.0, -mu_p * 1.0, mu_m * 1.0 + 0.05)
+    roots = vf.decay_root_pair(FREQ, MED)
+    mu_p, mu_m = roots.mu_plus, roots.mu_minus
+    good = vf.BoundaryState(1.0, 1.0, -mu_p * 1.0, mu_m * 1.0, roots)
+    bad = vf.BoundaryState(1.0, 1.0, -mu_p * 1.0, mu_m * 1.0 + 0.05, roots)
     with pytest.warns(RuntimeWarning, match="minus side") as record:
         prof = vf.reconstruct_profile(FREQ, MED, bad, zero, zero, h)
     assert len(record) == 1
@@ -320,6 +326,14 @@ def test_pressure_oracle_every_bin(weakly_stable):
                     freq, med, state, f_hat, complex(system.m[it, ix]))
                 assert closure <= 1e-10 * freq.magnitude_sq * abs(f_hat)
                 roots = vf.decay_root_pair(freq, med)
+                # The state's roots are the ones a fresh root call gives.
+                fresh = dataclasses.replace(state, roots=roots)
+                again = vf.reconstruct_profile(freq, med, fresh, sl_p, sl_m,
+                                               grid.dx2)
+                assert np.array_equal(again.p_plus, prof.p_plus)
+                assert np.array_equal(again.p_minus, prof.p_minus)
+                assert vf.front_equation_residual(
+                    freq, med, fresh, f_hat, complex(system.m[it, ix])) == closure
                 for p0, b, t in (
                         (state.p_plus0, state.dp_plus0 / roots.mu_plus,
                          i_p / (c2 * roots.mu_plus)),
@@ -334,3 +348,43 @@ def test_pressure_oracle_every_bin(weakly_stable):
 
     ratio = worst_ode_residual(192) / worst_ode_residual(384)
     assert 3.2 <= ratio <= 4.8
+
+
+def test_one_root_evaluation_per_bin(monkeypatch):
+    # solve_boundary_system is the bin's one root-kernel call: the profile
+    # and the closure residual read the roots from the state.
+    module = importlib.import_module("vortexfront.symbol")  # vf.symbol is a function
+    calls = []
+    kernel = module._roots
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+    slice_p, slice_m, h = exp_slices(64, 8.0)
+    _, f_hat, m_val, i_p, i_m = consistent_state(FREQ, MED, slice_p, slice_m, h)
+    monkeypatch.setattr(module, "_roots", counted)
+    state = vf.solve_boundary_system(FREQ, MED, f_hat, i_p, i_m)
+    prof = vf.reconstruct_profile(FREQ, MED, state, slice_p, slice_m, h)
+    vf.front_equation_residual(FREQ, MED, state, f_hat, m_val)
+    assert len(calls) == 1 and not (prof.growing_plus or prof.growing_minus)
+
+
+def test_closure_sigma_is_the_symbol_grid_sigma():
+    # Sigma formed from the state's roots is mu_symbol_grid's, bit for bit:
+    # the residual equals the one taken with mu_symbol_grid's roots and Sigma.
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        freq = Frequency(rng.uniform(0.5, 40), rng.uniform(-40, 40),
+                         rng.choice([0.0, rng.uniform(-40, 40)]))
+        f_hat, i_p, i_m, m_val = (complex(*rng.standard_normal(2))
+                                  for _ in range(4))
+        state = vf.solve_boundary_system(freq, MED, f_hat, i_p, i_m)
+        mu_p, mu_m, sigma = (complex(a[0]) for a in
+                             mu_symbol_grid([freq.tau], [freq.eta], MED))
+        assert (mu_p, mu_m) == (state.roots.mu_plus, state.roots.mu_minus)
+        taup = freq.tau + 1j * MED.w1 * freq.eta
+        res1 = abs((taup * taup - (MED.V1 * freq.eta) ** 2) * f_hat
+                   + 0.5 * MED.c ** 2 * (state.dp_plus0 + state.dp_minus0))
+        res2 = abs(sigma * f_hat + (mu_p * mu_m / (mu_p + mu_m)) * m_val)
+        assert vf.front_equation_residual(freq, MED, state, f_hat, m_val) == \
+            max(float(res1), float(res2))

@@ -6,7 +6,8 @@ import pytest
 
 import vortexfront as vf
 from vortexfront import Frequency, Medium, RegimeError
-from vortexfront.domain import BranchCase, MachClass, StabilityClass
+from vortexfront.domain import (ENDPOINT_ATOL, BranchCase, MachClass,
+                                StabilityClass)
 from vortexfront.symbol import _roots, mu_grid, mu_symbol_grid, symbol_grid
 
 from conftest import bisect_real
@@ -684,3 +685,36 @@ def test_signed_sqrt_matches_mpmath_componentwise():
     assert vf.signed_sqrt(-4.0, -0.0) == 2j
     assert not np.signbit(vf.signed_sqrt(-4.0, -0.0).real)
     assert vf.signed_sqrt(4.0, -0.0) == 2.0
+
+
+def _roots_reference(tau, eta, v1, c):
+    """The root kernel as it was: signed_sqrt signs Re(mu) by b = 2*x*y, and
+    np.abs then takes that sign off again."""
+    x = tau.real / c
+    y = (tau.imag + v1 * eta) / c
+    a = x * x + (eta - y) * (eta + y)
+    mu = np.asarray(vf.signed_sqrt(a, 2.0 * x * y))
+    np.abs(mu.real, out=mu.real)
+    np.copysign(mu.imag, y, out=mu.imag)
+    near = np.abs(np.abs(y) - np.abs(eta)) <= ENDPOINT_ATOL * np.abs(eta)
+    mu[(x == 0.0) & near] = 0.0
+    return mu
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-8, 1.0, 37.0])
+def test_root_kernel_equals_the_signed_sqrt_composition(gamma):
+    # One sqrt of a + i|2xy| signed by y is bitwise the former signed_sqrt
+    # plus np.abs composition, on 64x64 grids with eta = 0 columns; the
+    # deltas hit the loci delta = -(v1 +- c)*eta exactly, so gamma = 0
+    # takes every boundary branch.
+    d, e = np.meshgrid(np.arange(-32, 32) * 0.25, np.arange(-32, 32) * 0.25,
+                       indexing="ij")
+    e[:, ::16] = 0.0
+    tau = gamma + 1j * d
+    for v1, c in ((2.0, 1.0), (-2.0, 1.0), (0.5, 1.0), (0.0, 1.5)):
+        mu, case = _roots(tau, e, v1, c)
+        want = _roots_reference(tau, e, v1, c)
+        assert np.array_equal(mu.view(float), want.view(float))
+        assert np.array_equal(np.signbit(mu.view(float)), np.signbit(want.view(float)))
+        if gamma == 0.0 and v1 == 2.0:
+            assert set(np.unique(case)) == {1, 2, 3, 4}
