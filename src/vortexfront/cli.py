@@ -185,8 +185,6 @@ def cmd_reconstruct(args) -> int:
         state = solve_boundary_system(freq, medium, complex(_front_hat(sys_)),
                                       complex(sys_.i_plus), complex(sys_.i_minus))
         profile = reconstruct_profile(freq, medium, state, sp, sm, grid.dx2)
-    _require_finite(f"the profile at gamma = {args.gamma:g}", profile.p_plus,
-                    profile.p_minus)
     _emit("x2,re_p_plus,im_p_plus,re_p_minus,im_p_minus\n"
           + _rows(profile.x2_nodes, profile.p_plus.real, profile.p_plus.imag,
                   profile.p_minus.real, profile.p_minus.imag), args.out)

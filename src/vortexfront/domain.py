@@ -40,48 +40,56 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
+# Set in the threads of a running _split, whose nested _split calls run inline.
+_IN_SPLIT = contextvars.ContextVar("_IN_SPLIT", default=False)
+
+
 def _split(fn, n: int, entries: int) -> None:
     """Run fn(lo, hi) over contiguous chunks of range(n) on the usable cores,
     or fn(0, n) on the calling thread when the stage touches fewer than
-    _SPLIT_MIN_ENTRIES entries.
+    _SPLIT_MIN_ENTRIES entries, one core is usable, or the call is made in
+    a chunk of another _split (which already keeps the cores busy).
 
-    The range is cut into a few chunks per core, each taken by the next
-    free thread (the calling thread is one of them), so a core slowed by
-    other work takes fewer.  Each fn call must write only the outputs of
-    its own indices, computed by arithmetic that does not depend on the
-    chunk bounds, so results do not depend on the core count.  Workers see
-    the caller's context (np.errstate); the first exception raised in any
-    chunk is re-raised here once every thread has stopped.
+    The range is cut into a few chunks per core, taken in order: one by
+    each thread (the calling thread takes the first), then the next free
+    one, so a core slowed by other work takes fewer.  Each fn call must
+    write only the outputs of its own indices, by arithmetic that does not
+    depend on the chunk bounds, so results do not depend on the core count.
+    Workers see the caller's context (np.errstate).  Once every thread has
+    stopped, the lowest failing chunk's exception, the one a serial loop
+    would raise, is re-raised here.
     """
-    if entries < _SPLIT_MIN_ENTRIES:
+    k = min(_workers(), n)
+    if entries < _SPLIT_MIN_ENTRIES or k < 2 or _IN_SPLIT.get():
         fn(0, n)
         return
-    k = min(_workers(), n)
     size = -(-n // (_CHUNKS_PER_CORE * k))
     starts = iter(range(0, n, size))
     lock = threading.Lock()
     errors = []
 
-    def work():
+    def work(lo):
+        token = _IN_SPLIT.set(True)
         try:
-            while True:
+            while lo is not None:
+                fn(lo, min(lo + size, n))
                 with lock:
                     lo = next(starts, None)
-                if lo is None:
-                    return
-                fn(lo, min(lo + size, n))
         except BaseException as exc:  # re-raised in the caller
-            errors.append(exc)
+            errors.append((lo, exc))
+        finally:
+            _IN_SPLIT.reset(token)
 
+    first, *others = (next(starts) for _ in range(k))
     threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(work,)) for _ in range(k - 1)]
+                                args=(work, lo)) for lo in others]
     for thread in threads:
         thread.start()
-    work()
+    work(first)
     for thread in threads:
         thread.join()
     if errors:
-        raise errors[0]
+        raise min(errors, key=lambda error: error[0])[1]
 
 
 class RegimeError(RuntimeError):

@@ -122,6 +122,7 @@ def reconstruct_profile(freq: Frequency, medium: Medium, state: BoundaryState,
     the last term nonzero only when the decay condition fails.  Both sides
     are solved in one call on the stacked samples, with the decay roots of
     `state` (from :func:`solve_boundary_system` at the same freq and medium).
+    A profile that is not finite is refused (ArithmeticError naming gamma).
     """
     sl = np.array((slice_plus, slice_minus), dtype=complex)
     full = np.concatenate((extrapolate_origin(sl)[:, None], sl), axis=1).T
@@ -146,6 +147,8 @@ def reconstruct_profile(freq: Frequency, medium: Medium, state: BoundaryState,
                 "the growing exponential is retained", RuntimeWarning)
             prof += 0.5 * defect * np.exp(mu_s * nodes)
         grew.append(growing)
+    if not np.isfinite(profs).all():  # e.g. mu^3 past the float range
+        raise ArithmeticError(f"the profile at gamma = {freq.gamma:g} is not finite")
     return PressureProfile(nodes, *profs, *grew)
 
 

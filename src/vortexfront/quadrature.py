@@ -73,8 +73,9 @@ def _moments(z: np.ndarray, span: float) -> tuple[np.ndarray, np.ndarray, np.nda
     """m_j = integral_0^span exp(-mu*u) u^j du, j = 0, 1, 2, with z = mu*span.
 
     Below the cutoff m_j = span^(j+1) sum_k (-z)^k C[k, j]: one product of
-    a block of powers with the table C gives all three sums.  A z on one
-    side of the cutoff is taken whole; only a mixed z is split by masks.
+    a block of powers with the table C gives all three sums, the same bits
+    in a call of any size.  A z on one side of the cutoff is taken whole;
+    only a mixed z is split by masks.
     """
     z = np.asarray(z, dtype=complex)
     m = np.empty((3,) + z.shape, dtype=complex)
@@ -90,7 +91,9 @@ def _moments(z: np.ndarray, span: float) -> tuple[np.ndarray, np.ndarray, np.nda
             powers = w[lo:lo + rows, None].repeat(_SERIES_TERMS, axis=1)
             powers[:, 0] = 1.0
             np.multiply.accumulate(powers, axis=1, out=powers)
-            np.matmul(powers, _SERIES_COEFFS, out=series[lo:lo + rows])
+            # A C loop, not BLAS, whose one-row product rounds unlike the
+            # same row of a larger one: bits do not depend on the call size.
+            np.einsum("ik,kj->ij", powers, _SERIES_COEFFS, out=series[lo:lo + rows])
         m_flat[:, pick] = (series * [span, span * span, span ** 3]).T
     if count < small.size:
         pick = ~small if count else slice(None)
@@ -99,7 +102,10 @@ def _moments(z: np.ndarray, span: float) -> tuple[np.ndarray, np.ndarray, np.nda
         e = np.exp(-zl)
         m_flat[0, pick] = (1.0 - e) / mu
         m_flat[1, pick] = (1.0 - e * (1.0 + zl)) / (mu * mu)
-        m_flat[2, pick] = (2.0 - e * (2.0 + 2.0 * zl + zl * zl)) / (mu ** 3)
+        # Past |mu|^3 = 1.8e308 the moment is 0 where it underflows, else
+        # NaN, which reconstruct_profile and solver._system refuse.
+        with np.errstate(over="ignore", invalid="ignore"):
+            m_flat[2, pick] = (2.0 - e * (2.0 + 2.0 * zl + zl * zl)) / (mu ** 3)
     return m[0], m[1], m[2]
 
 

@@ -9,10 +9,11 @@ where M collects the exponentially weighted half-space forcing integrals.
 Division by Sigma is safe in the weakly stable regime because its zeros sit
 on Re(tau) = 0 only.  Per-bin work is independent (no shared state).  The
 forcing is real: the transforms and the depth quadrature run on the half
-spectrum, filled out to the full grid by Hermitian symmetry.  The x1 rfft
-and the weighted t-FFT are split into contiguous chunks on the usable
-cores; every entry is computed the same way in any split, so the results
-do not depend on the core count.
+spectrum, filled out to the full grid by Hermitian symmetry.  A solve
+splits the x1 rfft and the weighted t-FFT into contiguous chunks on the
+usable cores, and a gamma sweep splits over its gammas; every entry is
+computed the same way in any split, so the results do not depend on the
+core count.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Frequency, Medium, RegimeError, StabilityClass
+from .domain import Frequency, Medium, RegimeError, StabilityClass, _split
 from .grids import FieldGrid, GridSpec, _refuse_nonfinite, _sobolev_weight
 from .quadrature import halfline_integral
 from .symbol import classify, mu_symbol_grid, symbol_grid
@@ -91,14 +92,14 @@ def _system(grid: GridSpec, g: float, mu_p, mu_m, sigma, i_p, last_p,
 
 def _assemble(grid: GridSpec, medium: Medium, g: float, run
               ) -> tuple[SpectralSystem, list]:
-    """The system and the half-space norms from run(mu_plus, mu_minus), the
-    :func:`_depth_pass` results of both sides on the half spectrum."""
+    """The system and the half-space norms from run(side, mu) for sides 0
+    (+) and 1 (-), that side's :func:`_depth_pass` on the half spectrum."""
     with np.errstate(all="ignore"):  # _system refuses what overflows
         tau = g + 1j * grid.delta_axis[:, None]
-        mu_p, mu_m, sigma = mu_symbol_grid(tau, grid.eta_axis[None, :], medium)
-        sides, norms = run(*(mu[:, :grid.n_x1 // 2 + 1] for mu in (mu_p, mu_m)))
-        full = [_paired_full(a, grid) for side in sides for a in side]
-        return _system(grid, g, mu_p, mu_m, sigma, *full), norms
+        mus = mu_symbol_grid(tau, grid.eta_axis[None, :], medium)
+        sides = [run(i, mu[:, :grid.n_x1 // 2 + 1]) for i, mu in enumerate(mus[:2])]
+        full = [_paired_full(a, grid) for ints, _ in sides for a in ints]
+        return _system(grid, g, *mus, *full), [norm for _, norm in sides]
 
 
 def build_system(fieldgrid: FieldGrid, medium: Medium,
@@ -113,9 +114,9 @@ def build_system(fieldgrid: FieldGrid, medium: Medium,
     if g < 1.0:
         raise ValueError("the solver requires gamma >= 1")
     # One side's spectrum is held at a time, and its pass runs in place.
-    return _assemble(grid, medium, g, lambda *mus: ([
-        _depth_pass([_HalfSpectrum(f, grid)], g, [mu], in_place=True)[0][0]
-        for f, mu in zip((fieldgrid.f_plus, fieldgrid.f_minus), mus)], []))[0]
+    sides = (fieldgrid.f_plus, fieldgrid.f_minus)
+    return _assemble(grid, medium, g, lambda i, mu: _depth_pass(
+        _HalfSpectrum(sides[i], grid), g, mu, in_place=True))[0]
 
 
 def _bin_index(axis: np.ndarray, value: float, name: str) -> int:
@@ -247,8 +248,9 @@ class EstimateConstants:
 
 
 # The hemisphere sample of estimate_constants: polar and azimuthal counts,
-# and the distance from a root ray within which the cofactor bound applies.
-_N_POLAR, _N_AZIMUTH, _RAY_RADIUS = 120, 240, 0.3
+# the distance from a root ray within which the cofactor bound applies, and
+# the points per symbol evaluation (a few hundred kB of temporaries each).
+_N_POLAR, _N_AZIMUTH, _RAY_RADIUS, _CONSTANTS_CHUNK = 120, 240, 0.3, 4096
 
 
 def estimate_constants(medium: Medium,
@@ -258,7 +260,9 @@ def estimate_constants(medium: Medium,
 
     extra_points, given as (gamma, delta, eta) arrays, are projected onto
     the hemisphere and included in the extrema, so constants derived from a
-    solve's own bins are honest lower/upper bounds for those bins.
+    solve's own bins are honest lower/upper bounds for those bins.  The
+    points are evaluated in fixed chunks: every step is elementwise and the
+    extrema are exact, so the chunking changes no bit of the result.
     """
     report = classify(medium)
     psi = (np.arange(_N_POLAR) + 0.5) * (0.5 * np.pi / _N_POLAR)
@@ -274,24 +278,27 @@ def estimate_constants(medium: Medium,
         e = np.concatenate((e, ee / lam))
     keep = g > 0.0
     g, d, e = g[keep], d[keep], e[keep]
-    tau = g + 1j * d
-    sigma = symbol_grid(tau, e, medium)
-    abs_sigma = np.abs(sigma)
-    c_bound = float(abs_sigma.max())
-    c_pointwise = float(((abs_sigma / g) ** 2).min()) * (1.0 - 1e-9)
-    if report.stability_class is StabilityClass.WEAKLY_STABLE:
-        c, y2 = medium.c, report.y2
-        to_upper = np.abs(tau - 1j * c * y2 * e)  # distances to the two rays
-        to_lower = np.abs(tau + 1j * c * y2 * e)
-        near = np.minimum(to_upper, to_lower) < _RAY_RADIUS
-        c_elliptic = float(abs_sigma[~near].min())
-        sign = np.where(to_upper <= to_lower, 1.0, -1.0)
-        cof = np.abs(sigma[near] / (tau[near] - sign[near] * 1j * c * y2 * e[near]))
-        c_cofactor = float(cof.min()) if near.any() else math.inf
-    else:
-        c_elliptic = float(abs_sigma.min())
-        c_cofactor = math.inf
-    return EstimateConstants(c_elliptic, c_cofactor, c_pointwise, c_bound)
+    weakly_stable = report.stability_class is StabilityClass.WEAKLY_STABLE
+    extrema = []  # per chunk: max |Sigma|, min (|Sigma|/g)^2, elliptic, cofactor
+    for lo in range(0, g.size, _CONSTANTS_CHUNK):
+        gc, dc, ec = (a[lo:lo + _CONSTANTS_CHUNK] for a in (g, d, e))
+        tau = gc + 1j * dc
+        sigma = symbol_grid(tau, ec, medium)
+        abs_sigma = np.abs(sigma)
+        far, cof, c, y2 = abs_sigma, np.empty(0), medium.c, report.y2
+        if weakly_stable:
+            to_upper = np.abs(tau - 1j * c * y2 * ec)  # distances to the two rays
+            to_lower = np.abs(tau + 1j * c * y2 * ec)
+            near = np.minimum(to_upper, to_lower) < _RAY_RADIUS
+            far = abs_sigma[~near]
+            sign = np.where(to_upper <= to_lower, 1.0, -1.0)
+            cof = np.abs(sigma[near] / (tau[near] - sign[near] * 1j * c * y2 * ec[near]))
+        extrema.append((abs_sigma.max(), ((abs_sigma / gc) ** 2).min(),
+                        far.min(initial=math.inf), cof.min(initial=math.inf)))
+    high, pointwise, elliptic, cofactor = np.array(extrema).T
+    return EstimateConstants(float(elliptic.min()), float(cofactor.min()),
+                             float(pointwise.min()) * (1.0 - 1e-9),
+                             float(high.max()))
 
 
 @dataclass(frozen=True)
@@ -329,14 +336,18 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
                     gammas: list[float], s: float) -> EstimateReport:
     """Sweep gamma and tabulate the a priori estimate ratios.
 
-    The x1 half spectrum of each side is taken once; per gamma one
-    :func:`_depth_pass` over both sides gives the half-space norms and the
-    forcing integrals that the system and f_hat read (no slice stack and
-    no physical front is formed).  The pointwise constant is estimated
-    over the hemisphere augmented with every bin of the sweep; the
-    right-hand-side constant comes from the bin supremum of
-    |mu_minus/(mu_plus+mu_minus)|^2 combined with the exact lower bound
-    Re(mu_plus) >= gamma/(sqrt(2)c).
+    The x1 half spectrum of each side is taken once.  Each gamma is then one
+    item of a :func:`_split` over the cores, item 0 being
+    :func:`estimate_constants` on the calling thread: its roots, one
+    :func:`_depth_pass` per side for the half-space norms and the forcing
+    integrals, the system, f_hat and the ratios (no slice stack and no
+    physical front is formed).  The rows do not depend on the core count,
+    and a failing gamma raises what a serial sweep would raise first; a
+    gamma at which exp(-gamma*t) leaves both forcing norms zero is refused.
+    The pointwise constant is estimated over the hemisphere augmented with
+    every bin of the sweep; the right-hand-side constant comes from the bin
+    supremum of |mu_minus/(mu_plus+mu_minus)|^2 combined with the exact
+    lower bound Re(mu_plus) >= gamma/(sqrt(2)c).
     """
     if not gammas:
         raise ValueError("need at least one gamma")
@@ -360,40 +371,45 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
 
     bins = np.meshgrid(np.asarray(gammas, dtype=float), grid.delta_axis,
                        grid.eta_axis, indexing="ij")
-    constants = estimate_constants(medium, extra_points=tuple(
-        b.ravel() for b in bins))
-
-    rows = []
-    norms_p: dict[float, float] = {}
-    norms_m: dict[float, float] = {}
-    ratio_sup_sq = 0.0
     spectra = [_HalfSpectrum(f, grid)
                for f in (fieldgrid.f_plus, fieldgrid.f_minus)]
-    for g in gammas:
-        sys, (nfp, nfm) = _assemble(grid, medium, g, lambda *mus: _depth_pass(
-            spectra, g, mus, s))
-        lam2 = grid.lambda_sq(g)
+    done = [None] * (len(gammas) + 1)
+
+    def item(i):
+        if i == 0:  # the calling thread's: bench/ traces it on one span stack
+            done[0] = estimate_constants(medium, extra_points=tuple(
+                b.ravel() for b in bins))
+            return
+        g = gammas[i - 1]
+        sys, (nfp, nfm) = _assemble(grid, medium, g, lambda side, mu: _depth_pass(
+            spectra[side], g, mu, s))
         nf2 = sobolev_norm(_front_hat(sys), float(s) + 1.0, g, grid) ** 2
         ng = sobolev_norm(sys.g_hat, s, g, grid)
-        norms_p[float(g)], norms_m[float(g)] = nfp, nfm
         denom = nfp ** 2 + nfm ** 2
+        if denom == 0.0:
+            raise ValueError(f"gamma = {g:g} underflows the weight exp(-gamma*t) "
+                             "on the forcing: both half-space norms are zero")
         r = g ** 3 * nf2 / denom
         r_prime = g ** 2 * nf2 / ng ** 2 if ng > 0 else 0.0
         g1_hat = -(sys.mu_minus / (sys.mu_plus + sys.mu_minus)) * sys.i_plus
         ng1 = sobolev_norm(g1_hat, s, g, grid)
         g1_ratio = g * ng1 ** 2 / nfp ** 2 if nfp > 0 else 0.0
-        pw = (np.abs(sys.sigma) / (g * np.sqrt(lam2))) ** 2
-        pw_min = float(pw.min())
-        ratio_sup_sq = max(ratio_sup_sq, float(
-            (np.abs(sys.mu_minus / (sys.mu_plus + sys.mu_minus)) ** 2).max()))
-        rows.append(EstimateRow(
-            gamma=float(g), r=float(r), r_prime=float(r_prime),
-            g1_ratio=float(g1_ratio), pointwise_min=pw_min,
-            pointwise_ok=bool(pw_min >= constants.c_pointwise),
-            norm_f=float(math.sqrt(nf2)), norm_g=float(ng)))
+        pw = (np.abs(sys.sigma) / (g * np.sqrt(grid.lambda_sq(g)))) ** 2
+        done[i] = (dict(gamma=float(g), r=float(r), r_prime=float(r_prime),
+                        g1_ratio=float(g1_ratio), pointwise_min=float(pw.min()),
+                        norm_f=float(math.sqrt(nf2)), norm_g=float(ng)),
+                   nfp, nfm, float((np.abs(
+                       sys.mu_minus / (sys.mu_plus + sys.mu_minus)) ** 2).max()))
+
+    _split(lambda lo, hi: [item(i) for i in range(lo, hi)], len(done),
+           len(gammas) * 2 * spectra[0].x1_hat.size)
+    constants, *per_gamma = done
+    rows = [EstimateRow(**row, pointwise_ok=bool(
+        row["pointwise_min"] >= constants.c_pointwise)) for row, *_ in per_gamma]
+    ratio_sup_sq = max((0.0, *(sup for *_, sup in per_gamma)))
     rhs_constant = ratio_sup_sq * math.sqrt(2.0) * medium.c / 2.0
-    return EstimateReport(rows, constants, ratio_sup_sq, rhs_constant,
-                          norms_p, norms_m)
+    return EstimateReport(rows, constants, ratio_sup_sq, rhs_constant, *(
+        {float(g): out[side] for g, out in zip(gammas, per_gamma)} for side in (1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -106,57 +106,54 @@ class _HalfSpectrum:
         _split(planes, grid.n_t, self.x1_hat.size)
 
 
-def _depth_pass(spectra: list[_HalfSpectrum], gamma: float, mus=(),
+def _depth_pass(spectrum: _HalfSpectrum, gamma: float, mu=None,
                 s: float | None = None, in_place: bool = False):
-    """([(I, |last level|)] per mu, [norm] per side if s is given) of the
-    slices (bins 0..n_x1//2 of :func:`weighted_forward`, x2 leading): I is
-    their :func:`halfline_integral`, norm their :func:`halfspace_norm`.
+    """((I, |last level|) if mu is given, norm if s is given) of the slices
+    (bins 0..n_x1//2 of :func:`weighted_forward`, x2 leading): I is their
+    :func:`halfline_integral`, norm their :func:`halfspace_norm`.
 
-    One :func:`_split` over the :class:`_DepthSum` level blocks of every
-    side weights a block, runs its t-FFT, adds its level norms and sums its
-    chain partial while it is in cache; levels 0..4 and those after the
-    chains are copied aside.  in_place overwrites x1_hat and leaves each
-    partial in its spent block: no stack is allocated.
+    One :func:`_split` over the :class:`_DepthSum` level blocks weights a
+    block, runs its t-FFT, adds its level norms and sums its chain partial
+    while it is in cache; levels 0..4 and those after the chains are copied
+    aside.  in_place overwrites x1_hat and leaves each partial in its spent
+    block: no stack is allocated.
     """
-    g, (n, n_t, nh) = spectra[0].grid, spectra[0].x1_hat.shape
+    g, (n, n_t, nh) = spectrum.grid, spectrum.x1_hat.shape
     w = (_weight(g, gamma) * (g.dt * g.dx1))[:, None]
-    rules = [_DepthSum(mu, g.dx2, n, mu.size) for mu in mus]
+    rule = None if mu is None else _DepthSum(mu, g.dx2, n, mu.size)
     block, chain = _level_block(n_t * nh), 2 * (n // 2 - 1)
     keep = [*range(5), *range(chain, n)]
-    ends = np.empty((len(rules), len(keep), n_t, nh), dtype=complex)
-    parts = [[None] * -(-chain // block) for _ in rules]
-    per_level = np.empty((len(spectra) if s is not None else 0, n))
+    ends = np.empty((len(keep) if rule else 0, n_t, nh), dtype=complex)
+    parts = [None] * -(-chain // block)
+    per_level = np.empty(n)
     if s is not None:
         weight = _sobolev_weight(g, gamma, s)[:, :nh]
         weight[:, 1:g.n_x1 - nh + 1] *= 2.0  # conjugate pairs
         weight = weight.ravel()
-    count = -(-n // block)
 
     def blocks(start, stop):
         buf = None if in_place else np.empty((block, n_t, nh), dtype=complex)
-        for side, b in (divmod(i, count) for i in range(start, stop)):
+        for b in range(start, stop):
             lo, hi = b * block, min(b * block + block, n)
-            x1_hat = spectra[side].x1_hat[lo:hi]
+            x1_hat = spectrum.x1_hat[lo:hi]
             part = np.multiply(x1_hat, w, out=x1_hat if in_place else buf[:hi - lo])
             np.fft.fft(part, axis=1, out=part)
             if s is not None:
                 sq = np.abs(part)
-                per_level[side, lo:hi] = np.square(sq, out=sq).reshape(hi - lo, -1) @ weight
-            if rules:
+                per_level[lo:hi] = np.square(sq, out=sq).reshape(hi - lo, -1) @ weight
+            if rule:
                 for i, level in enumerate(keep):
                     if lo <= level < hi:
-                        ends[side, i] = part[level - lo]
+                        ends[i] = part[level - lo]
                 top = min(hi, chain) - lo
                 if top > 0:
                     acc = part[top - 2:top]
-                    parts[side][b] = rules[side].partial(
-                        part[:top], acc if in_place else acc.copy())
+                    parts[b] = rule.partial(part[:top], acc if in_place else acc.copy())
 
-    _split(blocks, len(spectra) * count, len(spectra) * n * n_t * nh)
-    return ([(rule.total(extrapolate_origin(end[:5], axis=0), reversed(part),
-                         end[5:]), np.abs(end[-1]))
-             for rule, end, part in zip(rules, ends, parts)],
-            [_x2_norm(a / (g.L_t * g.L_x1), g) for a in per_level])
+    _split(blocks, -(-n // block), n * n_t * nh)
+    return ((rule.total(extrapolate_origin(ends[:5], axis=0), reversed(parts),
+                        ends[5:]), np.abs(ends[-1])) if rule else None,
+            None if s is None else _x2_norm(per_level / (g.L_t * g.L_x1), g))
 
 
 def _x2_norm(per_level: np.ndarray, grid: GridSpec) -> float:
@@ -179,8 +176,8 @@ def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
     if samples.ndim != 3 or samples.shape[:2] != (grid.n_t, grid.n_x1):
         raise ValueError(f"samples shape {samples.shape} does not fit the grid")
     if s != 0:
-        return _depth_pass([_HalfSpectrum(samples, grid)], gamma, s=s,
-                           in_place=True)[1][0]
+        return _depth_pass(_HalfSpectrum(samples, grid), gamma, s=s,
+                           in_place=True)[1]
     per_level = (np.exp(-2.0 * gamma * grid.t_nodes)
                  @ np.einsum("ijk,ijk->ik", samples, samples))
     return _x2_norm((grid.dt * grid.dx1) * per_level, grid)

@@ -303,7 +303,8 @@ def test_reconstruct_where_exp_mu_h_overflows(capsys, tmp_path, gamma):
     # exp(-gamma*t) leaves: the profile is finite and nonzero, the decay rows
     # of both sides hold to 1e-10 (criterion 9), and no mode grows.  At
     # 1e110, mu^3 overflows in a moment that itself underflows to 0: no
-    # RuntimeWarning either.
+    # RuntimeWarning either, from the command or from the library call
+    # (under the suite's error::RuntimeWarning filter).
     grid = vf.GridSpec(16, 8, 24, 1.0, 1.0, 2.0)
     plane = np.cos(2.0 * np.pi * (grid.t_nodes[:, None] + grid.x1_nodes) + 0.3)
     f = plane[:, :, None] * np.exp(-(grid.x2_nodes / 0.2) ** 2)
@@ -330,11 +331,25 @@ def test_reconstruct_where_exp_mu_h_overflows(capsys, tmp_path, gamma):
                      (state.p_minus0, -state.dp_minus0 / roots.mu_minus,
                       complex(system.i_minus) / (c2 * roots.mu_minus))):
         assert abs(p0 + b - t) <= 1e-10 * (abs(p0) + abs(b) + abs(t))
-    with np.errstate(over="ignore"):  # mu^3 in a moment that underflows
-        prof = vf.reconstruct_profile(freq, medium, state, sp, sm, grid.dx2)
+    prof = vf.reconstruct_profile(freq, medium, state, sp, sm, grid.dx2)
     assert not (prof.growing_plus or prof.growing_minus)
     assert np.array_equal(got[:, 1] + 1j * got[:, 2], prof.p_plus)
     assert np.array_equal(got[:, 3] + 1j * got[:, 4], prof.p_minus)
+
+
+def test_verify_refuses_a_gamma_that_underflows_the_forcing(capsys, tmp_path):
+    # The 16x16x32 smooth field starts at t = 0.1, so exp(-gamma*t)
+    # underflows every weighted sample from about gamma = 7.5e3: both
+    # half-space norms are zero (the parent exited 2 with the bare message
+    # "float division by zero").  Exit 2 naming gamma, nothing written.
+    field_path, out = tmp_path / "field.vfgrid", tmp_path / "sweep.csv"
+    vf.write_field(field_path, smooth_field(n_t=16, n_x1=16, n_x2=32))
+    code, _, err = run(capsys, ["verify", "--v", "2", "--c", "1", "--in",
+                                str(field_path), "--gammas", "1,1e4",
+                                "--out", str(out)])
+    assert code == 2
+    assert "error: gamma = 10000 underflows" in err
+    assert not out.exists()
 
 
 def test_reconstruct_refuses_a_non_finite_profile(capsys, tmp_path):

@@ -225,11 +225,11 @@ def test_depth_pass_in_place_matches_copying(monkeypatch):
         for spec, in_place in ((reused, False), (last, True)):
             tracemalloc.start()
             try:
-                out = _depth_pass([spec], gamma, [mu], 1.0, in_place=in_place)
+                out = _depth_pass(spec, gamma, mu, 1.0, in_place=in_place)
                 peaks.append(tracemalloc.get_traced_memory()[1] / before_size)
             finally:
                 tracemalloc.stop()
-            got.append([np.array(a).tobytes() for a in (*out[0][0], *out[1])])
+            got.append([np.array(a).tobytes() for a in (*out[0], out[1])])
         assert got[0] == got[1]
         assert reused.x1_hat.tobytes() == before
         assert last.x1_hat.tobytes() != before
@@ -258,8 +258,8 @@ def test_depth_pass_matches_materialized_slices(monkeypatch, n_x2, block_entries
                                                   medium)[:2]]
         if gamma == 1e4:  # the powers of s underflow along the chains
             assert np.all(np.exp(-grid.L_x2 * mus[0]) == 0.0)
-        sides, norms = _depth_pass(spectra, gamma, mus, s)
-        for spec, mu, (i_half, last), norm in zip(spectra, mus, sides, norms):
+        for spec, mu in zip(spectra, mus):
+            (i_half, last), norm = _depth_pass(spec, gamma, mu, s)
             sl = materialized_slices(spec, gamma)
             want = vf.halfline_integral(sl, mu, grid.dx2, axis=0)
             assert i_half.tobytes() == want.tobytes()
@@ -428,6 +428,35 @@ def test_moments_one_sided_match_a_mixed_call(shape, radii):
     both = quadrature._moments(mixed, span)
     for m_one, m_both in zip(one, both):
         assert np.asarray(m_one).tobytes() == m_both[1:-1].tobytes()
+
+
+def test_moments_do_not_depend_on_the_call_size():
+    # The series sums are an einsum C loop over each block of entries: an
+    # entry's moments are bitwise the same alone and inside calls of any
+    # size (a one-row BLAS product rounded unlike the same row of a larger
+    # one).  195 entries make one series block.
+    rng = np.random.default_rng(45)
+    span = 0.3
+    z = (quadrature._SERIES_CUTOFF * rng.uniform(0.0, 1.0, 1000)
+         * np.exp(1j * rng.uniform(-np.pi, np.pi, 1000)))
+    whole = np.array(quadrature._moments(z, span))
+    for n in (1, 2, 7, 195, 196, 1000):
+        for lo in sorted({0, 190, 1000 - n}):
+            part = np.array(quadrature._moments(z[lo:lo + n], span))
+            assert part.tobytes() == whole[:, lo:lo + n].tobytes(), (n, lo)
+
+
+def test_moments_where_mu_cubed_overflows():
+    # Past |mu| = 5.6e102 the closed form's mu^3 overflows; where the moment
+    # itself underflows (gamma = 1e110 in a pressure profile) it is 0, with
+    # no RuntimeWarning (an error in this suite), and m0, m1 match mpmath.
+    span = 0.01
+    mu = np.array([1e110 + 18.8j, 1e110 - 6.3j, 2e102 + 1e102j])
+    got = np.array(quadrature._moments(mu * span, span))
+    for j, m in enumerate(mu):
+        want = np.array([complex(v) for v in mp_moments(m * span, span)])
+        assert np.all(np.abs(got[:, j] - want) <= 1e-15 * np.abs(want)), m
+    assert np.all(got[2, :2] == 0.0)
 
 
 def _interpolant_integral(f, h, mu):

@@ -274,6 +274,18 @@ def test_overflowing_weights_are_refused(weakly_stable):
                 call()
 
 
+def test_verify_estimate_refuses_a_gamma_that_underflows_the_forcing(weakly_stable):
+    # exp(-gamma*t) underflows every weighted sample of this field (which
+    # starts at t = 0.1) at gamma = 1e4: ValueError naming that gamma, where
+    # the parent raised a bare ZeroDivisionError.  It is raised inside the
+    # gamma's own item of the sweep, so a lower gamma's error comes first.
+    field = smooth_field(n_t=16, n_x1=16, n_x2=32)
+    with pytest.raises(ValueError, match="^gamma = 10000 underflows"):
+        vf.verify_estimate(field, weakly_stable, [1.0, 1e4], 0.0)
+    with pytest.raises(ValueError, match="^gamma = 10000 underflows"):
+        vf.verify_estimate(field, weakly_stable, [1e4, 2e4], 0.0)
+
+
 def test_front_solution_norms_finite(fixture_field, fixture_solution,
                                     weakly_stable):
     for s, val in fixture_solution.norms.items():

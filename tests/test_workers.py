@@ -5,14 +5,16 @@
 must write each output entry by the same arithmetic whatever the partition.
 """
 
+import math
 import sys
 import threading
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import vortexfront as vf
-from vortexfront import GridSpec, domain
+from vortexfront import GridSpec, domain, solver
 from vortexfront.solver import mu_symbol_grid
 from vortexfront.transforms import _depth_pass, _HalfSpectrum
 
@@ -35,8 +37,8 @@ def each_worker_count(monkeypatch, fn):
 def test_half_spectrum_is_independent_of_the_core_count(monkeypatch, n_t):
     # The x1 rfft and the depth pass on it.  n_t = 1 and 2 leave some of
     # three workers without a t-plane; blocks of 2 levels (block_entries 8)
-    # and one block for the whole stack.  Both sides in one pass, copying,
-    # and then in place on x1_hat.
+    # and one block for the whole stack.  One pass per side, copying, and
+    # then in place on x1_hat.
     grid = GridSpec(n_t, 8, 21, 1.0, 1.0, 2.0)
     samples = np.random.default_rng(n_t).standard_normal((2, n_t, 8, 21))
     tau = 1.5 + 1j * grid.delta_axis[:, None]
@@ -50,18 +52,21 @@ def test_half_spectrum_is_independent_of_the_core_count(monkeypatch, n_t):
             spectra = [_HalfSpectrum(f, grid) for f in samples]
             out += [spec.x1_hat.copy() for spec in spectra]
             for in_place in (False, True):
-                (i_p, i_m), norms = _depth_pass(spectra, 1.5, mus, 0.7, in_place)
-                out += [*i_p, *i_m, np.array(norms)]
+                for spec, mu in zip(spectra, mus):
+                    ints, norm = _depth_pass(spec, 1.5, mu, 0.7, in_place)
+                    out += [*ints, np.array(norm)]
         return out
 
     first, *rest = each_worker_count(monkeypatch, run)
     assert all(r == first for r in rest)
-    for lo in (0, 12):  # copying and in-place passes, per block size
-        assert first[lo + 2:lo + 7] == first[lo + 7:lo + 12]
+    for lo in (0, 14):  # copying and in-place passes, per block size
+        assert first[lo + 2:lo + 8] == first[lo + 8:lo + 14]
 
 
 def test_solve_and_estimate_are_independent_of_the_core_count(monkeypatch):
-    # An even and an odd n_x2, with s = 0 and 1.
+    # An even and an odd n_x2, with s = 0 and 1; the sweep's three gammas
+    # and its constants are items of one split, and every number of the
+    # report is compared.
     medium = vf.Medium.symmetric(2.0, 1.0)
 
     def run():
@@ -69,15 +74,72 @@ def test_solve_and_estimate_are_independent_of_the_core_count(monkeypatch):
         for n_x2, s in ((24, 0.0), (25, 1.0)):
             field = smooth_field(n_t=16, n_x1=32, n_x2=n_x2, y_width=0.5)
             sol = vf.solve_front(field, medium, 1.5, s)
-            report = vf.verify_estimate(field, medium, [1.0, 3.0], s)
+            report = vf.verify_estimate(field, medium, [1.0, 3.0, 10.0], s)
             out += [sol.f_hat, sol.f_phys, sol.system.i_plus, sol.system.i_minus,
-                    np.array([[getattr(r, k) for k in (
-                        "r", "r_prime", "g1_ratio", "pointwise_min", "norm_f",
-                        "norm_g")] for r in report.rows])]
+                    np.array([astuple(r) for r in report.rows]),
+                    np.array(astuple(report.constants)),
+                    np.array([report.ratio_sup_sq, report.rhs_constant,
+                              *report.norm_f_plus.values(),
+                              *report.norm_f_minus.values()])]
         return out
 
     first, *rest = each_worker_count(monkeypatch, run)
     assert all(r == first for r in rest)
+
+
+def test_estimate_constants_in_chunks_are_the_one_shot_constants(monkeypatch):
+    # The chunked evaluation against the former whole-array body, kept here
+    # as the reference: bitwise equal, in the weakly stable and the
+    # elliptic regime, with a sweep's bins as extra points, and with chunks
+    # that divide nothing (7) and that take the whole sample (1 << 20).
+    grid = GridSpec(16, 32, 24, 1.0, 1.0, 2.0)
+    bins = tuple(b.ravel() for b in np.meshgrid(
+        np.array([1.0, 3.0, 10.0]), grid.delta_axis, grid.eta_axis, indexing="ij"))
+    for medium, extra in ((vf.Medium.symmetric(2.0, 1.0), bins),
+                          (vf.Medium.symmetric(2.0, 1.0), None),
+                          (vf.Medium.symmetric(1.2, 1.0), bins)):
+        want = astuple(one_shot_constants(medium, extra))
+        for chunk in (solver._CONSTANTS_CHUNK, 7, 1 << 20):
+            monkeypatch.setattr(solver, "_CONSTANTS_CHUNK", chunk)
+            got = astuple(solver.estimate_constants(medium, extra))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), chunk
+
+
+def one_shot_constants(medium, extra_points):
+    """estimate_constants as one evaluation over every point."""
+    report = vf.classify(medium)
+    n_polar, n_azimuth, radius = solver._N_POLAR, solver._N_AZIMUTH, solver._RAY_RADIUS
+    psi = (np.arange(n_polar) + 0.5) * (0.5 * np.pi / n_polar)
+    theta = (np.arange(n_azimuth) + 0.5) * (2.0 * np.pi / n_azimuth)
+    g = (np.cos(psi)[:, None] * np.ones_like(theta)[None, :]).ravel()
+    d = (np.sin(psi)[:, None] * np.cos(theta)[None, :]).ravel()
+    e = (np.sin(psi)[:, None] * np.sin(theta)[None, :]).ravel()
+    if extra_points is not None:
+        ge, de, ee = (np.asarray(a, dtype=float).ravel() for a in extra_points)
+        lam = np.sqrt(ge * ge + de * de + ee * ee)
+        g = np.concatenate((g, ge / lam))
+        d = np.concatenate((d, de / lam))
+        e = np.concatenate((e, ee / lam))
+    keep = g > 0.0
+    g, d, e = g[keep], d[keep], e[keep]
+    tau = g + 1j * d
+    sigma = vf.symbol_grid(tau, e, medium)
+    abs_sigma = np.abs(sigma)
+    c_bound = float(abs_sigma.max())
+    c_pointwise = float(((abs_sigma / g) ** 2).min()) * (1.0 - 1e-9)
+    if report.stability_class is vf.StabilityClass.WEAKLY_STABLE:
+        c, y2 = medium.c, report.y2
+        to_upper = np.abs(tau - 1j * c * y2 * e)
+        to_lower = np.abs(tau + 1j * c * y2 * e)
+        near = np.minimum(to_upper, to_lower) < radius
+        c_elliptic = float(abs_sigma[~near].min())
+        sign = np.where(to_upper <= to_lower, 1.0, -1.0)
+        cof = np.abs(sigma[near] / (tau[near] - sign[near] * 1j * c * y2 * e[near]))
+        c_cofactor = float(cof.min()) if near.any() else math.inf
+    else:
+        c_elliptic = float(abs_sigma.min())
+        c_cofactor = math.inf
+    return solver.EstimateConstants(c_elliptic, c_cofactor, c_pointwise, c_bound)
 
 
 def test_small_grids_start_no_thread(monkeypatch):
@@ -139,6 +201,52 @@ def test_split_workers_keep_the_callers_errstate(monkeypatch):
     with np.errstate(divide="raise"):
         with pytest.raises(FloatingPointError):
             domain._split(fn, 3, 3)
+
+
+def test_a_split_inside_a_worker_starts_no_thread(monkeypatch):
+    # The sweep's items run depth passes whose own _split runs inline on
+    # the item's thread: only the outer split starts threads.
+    monkeypatch.setattr(domain, "_workers", lambda: 3)
+    monkeypatch.setattr(domain, "_SPLIT_MIN_ENTRIES", 0)
+    started, inner = [], []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or real_start(self))
+
+    def outer(lo, hi):
+        domain._split(lambda a, b: inner.append(
+            (lo, a, b, threading.current_thread())), 5, 5)
+
+    domain._split(outer, 6, 6)
+    assert len(started) == 2
+    assert sorted((lo, a, b) for lo, a, b, _ in inner) == [
+        (lo, 0, 5) for lo in range(6)]
+    outer_threads = {*started, threading.main_thread()}
+    assert all(t in outer_threads for *_, t in inner)
+    domain._split(lambda lo, hi: inner.append(threading.current_thread()), 6, 6)
+    assert len(started) == 4  # the flag does not outlive the outer split
+
+
+@pytest.mark.parametrize("k", WORKERS)
+def test_split_raises_the_lowest_failing_index(monkeypatch, k):
+    # Index 5 fails first in time, index 2 after it: the error raised is
+    # index 2's, the one a serial loop meets first, whatever the workers.
+    monkeypatch.setattr(domain, "_workers", lambda: k)
+    monkeypatch.setattr(domain, "_SPLIT_MIN_ENTRIES", 0)
+    five_failed = threading.Event()
+
+    def fn(lo, hi):
+        for i in range(lo, hi):
+            if i == 2:
+                if k > 1:
+                    assert five_failed.wait(timeout=30)
+                raise ValueError("index 2")
+            if i == 5:
+                five_failed.set()
+                raise ValueError("index 5")
+
+    with pytest.raises(ValueError, match="index 2"):
+        domain._split(fn, 8, 8)
 
 
 def test_split_covers_every_index_once_with_more_workers_than_cores(monkeypatch):
