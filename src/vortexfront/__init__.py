@@ -6,8 +6,8 @@ reconstruction of the half-space pressure transforms, and numerical
 verification of the a priori energy estimate.
 """
 
-from .domain import (BranchCase, Frequency, MachClass, Medium, RegimeError,
-                     RegimeReport, RootPair, StabilityClass)
+from .domain import (Frequency, MachClass, Medium, RegimeError, RegimeReport,
+                     RootPair, StabilityClass)
 from .grids import FieldGrid, GridSpec, read_field, suggested_depth, write_field
 from .pressure import (BoundaryState, PressureProfile, front_equation_residual,
                        ode_residual, reconstruct_profile, solve_boundary_system)
@@ -25,7 +25,7 @@ from .transforms import (halfspace_norm, sobolev_norm, spectral_slices,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchCase", "Frequency", "MachClass", "Medium", "RegimeError",
+    "Frequency", "MachClass", "Medium", "RegimeError",
     "RegimeReport", "RootPair", "StabilityClass",
     "FieldGrid", "GridSpec", "read_field", "suggested_depth", "write_field",
     "BoundaryState", "PressureProfile", "front_equation_residual",

@@ -55,14 +55,8 @@ def _parse_window(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return axes[0], axes[1], axes[2]
 
 
-def _medium(args) -> Medium:
-    if args.v <= 0 or args.c <= 0:
-        raise ValueError("--v and --c must be positive")
-    return Medium.symmetric(args.v, args.c)
-
-
 def cmd_classify(args) -> int:
-    report = classify(_medium(args))
+    report = classify(Medium(args.v, args.c))
     payload = {"mach_class": report.mach_class.value,
                "stability_class": report.stability_class.value,
                "mach_ratio": report.mach_ratio,
@@ -74,7 +68,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    medium = _medium(args)
+    medium = Medium(args.v, args.c)
     gammas, deltas, etas = _parse_window(args.window)
     if np.any(gammas < 0):
         raise ValueError("gamma samples must be nonnegative")
@@ -97,7 +91,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    medium = _medium(args)
+    medium = Medium(args.v, args.c)
     if args.eta == 0.0:
         raise ValueError("--eta must be nonzero")
     roots = symbol_roots(medium, args.eta)
@@ -118,7 +112,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    medium = _medium(args)
+    medium = Medium(args.v, args.c)
     field = read_field(args.infile, gamma=args.gamma, s=args.s)
     sol = solve_front(field, medium)
     grid = field.grid
@@ -143,7 +137,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    medium = _medium(args)
+    medium = Medium(args.v, args.c)
     gammas = [float(x) for x in args.gammas.split(",")]
     field = read_field(args.infile, gamma=min(gammas), s=args.s)
     report = verify_estimate(field, medium, gammas, args.s)
@@ -161,7 +155,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    medium = _medium(args)
+    medium = Medium(args.v, args.c)
     gammas = [float(x) for x in args.gammas.split(",")]
     result = blowup_probe(medium, args.eta, gammas)
     _emit("gamma,abs_inv_sigma\n"
@@ -172,7 +166,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    medium = _medium(args)
+    medium = Medium(args.v, args.c)
     field = read_field(args.infile, gamma=args.gamma, s=args.s)
     _require_weakly_stable(classify(medium), "reconstruct")
     grid = field.grid

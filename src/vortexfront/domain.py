@@ -139,43 +139,31 @@ class Frequency:
 
 @dataclass(frozen=True)
 class Medium:
-    """Constant states: sound speed c and tangential velocities on each side.
+    """Constant states: velocity v1 = +v above the front and -v below it,
+    and sound speed c, both positive.  The symbol depends only on the jump
+    2v, so a Galilean change of frame in x1 reduces any constant states to
+    this form (Coulombel & Secchi, Indiana Univ. Math. J. 53, 2004)."""
 
-    The analysis of the front symbol assumes the symmetric normalization
-    v1_plus = v > 0, v1_minus = -v; use :meth:`symmetric` for that.  General
-    velocities remain accepted for plain root / symbol evaluation.
-    """
-
+    v: float
     c: float
-    v1_plus: float
-    v1_minus: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.c) and math.isfinite(self.v1_plus)
-                and math.isfinite(self.v1_minus)):
+        if not (math.isfinite(self.v) and math.isfinite(self.c)):
             raise ValueError("medium parameters must be finite")
-        if self.c <= 0:
-            raise ValueError("sound speed c must be positive")
+        if self.v <= 0 or self.c <= 0:
+            raise ValueError("velocity v and sound speed c must be positive")
 
     @classmethod
     def symmetric(cls, v: float, c: float) -> "Medium":
-        return cls(c=c, v1_plus=v, v1_minus=-v)
+        return cls(v, c)
 
     @property
-    def w1(self) -> float:
-        return 0.5 * (self.v1_plus + self.v1_minus)
+    def v1_plus(self) -> float:
+        return self.v
 
     @property
-    def V1(self) -> float:
-        return 0.5 * (self.v1_plus - self.v1_minus)
-
-    def require_symmetric(self) -> tuple[float, float]:
-        """Return (v, c) after checking v1_plus = v > 0, v1_minus = -v."""
-        if self.w1 != 0.0 or self.V1 <= 0.0:
-            raise ValueError(
-                "operation requires the symmetric normalization "
-                "v1_plus = v > 0, v1_minus = -v (w1 = 0)")
-        return self.V1, self.c
+    def v1_minus(self) -> float:
+        return -self.v
 
 
 class MachClass(str, enum.Enum):
@@ -190,29 +178,17 @@ class StabilityClass(str, enum.Enum):
     WEAKLY_STABLE = "weakly_stable"
 
 
-class BranchCase(str, enum.Enum):
-    """Which evaluation branch produced a decay root."""
-
-    INTERIOR = "interior"            # gamma > 0, root with positive real part
-    BOUNDARY_REAL = "boundary_real"  # gamma = 0, nonnegative real branch
-    BOUNDARY_ZERO = "boundary_zero"  # gamma = 0, on a vanishing locus
-    BOUNDARY_IMAG_NEG = "boundary_imag_neg"
-    BOUNDARY_IMAG_POS = "boundary_imag_pos"
-
-
 @dataclass(frozen=True)
 class RootPair:
-    """The pair of decay roots with branch metadata."""
+    """The decay roots of the upper (+) and lower (-) sides."""
 
     mu_plus: complex
     mu_minus: complex
-    case_plus: BranchCase
-    case_minus: BranchCase
 
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Stability classification of a symmetric medium.
+    """Stability classification of a medium.
 
     y0 locates the spurious candidates of the dispersion relation (never
     symbol roots); y1 the real-axis root parameter (only below the

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,6 +12,9 @@ __all__ = ["GridSpec", "FieldGrid", "suggested_depth", "read_field",
 
 # A forcing field must have decayed by this factor at the truncation depth.
 DECAY_FACTOR = 1e-6
+# The max|F| a solve or sweep accepts: its square stays 2^62 inside the normal
+# double range, room for the grid factors and weights of the squared norms.
+_PEAK_RANGE = (2.0 ** -480, 2.0 ** 480)
 # VFGRID data rows formatted per write.  A chunk's values are held as Python
 # floats: writing a 32x32x192 field in chunks of 16384 rows raised the peak
 # RSS by about 1 MB, in chunks of 65536 rows by 11 MB, at the same speed.
@@ -36,6 +39,15 @@ def _sobolev_weight(grid: "GridSpec", gamma: float, s: float) -> np.ndarray:
             raise ValueError(f"{name} = {value:g} overflows the Sobolev weight "
                              f"(gamma^2 + delta^2 + eta^2)^s at s = {s:g}")
     return weight
+
+
+def _refuse_magnitude(fieldgrid: "FieldGrid") -> None:
+    """Raise ValueError for a nonzero max|F| outside _PEAK_RANGE."""
+    lo, hi = _PEAK_RANGE
+    if fieldgrid.peak > 0.0 and not lo <= fieldgrid.peak <= hi:
+        raise ValueError(f"the forcing's magnitude max|F| = {fieldgrid.peak:.3g} is "
+                         f"outside [{lo:.3g}, {hi:.3g}], where its squared "
+                         "norms stay in the double range")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -129,21 +141,25 @@ class FieldGrid:
     f_plus[i, j, k] = F_plus(t_i, x1_j, x2_k) and
     f_minus[i, j, k] = F_minus(t_i, x1_j, -x2_k) with x2_k > 0 the stored
     nodes.  Both sides must have decayed by DECAY_FACTOR at the last slab,
-    the numerical stand-in for vanishing at infinity.
+    the numerical stand-in for vanishing at infinity; peak, max|F| over
+    both sides, is taken in that check.
     """
 
     f_plus: np.ndarray
     f_minus: np.ndarray
     grid: GridSpec
+    peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = (self.grid.n_t, self.grid.n_x1, self.grid.n_x2)
+        peaks = []
         for name, arr in (("f_plus", self.f_plus), ("f_minus", self.f_minus)):
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
             peak = float(np.max(np.abs(arr)))
+            peaks.append(peak)
             if peak > 0.0:
                 tail = float(np.max(np.abs(arr[:, :, -1])))
                 if tail > DECAY_FACTOR * peak:
@@ -151,6 +167,7 @@ class FieldGrid:
                         f"{name} has not decayed at x2 = L_x2 "
                         f"(last-slab max {tail:.3e} > {DECAY_FACTOR:g} * peak {peak:.3e}); "
                         "increase L_x2 or taper the forcing")
+        object.__setattr__(self, "peak", max(peaks))
 
     def scaled(self, factor: float) -> "FieldGrid":
         return FieldGrid(self.f_plus * factor, self.f_minus * factor, self.grid)

@@ -76,8 +76,7 @@ def solve_boundary_system(freq: Frequency, medium: Medium, f_hat: complex,
     if abs(s) <= 1e-13 * (abs(mu_p) + abs(mu_m)):
         raise ArithmeticError("boundary system is singular: mu_plus + mu_minus "
                               "vanishes (possible only as gamma -> 0 with v >= c)")
-    taup = freq.tau + 1j * medium.w1 * freq.eta
-    jump = -4j * freq.eta * (medium.V1 / c) * (taup / c) * f_hat
+    jump = -4j * freq.eta * (medium.v / c) * (freq.tau / c) * f_hat
     p0 = ((i_plus + i_minus) / (c * c) - jump) / s
     dp_p = i_plus / (c * c) - mu_p * p0
     dp_m = mu_m * p0 - i_minus / (c * c)
@@ -159,15 +158,14 @@ def front_equation_residual(freq: Frequency, medium: Medium,
 
     Returns the larger of the residual of
 
-        (tau + i*w1*eta)^2 f - V1^2*eta^2 f + (c^2/2)(dP+ + dP-)(0) = 0
+        tau^2 f - v^2*eta^2 f + (c^2/2)(dP+ + dP-)(0) = 0
 
     with the boundary-state derivatives, and of the equivalent spectral form
     Sigma*f + (mu_plus*mu_minus/(mu_plus + mu_minus))*M = 0, with the roots
     of `state` (from :func:`solve_boundary_system` at the same freq and medium).
     """
-    c = medium.c
-    taup = freq.tau + 1j * medium.w1 * freq.eta
-    res1 = abs((taup * taup - (medium.V1 * freq.eta) ** 2) * f_hat
+    c, tau = medium.c, freq.tau
+    res1 = abs((tau * tau - (medium.v * freq.eta) ** 2) * f_hat
                + 0.5 * c * c * (state.dp_plus0 + state.dp_minus0))
     mu_p, mu_m = state.roots.mu_plus, state.roots.mu_minus
     # One-entry arrays round Sigma as mu_symbol_grid does.

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Frequency, Medium, RegimeError, StabilityClass, _split
-from .grids import FieldGrid, GridSpec, _refuse_nonfinite, _sobolev_weight
+from .grids import (FieldGrid, GridSpec, _refuse_magnitude, _refuse_nonfinite,
+                    _sobolev_weight)
 from .quadrature import halfline_integral
 from .symbol import classify, mu_symbol_grid, symbol_grid
 from .transforms import _bin_slices, _depth_pass, _HalfSpectrum, sobolev_norm
@@ -205,10 +206,12 @@ def solve_front(fieldgrid: FieldGrid, medium: Medium,
     per-bin quotient (so each bin satisfies its equation to rounding); the
     physical samples, the real inverse transform times exp(gamma*t), raise
     ArithmeticError when not finite (gamma*L_t beyond about 709).  Norms
-    are returned at indices {0, s, s+1}.
+    are returned at indices {0, s, s+1}; a forcing whose max|F| leaves
+    grids._PEAK_RANGE, where they would overflow or underflow, is refused.
     """
     report = classify(medium)
     _require_weakly_stable(report, "solve_front")
+    _refuse_magnitude(fieldgrid)
     grid = fieldgrid.grid
     g = grid.gamma if gamma is None else gamma
     s_index = grid.s if s is None else s
@@ -365,9 +368,9 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
             g ** 3  # as r takes it, a float power that raises on overflow
         except OverflowError:
             raise ValueError(f"gamma = {g:g} overflows gamma^3 in the ratio r") from None
-    if float(np.max(np.abs(fieldgrid.f_plus))) == 0.0 and \
-            float(np.max(np.abs(fieldgrid.f_minus))) == 0.0:
+    if fieldgrid.peak == 0.0:
         raise ValueError("estimate ratios are undefined for a zero field")
+    _refuse_magnitude(fieldgrid)
 
     bins = np.meshgrid(np.asarray(gammas, dtype=float), grid.delta_axis,
                        grid.eta_axis, indexing="ij")

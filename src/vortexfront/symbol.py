@@ -2,17 +2,17 @@
 
 The transformed half-space pressures decay like exp(-mu*x2) where mu solves
 
-    mu^2 = ((tau + i*v1*eta)/c)^2 + eta^2.
+    mu^2 = ((tau + i*v1*eta)/c)^2 + eta^2,
 
-One array kernel picks the branch per entry from Re(tau), and the scalar
-functions wrap it.  The front evolution symbol is
+with v1 = +v above the front and -v below it.  One array kernel picks the
+branch per entry from Re(tau), and the scalar functions wrap it.  The front
+evolution symbol is
 
-    Sigma = (tau + i*w1*eta)^2
-            + V1^2*eta^2 * (8*((tau + i*w1*eta)/c/(mu_plus + mu_minus))^2 - 1),
+    Sigma = tau^2 + v^2*eta^2 * (8*(tau/c/(mu_plus + mu_minus))^2 - 1),
 
 a homogeneous function of degree 2 whose zero set decides stability: for
-V1/c below sqrt(2) it vanishes on a real-tau ray (violent instability), for
-V1/c above sqrt(2) only on the imaginary axis at tau = +-i*c*Y2*eta (weak
+v/c below sqrt(2) it vanishes on a real-tau ray (violent instability), for
+v/c above sqrt(2) only on the imaginary axis at tau = +-i*c*Y2*eta (weak
 stability).
 """
 
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (ENDPOINT_ATOL, REGIME_RTOL, SQRT2, BranchCase,
-                     Frequency, MachClass, Medium, RegimeError, RegimeReport,
-                     RootPair, StabilityClass)
+from .domain import (ENDPOINT_ATOL, REGIME_RTOL, SQRT2, Frequency,
+                     MachClass, Medium, RegimeError, RegimeReport, RootPair,
+                     StabilityClass)
 
 __all__ = [
     "signed_sqrt", "decay_root", "decay_root_pair", "ratio_sq", "symbol",
@@ -59,13 +59,8 @@ def signed_sqrt(a, b):
     return complex(out) if out.ndim == 0 else out
 
 
-_CASES = (BranchCase.INTERIOR, BranchCase.BOUNDARY_REAL,
-          BranchCase.BOUNDARY_ZERO, BranchCase.BOUNDARY_IMAG_NEG,
-          BranchCase.BOUNDARY_IMAG_POS)
-
-
-def _roots(tau, eta, v1, c) -> tuple[np.ndarray, np.ndarray]:
-    """Decay roots and _CASES codes over broadcast arrays of tau, eta, v1.
+def mu_grid(tau, eta, v1, c: float) -> np.ndarray:
+    """Decay roots over broadcast arrays of tau (Re >= 0), eta and v1.
 
     Each entry takes the branch of :func:`decay_root` from its own Re(tau)
     (Re(tau) < 0 is refused), through one :func:`_csqrt` call.
@@ -85,19 +80,10 @@ def _roots(tau, eta, v1, c) -> tuple[np.ndarray, np.ndarray]:
     # and vanishes on the boundary, so y supplies the sign of Im(mu).
     np.copysign(mu.imag, y, out=mu.imag)
     boundary = x == 0.0
-    case = np.zeros(mu.shape, dtype=int)
-    if boundary.any():
-        zero = boundary & (np.abs(np.abs(y) - np.abs(eta))
-                           <= ENDPOINT_ATOL * np.abs(eta))
-        mu[zero] = 0.0
-        case = np.where(~boundary, 0, np.where(
-            zero, 2, np.where(a > 0.0, 1, np.where(y > 0.0, 4, 3))))
-    return mu, case
-
-
-def mu_grid(tau: np.ndarray, eta: np.ndarray, v1: float, c: float) -> np.ndarray:
-    """Decay root over arrays of tau (Re >= 0) and eta, branch per entry."""
-    return _roots(tau, eta, v1, c)[0]
+    if boundary.any():  # snap to the loci where the root vanishes
+        mu[boundary & (np.abs(np.abs(y) - np.abs(eta))
+                       <= ENDPOINT_ATOL * np.abs(eta))] = 0.0
+    return mu
 
 
 def decay_root(freq: Frequency, v1: float, c: float) -> complex:
@@ -109,14 +95,13 @@ def decay_root(freq: Frequency, v1: float, c: float) -> complex:
     it (i*delta/c when eta = 0), and zero within ENDPOINT_ATOL*|eta| of the
     loci delta = -(v1 +- c)*eta.
     """
-    return complex(_roots(freq.tau, freq.eta, v1, c)[0])
+    return complex(mu_grid(freq.tau, freq.eta, v1, c))
 
 
 def decay_root_pair(freq: Frequency, medium: Medium) -> RootPair:
-    """Both decay roots of a medium, with branch metadata."""
-    mu, case = _roots(freq.tau, freq.eta,
-                      np.array([medium.v1_plus, medium.v1_minus]), medium.c)
-    return RootPair(*(complex(m) for m in mu), *(_CASES[k] for k in case))
+    """Both decay roots of a medium, from one kernel call."""
+    mu = mu_grid(freq.tau, freq.eta, np.array([medium.v, -medium.v]), medium.c)
+    return RootPair(*(complex(m) for m in mu))
 
 
 def mu_symbol_grid(tau: np.ndarray, eta: np.ndarray, medium: Medium
@@ -124,23 +109,22 @@ def mu_symbol_grid(tau: np.ndarray, eta: np.ndarray, medium: Medium
     """(mu_plus, mu_minus, Sigma) over frequency arrays, from one root call.
 
     Branch per entry from Re(tau).  Sigma is the difference form of
-    :func:`ratio_sq`, (tau + i*w1*eta)^2 - (c^2/2)*(mu_plus - mu_minus)^2
-    - V1^2*eta^2, uniformly accurate relative to |tau|^2 + eta^2.
+    :func:`ratio_sq`, tau^2 - (c^2/2)*(mu_plus - mu_minus)^2 - v^2*eta^2,
+    uniformly accurate relative to |tau|^2 + eta^2.
     """
     tau = np.asarray(tau, dtype=complex)
     eta = np.asarray(eta, dtype=float)
     # Sides on a leading axis: each half is contiguous, like a separate array.
-    v1 = np.array([medium.v1_plus, medium.v1_minus]).reshape(
+    v1 = np.array([medium.v, -medium.v]).reshape(
         (2,) + (1,) * max(tau.ndim, eta.ndim))
-    mu_p, mu_m = _roots(tau, eta, v1, medium.c)[0]
+    mu_p, mu_m = mu_grid(tau, eta, v1, medium.c)
     return mu_p, mu_m, _sigma(tau, eta, mu_p, mu_m, medium)
 
 
 def _sigma(tau, eta, mu_p, mu_m, medium: Medium):
     """Sigma from its decay roots: the difference form of :func:`mu_symbol_grid`."""
-    taup = tau + 1j * medium.w1 * eta
     diff = medium.c * (mu_p - mu_m)
-    return taup * taup - 0.5 * diff * diff - (medium.V1 * eta) ** 2
+    return tau * tau - 0.5 * diff * diff - (medium.v * eta) ** 2
 
 
 def symbol_grid(tau: np.ndarray, eta: np.ndarray, medium: Medium,
@@ -166,29 +150,20 @@ def symbol(freq: Frequency, medium: Medium) -> complex:
 
 
 def ratio_sq(freq: Frequency, medium: Medium) -> complex:
-    """The squared ratio ((tau + i*w1*eta)/c / (mu_plus + mu_minus))^2.
+    """The squared ratio ((tau/c) / (mu_plus + mu_minus))^2.
 
     Evaluated through the equivalent difference form
-    -c^2*(mu_plus - mu_minus)^2 / (16*V1^2*eta^2), which is exact wherever
+    -c^2*(mu_plus - mu_minus)^2 / (16*v^2*eta^2), which is exact wherever
     the direct quotient is defined and extends it continuously across the
-    points tau + i*w1*eta = 0 where the root sum vanishes (value
-    ((V1/c)^2 - 1)/(4*(V1/c)^2) there).  For eta = 0 both roots coincide
+    points tau = 0 where the root sum vanishes (value
+    ((v/c)^2 - 1)/(4*(v/c)^2) there).  For eta = 0 both roots coincide
     and the ratio is exactly 1/4.
     """
-    c, eta, v1 = medium.c, freq.eta, medium.V1
-    if eta == 0.0:
+    if freq.eta == 0.0:
         return complex(0.25, 0.0)
     pair = decay_root_pair(freq, medium)
-    mu_p, mu_m = pair.mu_plus, pair.mu_minus
-    if v1 == 0.0:
-        # No velocity jump: the roots coincide and the quotient is direct.
-        s = mu_p + mu_m
-        if s == 0:
-            raise ZeroDivisionError("mu_plus + mu_minus vanishes and V1 = 0")
-        taup = freq.tau + 1j * medium.w1 * eta
-        return ((taup / c) / s) ** 2
-    diff = c * (mu_p - mu_m)
-    return -(diff * diff) / (16.0 * (v1 * eta) ** 2)
+    diff = medium.c * (pair.mu_plus - pair.mu_minus)
+    return -(diff * diff) / (16.0 * (medium.v * freq.eta) ** 2)
 
 
 def symbol_factored(freq: Frequency, medium: Medium) -> complex:
@@ -210,14 +185,17 @@ def _dispersion_parameters(m: float) -> tuple[float, float | None, float | None]
 
 
 def classify(medium: Medium) -> RegimeReport:
-    """Mach and stability classification of a symmetric medium.
+    """Mach and stability classification of a medium.
 
     Within relative tolerance 1e-12 of v = c the medium is reported sonic,
     and within the same tolerance of v/c = sqrt(2) as the degenerate
-    transition case (both Y1 and Y2 absent).
+    transition case (both Y1 and Y2 absent).  A v/c whose 4*(v/c)^2 + 1
+    overflows is refused (ValueError).
     """
-    v, c = medium.require_symmetric()
+    v, c = medium.v, medium.c
     m = v / c
+    if not math.isfinite(4.0 * m * m + 1.0):
+        raise ValueError(f"v/c = {m:g} overflows (v/c)^2 in the dispersion relation")
     if abs(v - c) <= REGIME_RTOL * max(v, c):
         mach = MachClass.SONIC
     elif v < c:
@@ -301,34 +279,26 @@ class BoundarySigns:
     re_product_sign: int
 
 
-_KIND_OF_CASE = {
-    BranchCase.BOUNDARY_REAL: "positive_real",
-    BranchCase.BOUNDARY_IMAG_NEG: "imaginary",
-    BranchCase.BOUNDARY_IMAG_POS: "imaginary",
-}
-
-
 def boundary_root_signs(freq: Frequency, medium: Medium) -> BoundarySigns:
     """Classify both roots at a boundary point gamma = 0, eta != 0.
 
-    Reports whether each root is purely imaginary or positive real, whether
-    the sum is nonzero, and the sign of Re(mu_plus*mu_minus).  Points where
+    Reports whether each root is purely imaginary or positive real (the
+    kind is read off the root: Im(mu) = 0 is positive real), whether the
+    sum is nonzero, and the sign of Re(mu_plus*mu_minus).  Points where
     delta/(c*eta) sits on an interval endpoint (a root vanishes there) are
     refused.
     """
-    medium.require_symmetric()
     if freq.gamma != 0.0:
         raise ValueError("boundary classification requires gamma = 0")
     if freq.eta == 0.0:
         raise ValueError("boundary classification requires eta != 0")
     pair = decay_root_pair(freq, medium)
-    if BranchCase.BOUNDARY_ZERO in (pair.case_plus, pair.case_minus):
+    mus = (pair.mu_plus, pair.mu_minus)
+    if 0 in mus:
         raise ValueError(
             "delta/(c*eta) lies on an interval endpoint where a root vanishes; "
             "the sign table is not defined there")
-    s = pair.mu_plus + pair.mu_minus
     p = (pair.mu_plus * pair.mu_minus).real
     sign = 0 if p == 0.0 else (1 if p > 0.0 else -1)
-    return BoundarySigns(_KIND_OF_CASE[pair.case_plus],
-                         _KIND_OF_CASE[pair.case_minus],
-                         s != 0, sign)
+    return BoundarySigns(*("positive_real" if mu.imag == 0.0 else "imaginary"
+                           for mu in mus), pair.mu_plus + pair.mu_minus != 0, sign)

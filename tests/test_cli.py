@@ -57,6 +57,25 @@ def test_classify_invalid_params(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("v, c", [("2e154", "1"), ("1e308", "1e-308")])
+def test_commands_refuse_an_overflowing_mach_ratio(capsys, tmp_path,
+                                                   field_file, v, c):
+    # 4*(v/c)^2 + 1 overflows: classify reported Y0 inf (and "sonic" for the
+    # second medium) with exit 0.  Every command that classifies exits 2
+    # naming v/c, and writes nothing.
+    out = tmp_path / "out"
+    for args in (["classify", "--out", str(out)], ["roots", "--eta", "1"],
+                 ["probe", "--eta", "1", "--gammas", "1,2"],
+                 ["solve", "--in", field_file, "--out", str(out)],
+                 ["verify", "--in", field_file, "--out", str(out)]):
+        code, stdout, err = run(capsys, args + ["--v", v, "--c", c])
+        assert (code, stdout) == (2, ""), args
+        assert "error: v/c = " in err and "overflows" in err
+    assert not out.exists()
+    code, stdout, _ = run(capsys, ["classify", "--v", "1e150", "--c", "1"])
+    assert code == 0 and "stability_class: weakly_stable" in stdout
+
+
 def test_grid_single_point_and_determinism(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["grid", "--v", "2", "--c", "1", "--window",
@@ -160,6 +179,31 @@ def test_solve_zero_field(capsys, tmp_path):
     assert code == 0
     rows = (outdir / "front.csv").read_text().splitlines()[1:]
     assert all(float(r.split(",")[2]) == 0.0 for r in rows)
+    assert json.loads((outdir / "norms.json").read_text())["r"] is None
+    code, _, err = run(capsys, ["verify", "--v", "2", "--c", "1", "--in",
+                                str(path)])
+    assert code == 2 and "zero field" in err
+
+
+@pytest.mark.parametrize("exponent", [540, -540])
+def test_solve_and_verify_refuse_a_forcing_whose_squares_leave_the_range(
+        capsys, tmp_path, exponent):
+    # Scaled by 2^+-540, solve wrote norms Infinity (not JSON) or 0 and
+    # verify r NaN or 0, or blamed gamma's weight, with exit 0.  Exit 2
+    # naming the magnitude, no RuntimeWarning, nothing written.
+    field_path = tmp_path / "field.vfgrid"
+    vf.write_field(field_path, smooth_field(n_t=16, n_x1=16, n_x2=32).scaled(
+        2.0 ** exponent))
+    outdir, sweep = tmp_path / "sol", tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in (["solve", "--s", "1", "--out", str(outdir)],
+                     ["verify", "--gammas", "1,2", "--s", "1", "--out", str(sweep)]):
+            code, out, err = run(capsys, args + ["--v", "2", "--c", "1",
+                                                 "--in", str(field_path)])
+            assert (code, out) == (2, ""), args
+            assert "error: the forcing's magnitude max|F| = " in err
+    assert not outdir.exists() and not sweep.exists()
 
 
 def test_solve_regime_refusal_and_io_error(capsys, tmp_path, field_file):

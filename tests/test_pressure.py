@@ -57,7 +57,7 @@ def test_boundary_system_residuals():
         st = vf.solve_boundary_system(freq, MED, f_hat, i_p, i_m)
         mu_p, mu_m = roots_at(freq, MED)
         scale = max(abs(st.p_plus0), abs(st.dp_plus0), abs(st.dp_minus0), 1e-30)
-        jump = -4j * freq.eta * (MED.V1 / c) * (freq.tau / c) * f_hat
+        jump = -4j * freq.eta * (MED.v / c) * (freq.tau / c) * f_hat
         assert abs(st.p_plus0 - st.p_minus0) == 0.0
         assert abs(st.dp_plus0 - st.dp_minus0 - jump) <= 1e-12 * max(scale, abs(jump))
         assert abs(mu_p * st.p_plus0 + st.dp_plus0 - i_p / c ** 2) <= 1e-12 * scale * max(1, abs(mu_p))
@@ -70,7 +70,7 @@ def test_boundary_system_sum_matches_closed_form():
     for freq in (Frequency(1.0, 0.0, 1.0), FREQ):
         st = vf.solve_boundary_system(freq, MED, 1.0, 0.0, 0.0)
         mu_p, mu_m = roots_at(freq, MED)
-        rhs = (-4j * freq.eta * (MED.V1 / MED.c) * (freq.tau / MED.c)
+        rhs = (-4j * freq.eta * (MED.v / MED.c) * (freq.tau / MED.c)
                * (mu_p - mu_m) / (mu_p + mu_m))
         assert abs(st.dp_plus0 + st.dp_minus0 - rhs) <= 1e-13 * abs(rhs)
 
@@ -88,7 +88,7 @@ def test_root_ratio_identity():
                          rng.uniform(0.01, 5) * rng.choice([-1, 1]))
         mu_p, mu_m = roots_at(freq, MED)
         lhs = (mu_p - mu_m) / (mu_p + mu_m)
-        rhs = 4.0 * MED.V1 * 1j * freq.eta * freq.tau / (MED.c ** 2 * (mu_p + mu_m) ** 2)
+        rhs = 4.0 * MED.v * 1j * freq.eta * freq.tau / (MED.c ** 2 * (mu_p + mu_m) ** 2)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
@@ -355,14 +355,14 @@ def test_one_root_evaluation_per_bin(monkeypatch):
     # and the closure residual read the roots from the state.
     module = importlib.import_module("vortexfront.symbol")  # vf.symbol is a function
     calls = []
-    kernel = module._roots
+    kernel = module.mu_grid
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
     slice_p, slice_m, h = exp_slices(64, 8.0)
     _, f_hat, m_val, i_p, i_m = consistent_state(FREQ, MED, slice_p, slice_m, h)
-    monkeypatch.setattr(module, "_roots", counted)
+    monkeypatch.setattr(module, "mu_grid", counted)
     state = vf.solve_boundary_system(FREQ, MED, f_hat, i_p, i_m)
     prof = vf.reconstruct_profile(FREQ, MED, state, slice_p, slice_m, h)
     vf.front_equation_residual(FREQ, MED, state, f_hat, m_val)
@@ -382,8 +382,7 @@ def test_closure_sigma_is_the_symbol_grid_sigma():
         mu_p, mu_m, sigma = (complex(a[0]) for a in
                              mu_symbol_grid([freq.tau], [freq.eta], MED))
         assert (mu_p, mu_m) == (state.roots.mu_plus, state.roots.mu_minus)
-        taup = freq.tau + 1j * MED.w1 * freq.eta
-        res1 = abs((taup * taup - (MED.V1 * freq.eta) ** 2) * f_hat
+        res1 = abs((freq.tau * freq.tau - (MED.v * freq.eta) ** 2) * f_hat
                    + 0.5 * MED.c ** 2 * (state.dp_plus0 + state.dp_minus0))
         res2 = abs(sigma * f_hat + (mu_p * mu_m / (mu_p + mu_m)) * m_val)
         assert vf.front_equation_residual(freq, MED, state, f_hat, m_val) == \

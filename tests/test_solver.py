@@ -286,6 +286,29 @@ def test_verify_estimate_refuses_a_gamma_that_underflows_the_forcing(weakly_stab
         vf.verify_estimate(field, weakly_stable, [1e4, 2e4], 0.0)
 
 
+@pytest.mark.parametrize("exponent", [300, -300])
+def test_estimate_rows_do_not_depend_on_the_forcing_magnitude(weakly_stable,
+                                                              exponent):
+    # The ratios are homogeneous of degree 0 in the forcing: scaled by
+    # 2^+-300 (squares 2^+-600, inside the double range) the ratio columns
+    # are bitwise the unscaled ones and the norms scale with the field.
+    # 2^+-540 leaves the range: the refusal (test_cli.py) reads field.peak.
+    field = smooth_field(n_t=16, n_x1=16, n_x2=32)
+    k = 2.0 ** exponent
+    assert field.peak == max(np.abs(field.f_plus).max(), np.abs(field.f_minus).max())
+    assert field.scaled(k).peak == k * field.peak
+    gammas = [1, 2, 4, 8, 16, 32, 64]
+    base = vf.verify_estimate(field, weakly_stable, gammas, 1.0)
+    scaled = vf.verify_estimate(field.scaled(k), weakly_stable, gammas, 1.0)
+    assert scaled.constants == base.constants
+    for want, got in zip(base.rows, scaled.rows, strict=True):
+        for name in ("gamma", "r", "r_prime", "g1_ratio", "pointwise_min",
+                     "pointwise_ok"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.norm_f == pytest.approx(k * want.norm_f, rel=4e-16)
+        assert got.norm_g == pytest.approx(k * want.norm_g, rel=4e-16)
+
+
 def test_front_solution_norms_finite(fixture_field, fixture_solution,
                                     weakly_stable):
     for s, val in fixture_solution.norms.items():

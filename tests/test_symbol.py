@@ -6,9 +6,8 @@ import pytest
 
 import vortexfront as vf
 from vortexfront import Frequency, Medium, RegimeError
-from vortexfront.domain import (ENDPOINT_ATOL, BranchCase, MachClass,
-                                StabilityClass)
-from vortexfront.symbol import _roots, mu_grid, mu_symbol_grid, symbol_grid
+from vortexfront.domain import ENDPOINT_ATOL, MachClass, StabilityClass
+from vortexfront.symbol import mu_grid, mu_symbol_grid, symbol_grid
 
 from conftest import bisect_real
 
@@ -65,16 +64,15 @@ def test_decay_root_square_residual():
 
 
 def test_decay_root_pair_reports_cases(weakly_stable):
+    # interior: Re(mu) > 0 on both sides, above gamma/(sqrt(2)*c)
     pair = vf.decay_root_pair(Frequency(1, 0.3, 0.7), weakly_stable)
-    assert pair.case_plus is BranchCase.INTERIOR
-    assert pair.case_minus is BranchCase.INTERIOR
     assert pair.mu_plus.real > 1.0 / SQRT2
     assert pair.mu_minus.real > 1.0 / SQRT2
-    # boundary: opposite imaginary roots at tau = 0
+    # boundary: opposite imaginary roots at tau = 0, Im(mu) signed by v1*eta
     pair0 = vf.decay_root_pair(Frequency(0, 0, 2.5), weakly_stable)
     assert pair0.mu_plus + pair0.mu_minus == 0.0
-    assert pair0.case_plus is BranchCase.BOUNDARY_IMAG_POS
-    assert pair0.case_minus is BranchCase.BOUNDARY_IMAG_NEG
+    assert pair0.mu_plus.real == 0.0 and pair0.mu_plus.imag > 0.0
+    assert pair0.mu_minus.real == 0.0 and pair0.mu_minus.imag < 0.0
 
 
 def test_decay_root_vanishing_loci(weakly_stable):
@@ -210,19 +208,6 @@ def test_two_form_agreement_all_regimes():
         assert np.max(np.abs(s1 - s2) / lam2) <= 1e-12
 
 
-def test_symbol_general_velocities_reduce_by_shift():
-    # tau -> tau + i*w1*eta turns the general form into the symmetric one
-    med = Medium(c=1.0, v1_plus=3.0, v1_minus=-1.0)  # w1 = 1, V1 = 2
-    sym = Medium.symmetric(2.0, 1.0)
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        g = rng.uniform(0.2, 3)
-        d, e = rng.uniform(-3, 3, 2)
-        s_gen = vf.symbol(Frequency(g, d, e), med)
-        s_sym = vf.symbol(Frequency(g, d + med.w1 * e, e), sym)
-        assert abs(s_gen - s_sym) <= 1e-12 * max(abs(s_gen), 1e-30)
-
-
 def test_symbol_elliptic_on_imaginary_axis():
     # v/c < sqrt(2): the symbol never vanishes at gamma = 0
     for m in (0.5, 1.0, 1.2):
@@ -276,8 +261,23 @@ def test_classify_rejects_bad_params():
         vf.classify(Medium.symmetric(-1.0, 1.0))
     with pytest.raises(ValueError):
         Medium.symmetric(1.0, 0.0)
-    with pytest.raises(ValueError):
-        vf.classify(Medium(c=1.0, v1_plus=2.0, v1_minus=-1.0))  # w1 != 0
+    with pytest.raises(ValueError, match="v/c"):
+        vf.classify(Medium(2e154, 1.0))  # 4*(v/c)^2 + 1 overflows
+    assert vf.classify(Medium(1e150, 1.0)).y2 > 0.0
+
+
+def test_medium_validation():
+    # Two settable values, v > 0 and c > 0, both finite; symmetric(v, c)
+    # is the same medium, and the side velocities are +v and -v.
+    for v, c in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                 (math.inf, 1.0), (1.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            Medium(v, c)
+    med = Medium(2.0, 1.0)
+    assert med == Medium.symmetric(2.0, 1.0) == Medium(v=2.0, c=1.0)
+    assert (med.v1_plus, med.v1_minus) == (2.0, -2.0)
+    with pytest.raises(AttributeError):
+        med.v1_plus = 3.0
 
 
 def test_classify_y0_above_mach_plus_one():
@@ -610,10 +610,10 @@ def test_root_kernel_matches_mpmath(v, c):
         assert got.tobytes() == mu_grid(tau, eta, v1, c).tobytes()
         assert on_grid.tobytes() == mu_grid(tau[:, None], eta[None, :60],
                                             v1, c).tobytes()
-    taup, diff = tau + 1j * medium.w1 * eta, c * (mu_p - mu_m).copy()
-    sigma = taup * taup - 0.5 * diff * diff - (medium.V1 * eta) ** 2
+    diff = c * (mu_p - mu_m).copy()
+    sigma = tau * tau - 0.5 * diff * diff - (medium.v * eta) ** 2
     assert sig.tobytes() == sigma.tobytes()  # as from separate root arrays
-    case = _roots(tau, eta, np.reshape([v, -v], (2, 1)), c)[1]
+    case = _case_reference(tau, eta, np.reshape([v, -v], (2, 1)), c)
     scale = np.hypot(np.abs(tau), eta) / c
     with mp.workdps(40):
         for i in range(len(tau)):
@@ -649,7 +649,8 @@ def test_root_kernel_exact_inputs_near_the_loci(v, c):
     gamma = np.abs(eta) * 2.0 ** -rng.integers(20, 60, n)
     gamma[:n // 2] = 0.0
     tau = gamma + 1j * delta
-    mu, case = _roots(tau, eta, np.reshape([v, -v], (2, 1)), c)
+    mu = mu_grid(tau, eta, np.reshape([v, -v], (2, 1)), c)
+    case = _case_reference(tau, eta, np.reshape([v, -v], (2, 1)), c)
     with mp.workdps(40):
         for side, v1 in enumerate((v, -v)):
             for i in range(n):
@@ -701,20 +702,39 @@ def _roots_reference(tau, eta, v1, c):
     return mu
 
 
+def _case_reference(tau, eta, v1, c):
+    """The branch-case code the root kernel once returned with each root:
+    0 for Re(tau) > 0, and on Re(tau) = 0 2 within ENDPOINT_ATOL*|eta| of a
+    locus, else 1 for the real branch (a > 0) and 4 or 3 for the imaginary
+    one with y > 0 or y < 0."""
+    x = tau.real / c
+    y = (tau.imag + v1 * eta) / c
+    a = x * x + (eta - y) * (eta + y)
+    near = np.abs(np.abs(y) - np.abs(eta)) <= ENDPOINT_ATOL * np.abs(eta)
+    return np.where(x != 0.0, 0, np.where(
+        near, 2, np.where(a > 0.0, 1, np.where(y > 0.0, 4, 3))))
+
+
 @pytest.mark.parametrize("gamma", [0.0, 1e-8, 1.0, 37.0])
 def test_root_kernel_equals_the_signed_sqrt_composition(gamma):
     # One sqrt of a + i|2xy| signed by y is bitwise the former signed_sqrt
     # plus np.abs composition, on 64x64 grids with eta = 0 columns; the
     # deltas hit the loci delta = -(v1 +- c)*eta exactly, so gamma = 0
-    # takes every boundary branch.
+    # takes every boundary branch.  There the kind read off each root (zero,
+    # Im = 0 real, else imaginary signed by Im) is the former case code.
     d, e = np.meshgrid(np.arange(-32, 32) * 0.25, np.arange(-32, 32) * 0.25,
                        indexing="ij")
     e[:, ::16] = 0.0
     tau = gamma + 1j * d
     for v1, c in ((2.0, 1.0), (-2.0, 1.0), (0.5, 1.0), (0.0, 1.5)):
-        mu, case = _roots(tau, e, v1, c)
+        mu = mu_grid(tau, e, v1, c)
         want = _roots_reference(tau, e, v1, c)
         assert np.array_equal(mu.view(float), want.view(float))
         assert np.array_equal(np.signbit(mu.view(float)), np.signbit(want.view(float)))
-        if gamma == 0.0 and v1 == 2.0:
-            assert set(np.unique(case)) == {1, 2, 3, 4}
+        if gamma == 0.0:
+            kind = np.where(mu == 0, 2, np.where(
+                mu.imag == 0.0, 1, np.where(mu.imag > 0.0, 4, 3)))
+            case = _case_reference(tau, e, v1, c)
+            assert np.array_equal(kind, case)
+            if v1 == 2.0:
+                assert set(np.unique(case)) == {1, 2, 3, 4}
