@@ -116,14 +116,15 @@ def cmd_solve(args) -> int:
     field = read_field(args.infile, gamma=args.gamma, s=args.s)
     sol = solve_front(field, medium)
     grid = field.grid
-    os.makedirs(args.out, exist_ok=True)
-    front_path = os.path.join(args.out, "front.csv")
-    _emit("t,x1,f\n" + _rows(grid.t_nodes[:, None], grid.x1_nodes,
-                             sol.f_phys), front_path)
+    # Every norm before any file, so that a refused norm leaves none behind.
     nfp = halfspace_norm(field.f_plus, grid, args.s, args.gamma)
     nfm = halfspace_norm(field.f_minus, grid, args.s, args.gamma)
     denom = nfp ** 2 + nfm ** 2
     r = args.gamma ** 3 * sol.norms[args.s + 1.0] ** 2 / denom if denom > 0 else None
+    os.makedirs(args.out, exist_ok=True)
+    front_path = os.path.join(args.out, "front.csv")
+    _emit("t,x1,f\n" + _rows(grid.t_nodes[:, None], grid.x1_nodes,
+                             sol.f_phys), front_path)
     norms = {format(k, ".17g"): v for k, v in sorted(sol.norms.items())}
     payload = {"gamma": args.gamma, "s": args.s, "norms": norms, "r": r}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n",

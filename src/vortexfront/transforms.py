@@ -2,10 +2,14 @@
 
 The solver and the half-space norms read the real half spectrum of
 :class:`_HalfSpectrum` through :func:`_depth_pass`; :func:`weighted_forward`
-is the full reference path.
+is the full reference path.  :func:`weighted_forward` and
+:func:`weighted_inverse` transform in place in the array they return,
+the only one each allocates.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,7 +32,8 @@ def weighted_forward(samples: np.ndarray, grid: GridSpec,
 
     Accepts a (n_t, n_x1) plane or a (n_t, n_x1, n_levels) stack; the
     transform acts on the first two axes.  Normalized by dt*dx1 so the bins
-    approximate the continuous transform of the weighted field.
+    approximate the continuous transform of the weighted field.  The
+    returned complex array is the only one allocated.
     """
     g = grid.gamma if gamma is None else gamma
     samples = np.asarray(samples)
@@ -36,20 +41,30 @@ def weighted_forward(samples: np.ndarray, grid: GridSpec,
         raise ValueError(f"samples shape {samples.shape} does not start with "
                          f"({grid.n_t}, {grid.n_x1})")
     w = _weight(grid, g).reshape((grid.n_t,) + (1,) * (samples.ndim - 1))
-    return np.fft.fft2(samples * w, axes=(0, 1)) * (grid.dt * grid.dx1)
+    out = np.multiply(samples, w, dtype=complex)
+    np.fft.fft(out, axis=1, out=out)  # the axis order of np.fft.fft2
+    np.fft.fft(out, axis=0, out=out)
+    out *= grid.dt * grid.dx1
+    return out
 
 
 def weighted_inverse(spectrum: np.ndarray, grid: GridSpec,
                      gamma: float | None = None) -> np.ndarray:
-    """Inverse of :func:`weighted_forward`; returns the real part."""
+    """Inverse of :func:`weighted_forward`; returns the real part.
+
+    One complex array is transformed in place; the real array returned,
+    which owns its data, is the only other one allocated.
+    """
     g = grid.gamma if gamma is None else gamma
     spectrum = np.asarray(spectrum, dtype=complex)
     if spectrum.shape[:2] != (grid.n_t, grid.n_x1):
         raise ValueError(f"spectrum shape {spectrum.shape} does not start with "
                          f"({grid.n_t}, {grid.n_x1})")
-    u = np.fft.ifft2(spectrum / (grid.dt * grid.dx1), axes=(0, 1))
+    u = np.divide(spectrum, grid.dt * grid.dx1)
+    np.fft.ifft(u, axis=1, out=u)  # the axis order of np.fft.ifft2
+    np.fft.ifft(u, axis=0, out=u)
     w = np.exp(g * grid.t_nodes).reshape((grid.n_t,) + (1,) * (spectrum.ndim - 1))
-    return (u * w).real
+    return np.multiply(u.real, w)
 
 
 def sobolev_norm(f_hat: np.ndarray, s: float, gamma: float,
@@ -58,12 +73,23 @@ def sobolev_norm(f_hat: np.ndarray, s: float, gamma: float,
 
     Discrete form of (1/(2*pi)^2) * double-integral of
     (gamma^2 + delta^2 + eta^2)^s |f_hat|^2; with s = 0 this is the
-    discrete Plancherel L^2 norm.
+    discrete Plancherel L^2 norm.  ValueError naming s and gamma where the
+    squared norm overflows.
     """
-    density = np.abs(np.asarray(f_hat)) ** 2
-    if s != 0:
-        density = _sobolev_weight(grid, gamma, s) * density
-    return float(np.sqrt(density.sum() / (grid.L_t * grid.L_x1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = np.abs(np.asarray(f_hat)) ** 2
+        if s != 0:
+            density = _sobolev_weight(grid, gamma, s) * density
+        total = density.sum() / (grid.L_t * grid.L_x1)
+    return float(np.sqrt(_finite_square(total, "Sobolev", s, gamma)))
+
+
+def _finite_square(total, what: str, s: float, gamma: float):
+    """total, a squared norm; ValueError naming s and gamma if not finite."""
+    if not math.isfinite(total):
+        raise ValueError(f"the {what} norm at s = {s:g}, gamma = {gamma:g} "
+                         "overflows the double range")
+    return total
 
 
 def spectral_slices(field: FieldGrid, gamma: float | None = None
@@ -139,8 +165,10 @@ def _depth_pass(spectrum: _HalfSpectrum, gamma: float, mu=None,
             part = np.multiply(x1_hat, w, out=x1_hat if in_place else buf[:hi - lo])
             np.fft.fft(part, axis=1, out=part)
             if s is not None:
-                sq = np.abs(part)
-                per_level[lo:hi] = np.square(sq, out=sq).reshape(hi - lo, -1) @ weight
+                with np.errstate(over="ignore"):  # _x2_norm refuses an overflow
+                    sq = np.abs(part)
+                    per_level[lo:hi] = (np.square(sq, out=sq).reshape(hi - lo, -1)
+                                        @ weight)
             if rule:
                 for i, level in enumerate(keep):
                     if lo <= level < hi:
@@ -153,13 +181,18 @@ def _depth_pass(spectrum: _HalfSpectrum, gamma: float, mu=None,
     _split(blocks, -(-n // block), n * n_t * nh)
     return ((rule.total(extrapolate_origin(ends[:5], axis=0), reversed(parts),
                         ends[5:]), np.abs(ends[-1])) if rule else None,
-            None if s is None else _x2_norm(per_level / (g.L_t * g.L_x1), g))
+            None if s is None else _x2_norm(per_level / (g.L_t * g.L_x1), g,
+                                            s, gamma))
 
 
-def _x2_norm(per_level: np.ndarray, grid: GridSpec) -> float:
-    """sqrt of the x2 integral over [0, L_x2], origin level extrapolated."""
-    full = np.concatenate(([extrapolate_origin(per_level)], per_level))
-    return float(np.sqrt(simpson_closed(full, grid.dx2)))
+def _x2_norm(per_level: np.ndarray, grid: GridSpec, s: float,
+             gamma: float) -> float:
+    """sqrt of the x2 integral over [0, L_x2], origin level extrapolated;
+    ValueError naming s and gamma where the integral overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = np.concatenate(([extrapolate_origin(per_level)], per_level))
+        total = simpson_closed(full, grid.dx2)
+    return float(np.sqrt(_finite_square(total, "half-space", s, gamma)))
 
 
 def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
@@ -171,6 +204,7 @@ def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
     spectrum, weight 2 on columns that stand for a conjugate pair; the
     Nyquist bins are kept.  At s = 0 that sum is, by discrete Plancherel,
     dt*dx1*sum over (t, x1) of exp(-2*gamma*t)*F^2, taken with no transform.
+    ValueError naming s and gamma where the squared norm overflows.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 3 or samples.shape[:2] != (grid.n_t, grid.n_x1):
@@ -178,6 +212,7 @@ def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
     if s != 0:
         return _depth_pass(_HalfSpectrum(samples, grid), gamma, s=s,
                            in_place=True)[1]
-    per_level = (np.exp(-2.0 * gamma * grid.t_nodes)
-                 @ np.einsum("ijk,ijk->ik", samples, samples))
-    return _x2_norm((grid.dt * grid.dx1) * per_level, grid)
+    with np.errstate(over="ignore"):  # _x2_norm refuses an overflow
+        per_level = (np.exp(-2.0 * gamma * grid.t_nodes)
+                     @ np.einsum("ijk,ijk->ik", samples, samples))
+    return _x2_norm((grid.dt * grid.dx1) * per_level, grid, s, gamma)

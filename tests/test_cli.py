@@ -31,6 +31,13 @@ def run(capsys, args):
     return code, out.out, out.err
 
 
+def strict_json(text):
+    """json.loads that raises on Infinity and NaN, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_classify_weakly_stable(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, ["classify", "--v", "2", "--c", "1",
@@ -39,7 +46,7 @@ def test_classify_weakly_stable(capsys, tmp_path):
     assert "stability_class: weakly_stable" in out
     assert "mach_class: supersonic" in out
     assert "Y2: 0.936426384924" in out          # 12 significant digits
-    payload = json.loads(out_path.read_text())
+    payload = strict_json(out_path.read_text())
     assert payload["Y1"] is None
     assert payload["Y2"] == pytest.approx(0.936426, abs=5e-7)
 
@@ -134,13 +141,13 @@ def test_roots_refuses_overflow(capsys, tmp_path, v):
 def test_roots_output(capsys):
     code, out, _ = run(capsys, ["roots", "--v", "2", "--c", "1", "--eta", "1"])
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["regime"] == "weakly_stable"
     assert payload["roots_im"] == pytest.approx([0.936426384924271,
                                                  -0.936426384924271], abs=1e-12)
     assert max(payload["abs_sigma_at_roots"]) <= 1e-10
     code, out, _ = run(capsys, ["roots", "--v", "1", "--c", "1", "--eta", "-3"])
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["roots_re"] == pytest.approx([3 * 0.485868271756646], rel=1e-12)
     code, _, _ = run(capsys, ["roots", "--v", str(math.sqrt(2)), "--c", "1",
                               "--eta", "1"])
@@ -156,7 +163,7 @@ def test_solve_outputs(capsys, tmp_path, field_file):
     front = (outdir / "front.csv").read_text().splitlines()
     assert front[0] == "t,x1,f"
     assert len(front) == 1 + 16 * 8
-    norms = json.loads((outdir / "norms.json").read_text())
+    norms = strict_json((outdir / "norms.json").read_text())
     assert set(norms) == {"gamma", "s", "norms", "r"}
     assert set(norms["norms"]) == {"0", "1"}
     assert all(math.isfinite(v) and v > 0 for v in norms["norms"].values())
@@ -179,7 +186,7 @@ def test_solve_zero_field(capsys, tmp_path):
     assert code == 0
     rows = (outdir / "front.csv").read_text().splitlines()[1:]
     assert all(float(r.split(",")[2]) == 0.0 for r in rows)
-    assert json.loads((outdir / "norms.json").read_text())["r"] is None
+    assert strict_json((outdir / "norms.json").read_text())["r"] is None
     code, _, err = run(capsys, ["verify", "--v", "2", "--c", "1", "--in",
                                 str(path)])
     assert code == 2 and "zero field" in err
@@ -204,6 +211,38 @@ def test_solve_and_verify_refuse_a_forcing_whose_squares_leave_the_range(
             assert (code, out) == (2, ""), args
             assert "error: the forcing's magnitude max|F| = " in err
     assert not outdir.exists() and not sweep.exists()
+
+
+def test_solve_and_verify_refuse_a_norm_that_overflows(capsys, tmp_path):
+    # max|F| = 1.4e60 is inside the magnitude range, but at s = 60 the
+    # weighted squares overflow: solve wrote the norms as Infinity (not
+    # JSON) and verify r and r' as NaN, with exit 0 and RuntimeWarnings.
+    # Exit 2 naming s and gamma, nothing written; s = 20 still answers.
+    field_path = tmp_path / "field.vfgrid"
+    vf.write_field(field_path, smooth_field(n_t=16, n_x1=16, n_x2=32).scaled(
+        2.0 ** 200))
+    medium = ["--v", "2", "--c", "1", "--in", str(field_path)]
+    outdir, sweep = tmp_path / "sol", tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in (["solve", "--s", "60", "--out", str(outdir)],
+                     ["verify", "--gammas", "1,2", "--s", "60", "--out", str(sweep)]):
+            code, out, err = run(capsys, args + medium)
+            for path in outdir.glob("*.json"):  # "60": Infinity, once
+                strict_json(path.read_text())
+            assert (code, out) == (2, ""), args
+            assert "norm at s = 60, gamma = 1 overflows the double range" in err
+        assert not outdir.exists() and not sweep.exists()
+        code, out, _ = run(capsys, ["solve", "--s", "20", "--out", str(outdir),
+                                    *medium])
+    assert code == 0 and "r(gamma): 6.16130963115e-07\n" in out
+    norms = strict_json((outdir / "norms.json").read_text())["norms"]
+    sol = vf.solve_front(vf.read_field(field_path, s=20.0), vf.Medium(2.0, 1.0))
+    grid = sol.grid
+    for s in (0.0, 20.0, 21.0):  # the norm's formula, bit for bit
+        ref = np.sqrt((grid.lambda_sq(1.0) ** s * np.abs(sol.f_hat) ** 2).sum()
+                      / (grid.L_t * grid.L_x1))
+        assert norms[format(s, "g")] == float(ref)
 
 
 def test_solve_regime_refusal_and_io_error(capsys, tmp_path, field_file):

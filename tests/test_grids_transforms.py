@@ -117,6 +117,80 @@ def test_weighted_round_trip():
         assert np.max(np.abs(back - u)) <= 1e-12 * np.max(np.abs(u))
 
 
+def _forward_reference(samples, grid, gamma):
+    """weighted_forward as one out-of-place fft2 and a scaled copy."""
+    w = np.exp(-gamma * grid.t_nodes).reshape((grid.n_t,) + (1,) * (samples.ndim - 1))
+    return np.fft.fft2(samples * w, axes=(0, 1)) * (grid.dt * grid.dx1)
+
+
+def _inverse_reference(spectrum, grid, gamma):
+    """weighted_inverse as one out-of-place ifft2 and a complex product."""
+    w = np.exp(gamma * grid.t_nodes).reshape((grid.n_t,) + (1,) * (spectrum.ndim - 1))
+    return (np.fft.ifft2(spectrum / (grid.dt * grid.dx1), axes=(0, 1)) * w).real
+
+
+def test_weighted_transforms_equal_the_fft2_expressions_bitwise(tmp_path):
+    # The in-place one-axis FFTs run in fft2's axis order (x1, then t) on
+    # the same products, so every byte matches; neither call writes to its
+    # input.
+    field = smooth_field(n_t=16, n_x1=8, n_x2=33)
+    path = tmp_path / "field.vfgrid"
+    vf.write_field(path, field)
+    read = vf.read_field(path)
+    assert not read.f_plus.flags.c_contiguous  # strided column views
+    grid = field.grid
+    for gamma in (1.0, 3.5):
+        for samples in (field.f_plus, field.f_minus[:, :, 7], read.f_minus,
+                        field.f_plus[:, :, :4] + 1j * field.f_minus[:, :, :4]):
+            before = samples.tobytes()
+            spec = vf.weighted_forward(samples, grid, gamma)
+            assert spec.tobytes() == _forward_reference(samples, grid, gamma).tobytes()
+            assert samples.tobytes() == before
+            kept = spec.tobytes()
+            back = vf.weighted_inverse(spec, grid, gamma)
+            assert back.tobytes() == _inverse_reference(spec, grid, gamma).tobytes()
+            assert spec.tobytes() == kept
+        sides = (read.f_plus, read.f_minus)
+        for got, side in zip(vf.spectral_slices(read, gamma), sides):
+            assert got.tobytes() == _forward_reference(side, grid, gamma).tobytes()
+
+
+def test_weighted_transforms_allocate_only_their_outputs():
+    # fft2 out of place and then a scaled copy took spectral_slices to
+    # 1.75x its two outputs, and weighted_inverse to 3x its input, whose
+    # .real view kept a complex array twice its size alive.
+    import tracemalloc
+    field = smooth_field()
+
+    def traced(fn, *args):
+        tracemalloc.start()
+        try:
+            return fn(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (sp, sm), peak = traced(vf.spectral_slices, field, 1.0)
+    assert peak <= 1.05 * (sp.nbytes + sm.nbytes)
+    back, peak = traced(vf.weighted_inverse, sp, field.grid, 1.0)
+    assert peak <= 1.6 * sp.nbytes
+    assert back.base is None and back.dtype == float and 2 * back.nbytes == sp.nbytes
+
+
+@pytest.mark.parametrize("s", [0.0, 2.0])
+def test_norms_refuse_an_overflowing_square(s):
+    # Squares past the double range gave inf (sobolev_norm) or NaN
+    # (halfspace_norm, through the origin extrapolation) with
+    # RuntimeWarnings; now a ValueError names s and gamma.
+    field = smooth_field(n_t=16, n_x1=8, n_x2=33).scaled(1e200)
+    spec = vf.weighted_forward(field.f_plus[:, :, 0], field.grid, 1.0)
+    with pytest.raises(ValueError, match=f"^the Sobolev norm at s = {s:g}, "
+                       "gamma = 1 overflows the double range$"):
+        vf.sobolev_norm(spec, s, 1.0, field.grid)
+    with pytest.raises(ValueError, match=f"^the half-space norm at s = {s:g}, "
+                       "gamma = 1 overflows the double range$"):
+        vf.halfspace_norm(field.f_plus, field.grid, s, 1.0)
+
+
 def test_sobolev_norm_single_bin_and_plancherel():
     grid = GridSpec(16, 16, 32, 2.0, 1.0, 2.0)
     gamma = 2.0
