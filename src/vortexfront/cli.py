@@ -10,6 +10,7 @@ byte-identical files, with every CSV value written as %.17g.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -25,13 +26,15 @@ from .symbol import classify, mu_symbol_grid, symbol_grid, symbol_roots
 from .transforms import halfspace_norm
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write text to the file out, or to stdout when out is not given."""
+def _emit(text, out: str | None) -> None:
+    """Write text, a string or an iterable of strings written in turn, to the
+    file out, or to stdout when out is not given."""
+    chunks = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _require_finite(what: str, *values) -> None:
@@ -73,9 +76,11 @@ def cmd_grid(args) -> int:
     if np.any(gammas < 0):
         raise ValueError("gamma samples must be nonnegative")
     dd, ee = np.meshgrid(deltas, etas, indexing="ij")
-    parts = ["gamma,delta,eta,re_sigma,im_sigma,abs_sigma,"
-             "re_mu_plus,im_mu_plus,re_mu_minus,im_mu_minus\n"]
-    # Per gamma plane: one table for the whole window raises the peak RSS.
+    header = ("gamma,delta,eta,re_sigma,im_sigma,abs_sigma,"
+              "re_mu_plus,im_mu_plus,re_mu_minus,im_mu_minus\n")
+    # Every plane is checked before any is written; then one plane's text is
+    # held at a time, since the text of the whole window raises the peak RSS.
+    planes = []
     for g in gammas:
         if g == 0.0 and np.any((dd == 0.0) & (ee == 0.0)):
             raise ValueError("window contains the excluded origin (0, 0, 0)")
@@ -85,8 +90,8 @@ def cmd_grid(args) -> int:
             cols = (g, dd, ee, sig.real, sig.imag, np.hypot(sig.real, sig.imag),
                     mu_p.real, mu_p.imag, mu_m.real, mu_m.imag)
         _require_finite(f"the symbol at gamma = {g:.6g}", *cols)
-        parts.append(_rows(*cols))
-    _emit("".join(parts), args.out)
+        planes.append(cols)
+    _emit(itertools.chain([header], (_rows(*cols) for cols in planes)), args.out)
     return 0
 
 

@@ -156,12 +156,16 @@ class FieldGrid:
         for name, arr in (("f_plus", self.f_plus), ("f_minus", self.f_minus)):
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
+            # Two reductions, no temporary the size of the side: NaN reaches
+            # both and +-inf one, so both are finite iff every entry is.
+            lo, hi = float(np.min(arr)), float(np.max(arr))
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"{name} contains non-finite values")
-            peak = float(np.max(np.abs(arr)))
+            peak = max(abs(lo), abs(hi))  # +0.0, not -0.0, for a zero side
             peaks.append(peak)
             if peak > 0.0:
-                tail = float(np.max(np.abs(arr[:, :, -1])))
+                slab = arr[:, :, -1]
+                tail = max(abs(float(np.min(slab))), abs(float(np.max(slab))))
                 if tail > DECAY_FACTOR * peak:
                     raise ValueError(
                         f"{name} has not decayed at x2 = L_x2 "

@@ -51,6 +51,16 @@ def smooth_field(n_t=64, n_x1=64, n_x2=192, L_t=1.0, L_x1=1.0, L_x2=2.0,
     return FieldGrid(fp, fm, grid)
 
 
+def mirror_field(field):
+    """f_plus kept and f_minus[i, j, k] = f_plus[i, -j % n_x1, k].
+
+    The forcing is then invariant under the half turn x1 -> -x1, x2 -> -x2,
+    which swaps the sides and the velocities +-v, so the front is odd in x1.
+    """
+    flip = -np.arange(field.grid.n_x1) % field.grid.n_x1
+    return FieldGrid(field.f_plus, field.f_plus[:, flip, :], field.grid)
+
+
 def fft2_halfspace_norm(samples, grid, s, gamma):
     """halfspace_norm written out with the full complex (t, x1) transform."""
     w = np.exp(-gamma * grid.t_nodes)[:, None, None]

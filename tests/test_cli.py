@@ -91,6 +91,7 @@ def test_grid_single_point_and_determinism(capsys, tmp_path):
     assert code == 0
     run(capsys, args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()     # byte-identical reruns
+    assert run(capsys, args)[1] == a.read_text()  # stdout: the file's text
     lines = a.read_text().splitlines()
     assert lines[0] == ("gamma,delta,eta,re_sigma,im_sigma,abs_sigma,"
                         "re_mu_plus,im_mu_plus,re_mu_minus,im_mu_minus")
@@ -115,10 +116,13 @@ def test_grid_rejects_origin(capsys):
 
 
 @pytest.mark.parametrize("window", ["1e200:1e200:1,0:0:1,1:1:1",
-                                    "0:1:2,1e155:1e155:1,1:1:1"])
+                                    "0:1:2,1e155:1e155:1,1:1:1",
+                                    "0:1e200:2,0:0:1,1:1:1"])
 def test_grid_refuses_overflow(capsys, tmp_path, window):
     # An overflowing window exits 2 before it writes, with no RuntimeWarning
     # (an error in this suite); it used to write nan and inf rows with exit 0.
+    # In the last window only the second plane overflows: the first, finite
+    # plane is not written either.
     out_path = tmp_path / "grid.csv"
     args = ["grid", "--v", "2", "--c", "1", "--window", window]
     code, out, err = run(capsys, args + ["--out", str(out_path)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,10 +46,54 @@ def test_fieldgrid_decay_invariant():
     bad = np.ones((16, 8, 32))
     with pytest.raises(ValueError, match="decayed"):
         FieldGrid(bad, np.zeros_like(bad), grid)
-    with pytest.raises(ValueError, match="finite"):
-        nan = ok.copy()
-        nan[0, 0, 0] = math.nan
-        FieldGrid(nan, np.zeros_like(ok), grid)
+
+
+@pytest.mark.parametrize("side", ["f_plus", "f_minus"])
+@pytest.mark.parametrize("index", [(0, 0, 0), (-1, -1, -1)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_fieldgrid_refuses_non_finite(side, index, value):
+    # NaN reaches both of the check's reductions and +-inf one of them,
+    # wherever it sits and on either side alone.
+    field = smooth_field(n_t=16, n_x1=8, n_x2=24)
+    sides = {"f_plus": field.f_plus.copy(), "f_minus": field.f_minus.copy()}
+    sides[side][index] = value
+    with pytest.raises(ValueError, match=f"^{side} contains non-finite values$"):
+        FieldGrid(sides["f_plus"], sides["f_minus"], field.grid)
+
+
+@pytest.mark.parametrize("make", ["smooth", "signed", "zeros", "negative_zeros"])
+def test_fieldgrid_peak_is_max_abs_bitwise(make):
+    # peak is max(|min|, |max|) per side, bitwise the max of |F|, and +0.0
+    # (not -0.0) for a field that is all zeros of either sign.
+    field = smooth_field()
+    grid, shape = field.grid, field.f_plus.shape
+    if make == "smooth":
+        fp, fm = field.f_plus, field.f_minus
+    elif make == "signed":
+        rng = np.random.default_rng(19)
+        fp, fm = rng.standard_normal((2,) + shape) * 10.0 ** rng.integers(-8, 8, (2,) + shape)
+        fp[..., -1] = fm[..., -1] = 0.0
+    else:
+        fp = fm = np.zeros(shape) if make == "zeros" else np.full(shape, -0.0)
+    peak = FieldGrid(fp, fm, grid).peak
+    expected = max(np.max(np.abs(fp)), np.max(np.abs(fm)))
+    assert np.float64(peak).tobytes() == np.float64(expected).tobytes()
+    if make in ("zeros", "negative_zeros"):
+        assert peak == 0.0 and math.copysign(1.0, peak) == 1.0
+
+
+def test_fieldgrid_check_allocates_nothing_field_sized():
+    # The finiteness and peak check reduces each side in place; an np.abs
+    # copy of one side would be half the field's bytes.
+    field = smooth_field()
+    nbytes = field.f_plus.nbytes + field.f_minus.nbytes
+    tracemalloc.start()
+    try:
+        FieldGrid(field.f_plus, field.f_minus, field.grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.01 * nbytes
 
 
 def test_vfgrid_round_trip(tmp_path):

@@ -11,7 +11,8 @@ from vortexfront import FieldGrid, Frequency, GridSpec, Medium, RegimeError
 from vortexfront.solver import _bin_system, _front_hat
 from vortexfront.symbol import mu_grid
 
-from conftest import bump, exp_oracle_field, fft2_halfspace_norm, smooth_field
+from conftest import (bump, exp_oracle_field, fft2_halfspace_norm, mirror_field,
+                      smooth_field)
 
 
 def check_hermitian_and_complex_path(sol, field, medium):
@@ -218,6 +219,21 @@ def test_solve_front_translation_covariance(weakly_stable):
     phase = math.exp(-grid.gamma * dt) * np.exp(-1j * grid.delta_axis * dt)
     pred = phase[:, None] * sol.f_hat
     assert np.max(np.abs(sol_s.f_hat - pred)) <= 1e-11 * np.max(np.abs(pred))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 3.0])
+@pytest.mark.parametrize("v", [1.6, 2.0, 4.0])
+def test_mirrored_forcing_gives_an_odd_front(fixture_field, v, gamma):
+    # End to end through the inverse transform: f(t, -x1) = -f(t, x1) for
+    # the mirrored forcing, while the generic field's front is far from odd.
+    flip = -np.arange(fixture_field.grid.n_x1) % fixture_field.grid.n_x1
+
+    def odd_defect(field):
+        f = vf.solve_front(field, Medium(v, 1.0), gamma=gamma).f_phys
+        return np.max(np.abs(f + f[:, flip])) / np.max(np.abs(f))
+
+    assert odd_defect(mirror_field(fixture_field)) <= 1e-14
+    assert odd_defect(fixture_field) > 1.0
 
 
 def test_solve_front_refusals(fixture_field):
