@@ -58,8 +58,8 @@ def _parse_window(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return axes[0], axes[1], axes[2]
 
 
-def cmd_classify(args) -> int:
-    report = classify(Medium(args.v, args.c))
+def cmd_classify(args, medium: Medium) -> int:
+    report = classify(medium)
     payload = {"mach_class": report.mach_class.value,
                "stability_class": report.stability_class.value,
                "mach_ratio": report.mach_ratio,
@@ -70,8 +70,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_grid(args) -> int:
-    medium = Medium(args.v, args.c)
+def cmd_grid(args, medium: Medium) -> int:
     gammas, deltas, etas = _parse_window(args.window)
     if np.any(gammas < 0):
         raise ValueError("gamma samples must be nonnegative")
@@ -95,10 +94,7 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def cmd_roots(args) -> int:
-    medium = Medium(args.v, args.c)
-    if args.eta == 0.0:
-        raise ValueError("--eta must be nonzero")
+def cmd_roots(args, medium: Medium) -> int:
     roots = symbol_roots(medium, args.eta)
     with np.errstate(over="ignore", invalid="ignore"):
         sig = np.abs(symbol_grid(np.asarray(roots),
@@ -116,10 +112,9 @@ def cmd_roots(args) -> int:
     return 0
 
 
-def cmd_solve(args) -> int:
-    medium = Medium(args.v, args.c)
-    field = read_field(args.infile, gamma=args.gamma, s=args.s)
-    sol = solve_front(field, medium)
+def cmd_solve(args, medium: Medium) -> int:
+    field = read_field(args.infile, gamma=args.gamma)
+    sol = solve_front(field, medium, s=args.s)
     grid = field.grid
     # Every norm before any file, so that a refused norm leaves none behind.
     nfp = halfspace_norm(field.f_plus, grid, args.s, args.gamma)
@@ -142,10 +137,9 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    medium = Medium(args.v, args.c)
+def cmd_verify(args, medium: Medium) -> int:
     gammas = [float(x) for x in args.gammas.split(",")]
-    field = read_field(args.infile, gamma=min(gammas), s=args.s)
+    field = read_field(args.infile, gamma=min(gammas))
     report = verify_estimate(field, medium, gammas, args.s)
     rows = [(r.gamma, r.r, r.r_prime, r.g1_ratio, r.pointwise_min,
              float(r.pointwise_ok)) for r in report.rows]
@@ -160,8 +154,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_probe(args) -> int:
-    medium = Medium(args.v, args.c)
+def cmd_probe(args, medium: Medium) -> int:
     gammas = [float(x) for x in args.gammas.split(",")]
     result = blowup_probe(medium, args.eta, gammas)
     _emit("gamma,abs_inv_sigma\n"
@@ -171,10 +164,9 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def cmd_reconstruct(args) -> int:
-    medium = Medium(args.v, args.c)
-    field = read_field(args.infile, gamma=args.gamma, s=args.s)
-    _require_weakly_stable(classify(medium), "reconstruct")
+def cmd_reconstruct(args, medium: Medium) -> int:
+    field = read_field(args.infile, gamma=args.gamma)
+    _require_weakly_stable(medium, "reconstruct")
     grid = field.grid
     delta, eta = (float(axis[np.argmin(np.abs(axis - value))])
                   for axis, value in ((grid.delta_axis, args.delta),
@@ -241,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "pressure profiles at one grid frequency")
     p.add_argument("--in", dest="infile", required=True, help="VFGRID input")
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--out", help="CSV output path (default stdout)")
@@ -252,7 +243,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, Medium(args.v, args.c))
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -60,8 +60,7 @@ class GridSpec:
 
     n_t and n_x1 must be powers of two; x2 is sampled at the n_x2 uniform
     nodes k*L_x2/n_x2, k = 1..n_x2 (the value at x2 = 0 is recovered by
-    extrapolation where a quadrature needs it).  gamma >= 1 is the
-    exponential weight used by the solver, s the Sobolev index.
+    extrapolation where a quadrature needs it); gamma >= 1 is the default weight.
     """
 
     n_t: int
@@ -71,7 +70,6 @@ class GridSpec:
     L_x1: float
     L_x2: float
     gamma: float = 1.0
-    s: float = 0.0
 
     def __post_init__(self):
         if not _is_power_of_two(self.n_t) or not _is_power_of_two(self.n_x1):
@@ -79,7 +77,7 @@ class GridSpec:
         if self.n_x2 < 16:
             raise ValueError("n_x2 must be at least 16")
         _refuse_nonfinite(L_t=self.L_t, L_x1=self.L_x1, L_x2=self.L_x2,
-                          gamma=self.gamma, s=self.s)
+                          gamma=self.gamma)
         if not (self.L_t > 0 and self.L_x1 > 0 and self.L_x2 > 0):
             raise ValueError("box lengths must be positive")
         if self.gamma < 1.0:
@@ -203,15 +201,15 @@ def write_field(path, field: FieldGrid) -> None:
             fh.write(_rows(fp[lo:hi], fm[lo:hi], sep=" "))
 
 
-def read_field(path, gamma: float = 1.0, s: float = 0.0) -> FieldGrid:
-    """Read a VFGRID file; gamma and s seed the returned GridSpec."""
+def read_field(path, gamma: float = 1.0) -> FieldGrid:
+    """Read a VFGRID file; gamma seeds the returned GridSpec."""
     with open(path, "r") as fh:
         header = fh.readline().split()
         if len(header) != 8 or header[0] != "VFGRID" or header[1] != "1":
             raise ValueError("not a VFGRID version-1 file")
         n_t, n_x1, n_x2 = (int(x) for x in header[2:5])
         L_t, L_x1, L_x2 = (float(x) for x in header[5:8])
-        grid = GridSpec(n_t, n_x1, n_x2, L_t, L_x1, L_x2, gamma=gamma, s=s)
+        grid = GridSpec(n_t, n_x1, n_x2, L_t, L_x1, L_x2, gamma=gamma)
         data = np.loadtxt(fh, dtype=float, ndmin=2)
     count = n_t * n_x1 * n_x2
     if data.shape != (count, 2):

@@ -101,11 +101,8 @@ def _moments(z: np.ndarray, span: float) -> tuple[np.ndarray, np.ndarray, np.nda
         mu = zl / span
         e = np.exp(-zl)
         m_flat[0, pick] = (1.0 - e) / mu
-        m_flat[1, pick] = (1.0 - e * (1.0 + zl)) / (mu * mu)
-        # Past |mu|^3 = 1.8e308 the moment is 0 where it underflows, else
-        # NaN, which reconstruct_profile and solver._system refuse.
-        with np.errstate(over="ignore", invalid="ignore"):
-            m_flat[2, pick] = (2.0 - e * (2.0 + 2.0 * zl + zl * zl)) / (mu ** 3)
+        m_flat[1, pick] = m1 = (1.0 - e * (1.0 + zl)) / (mu * mu)
+        m_flat[2, pick] = (2.0 * m1 - span * span * e) / mu  # by parts
     return m[0], m[1], m[2]
 
 

@@ -28,7 +28,8 @@ from .grids import (FieldGrid, GridSpec, _refuse_magnitude, _refuse_nonfinite,
                     _sobolev_weight)
 from .quadrature import halfline_integral
 from .symbol import classify, mu_symbol_grid, symbol_grid
-from .transforms import _bin_slices, _depth_pass, _HalfSpectrum, sobolev_norm
+from .transforms import (_bin_slices, _depth_pass, _half_spectrum, sobolev_norm,
+                         weighted_inverse)
 
 __all__ = [
     "MValue", "SpectralSystem", "FrontSolution", "EstimateConstants",
@@ -117,7 +118,7 @@ def build_system(fieldgrid: FieldGrid, medium: Medium,
     # One side's spectrum is held at a time, and its pass runs in place.
     sides = (fieldgrid.f_plus, fieldgrid.f_minus)
     return _assemble(grid, medium, g, lambda i, mu: _depth_pass(
-        _HalfSpectrum(sides[i], grid), g, mu, in_place=True))[0]
+        _half_spectrum(sides[i], grid), grid, g, mu, in_place=True))[0]
 
 
 def _bin_index(axis: np.ndarray, value: float, name: str) -> int:
@@ -176,12 +177,10 @@ class FrontSolution:
     norms: dict[float, float]
     system: SpectralSystem = field(repr=False)
 
-    def norm(self, s: float) -> float:
-        return sobolev_norm(self.f_hat, s, self.gamma, self.grid)
 
-
-def _require_weakly_stable(report, what: str) -> None:
+def _require_weakly_stable(medium: Medium, what: str) -> None:
     """Refuse (RegimeError) a medium outside the weakly stable regime."""
+    report = classify(medium)
     regime = report.stability_class.value
     if report.stability_class is not StabilityClass.WEAKLY_STABLE:
         raise RegimeError(regime, f"{what} requires the weakly stable regime "
@@ -197,37 +196,32 @@ def _front_hat(sys: SpectralSystem) -> np.ndarray:
 
 
 def solve_front(fieldgrid: FieldGrid, medium: Medium,
-                gamma: float | None = None, s: float | None = None
-                ) -> FrontSolution:
+                gamma: float | None = None, s: float = 0.0) -> FrontSolution:
     """Solve the front equation for a forcing field by symbol division.
 
     Only the weakly stable regime is accepted; elliptic and transition media
     are refused with a diagnostic naming the regime.  f_hat holds the exact
     per-bin quotient (so each bin satisfies its equation to rounding); the
-    physical samples, the real inverse transform times exp(gamma*t), raise
-    ArithmeticError when not finite (gamma*L_t beyond about 709).  Norms
-    are returned at indices {0, s, s+1}; a forcing whose max|F| leaves
-    grids._PEAK_RANGE, where they would overflow or underflow, is refused.
+    physical samples, its :func:`weighted_inverse`, raise ArithmeticError
+    when not finite (gamma*L_t beyond about 709).  Norms are returned at
+    indices {0, s, s+1}; a forcing whose max|F| leaves grids._PEAK_RANGE,
+    where they would overflow or underflow, is refused.
     """
-    report = classify(medium)
-    _require_weakly_stable(report, "solve_front")
+    _require_weakly_stable(medium, "solve_front")
     _refuse_magnitude(fieldgrid)
     grid = fieldgrid.grid
     g = grid.gamma if gamma is None else gamma
-    s_index = grid.s if s is None else s
-    _refuse_nonfinite(s=s_index)  # build_system refuses a non-finite gamma
+    _refuse_nonfinite(s=s)  # build_system refuses a non-finite gamma
     sys = build_system(fieldgrid, medium, g)
     f_hat = _front_hat(sys)
-    u = np.fft.irfft2(f_hat[:, :grid.n_x1 // 2 + 1] / (grid.dt * grid.dx1),
-                      s=(grid.n_t, grid.n_x1), axes=(0, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        f_phys = u * np.exp(g * grid.t_nodes)[:, None]
+        f_phys = weighted_inverse(f_hat, grid, g)
     if not np.all(np.isfinite(f_phys)):
         raise ArithmeticError("the front exp(gamma*t)*u is not finite at "
                               f"gamma*L_t = {g * grid.L_t:.6g}")
     norms = {idx: sobolev_norm(f_hat, idx, g, grid)
-             for idx in {0.0, float(s_index), float(s_index) + 1.0}}
-    return FrontSolution(grid, g, float(s_index), f_hat, f_phys, norms, sys)
+             for idx in {0.0, float(s), float(s) + 1.0}}
+    return FrontSolution(grid, g, float(s), f_hat, f_phys, norms, sys)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +305,9 @@ class EstimateRow:
     r        = gamma^3 ||f||^2_{s+1} / (||F+||^2 + ||F-||^2)
     r_prime  = gamma^2 ||f||^2_{s+1} / ||g||^2_s
     g1_ratio = gamma   ||g1||^2_s    / ||F+||^2
-    pointwise_min is the bin minimum of (|Sigma|/(gamma*Lambda))^2, to be
-    compared against the hemisphere constant c_pointwise.
+    pointwise_min is the bin minimum of (|Sigma|/(gamma*Lambda))^2; pointwise_ok,
+    that it reaches c_pointwise, holds by construction: that constant is
+    taken over the hemisphere sample and every bin of the sweep.
     """
 
     gamma: float
@@ -359,8 +354,7 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
     _refuse_nonfinite(s=s)
     if any(g < 1.0 for g in gammas):
         raise ValueError("estimate sweep requires gamma >= 1")
-    report = classify(medium)
-    _require_weakly_stable(report, "the a priori estimate")
+    _require_weakly_stable(medium, "the a priori estimate")
     grid = fieldgrid.grid
     for g in gammas:  # refused here, before estimate_constants or r overflows
         _sobolev_weight(grid, g, s)
@@ -374,7 +368,7 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
 
     bins = np.meshgrid(np.asarray(gammas, dtype=float), grid.delta_axis,
                        grid.eta_axis, indexing="ij")
-    spectra = [_HalfSpectrum(f, grid)
+    spectra = [_half_spectrum(f, grid)
                for f in (fieldgrid.f_plus, fieldgrid.f_minus)]
     done = [None] * (len(gammas) + 1)
 
@@ -385,7 +379,7 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
             return
         g = gammas[i - 1]
         sys, (nfp, nfm) = _assemble(grid, medium, g, lambda side, mu: _depth_pass(
-            spectra[side], g, mu, s))
+            spectra[side], grid, g, mu, s))
         nf2 = sobolev_norm(_front_hat(sys), float(s) + 1.0, g, grid) ** 2
         ng = sobolev_norm(sys.g_hat, s, g, grid)
         denom = nfp ** 2 + nfm ** 2
@@ -394,18 +388,18 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
                              "on the forcing: both half-space norms are zero")
         r = g ** 3 * nf2 / denom
         r_prime = g ** 2 * nf2 / ng ** 2 if ng > 0 else 0.0
-        g1_hat = -(sys.mu_minus / (sys.mu_plus + sys.mu_minus)) * sys.i_plus
+        ratio = sys.mu_minus / (sys.mu_plus + sys.mu_minus)
+        g1_hat = -ratio * sys.i_plus
         ng1 = sobolev_norm(g1_hat, s, g, grid)
         g1_ratio = g * ng1 ** 2 / nfp ** 2 if nfp > 0 else 0.0
         pw = (np.abs(sys.sigma) / (g * np.sqrt(grid.lambda_sq(g)))) ** 2
         done[i] = (dict(gamma=float(g), r=float(r), r_prime=float(r_prime),
                         g1_ratio=float(g1_ratio), pointwise_min=float(pw.min()),
                         norm_f=float(math.sqrt(nf2)), norm_g=float(ng)),
-                   nfp, nfm, float((np.abs(
-                       sys.mu_minus / (sys.mu_plus + sys.mu_minus)) ** 2).max()))
+                   nfp, nfm, float((np.abs(ratio) ** 2).max()))
 
     _split(lambda lo, hi: [item(i) for i in range(lo, hi)], len(done),
-           len(gammas) * 2 * spectra[0].x1_hat.size)
+           len(gammas) * 2 * spectra[0].size)
     constants, *per_gamma = done
     rows = [EstimateRow(**row, pointwise_ok=bool(
         row["pointwise_min"] >= constants.c_pointwise)) for row, *_ in per_gamma]
@@ -434,29 +428,34 @@ def blowup_probe(medium: Medium, eta0: float, gammas: list[float]) -> ProbeResul
 
     Evaluates |1/Sigma(gamma + 0i, eta0)| for each gamma and fits the
     power-law exponent of the growth in gamma - c*Y1*|eta0| (expected -1,
-    the zero being simple).  Refused in the weakly stable regime.
+    the zero being simple).  Refused in the weakly stable regime, and
+    where eta0, a gamma, Sigma or |1/Sigma| is not finite (ValueError).
     """
     report = classify(medium)
     if report.stability_class is not StabilityClass.ELLIPTIC_UNSTABLE:
         raise RegimeError(report.stability_class.value,
                           "blowup probe applies to the elliptic (unstable) "
                           "regime v/c < sqrt(2) only")
+    _refuse_nonfinite(eta0=eta0)
     if eta0 == 0.0:
         raise ValueError("eta0 must be nonzero")
     if not gammas:
         raise ValueError("need at least one gamma")
+    for g in gammas:
+        _refuse_nonfinite(gamma=g)
     root_gamma = medium.c * report.y1 * abs(eta0)
     tau = np.asarray([complex(g, 0.0) for g in gammas])
     eta = np.full(len(gammas), float(eta0))
-    sigma = symbol_grid(tau, eta, medium)
-    inv = 1.0 / np.abs(sigma)
+    with np.errstate(all="ignore"):  # refused below where not finite
+        sigma = symbol_grid(tau, eta, medium)
+        inv = 1.0 / np.abs(sigma)
+    for g, a, b in zip(gammas, sigma, inv):
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise ValueError(f"Sigma or |1/Sigma| at gamma = {g:g}, eta0 = "
+                             f"{eta0:g} is not finite (overflow or a root)")
     dist = np.asarray(gammas, dtype=float) - root_gamma
-    fit_mask = dist > 0.0
-    if fit_mask.sum() >= 2:
-        x = np.log(dist[fit_mask])
-        y = np.log(inv[fit_mask])
-        slope = float(np.polyfit(x, y, 1)[0])
-    else:
-        slope = math.nan
+    fit = dist > 0.0
+    slope = (float(np.polyfit(np.log(dist[fit]), np.log(inv[fit]), 1)[0])
+             if fit.sum() >= 2 else math.nan)
     return ProbeResult(float(eta0), float(root_gamma), [float(g) for g in gammas],
                        [float(v) for v in inv], slope)

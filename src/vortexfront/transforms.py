@@ -1,7 +1,7 @@
 """Weighted Fourier transforms and the weighted Sobolev norms.
 
 The solver and the half-space norms read the real half spectrum of
-:class:`_HalfSpectrum` through :func:`_depth_pass`; :func:`weighted_forward`
+:func:`_half_spectrum` through :func:`_depth_pass`; :func:`weighted_forward`
 is the full reference path.  :func:`weighted_forward` and
 :func:`weighted_inverse` transform in place in the array they return,
 the only one each allocates.
@@ -111,28 +111,26 @@ def _bin_slices(field: FieldGrid, gamma: float, it: int, ix: int
             for f in (field.f_plus, field.f_minus)]
 
 
-class _HalfSpectrum:
+def _half_spectrum(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
     """The x1 rfft of one real forcing side, laid out (n_x2, n_t, n_x1//2+1).
 
     It does not depend on gamma; :func:`_depth_pass` adds the weight and
     t-FFT.
     """
+    x1_hat = np.empty((samples.shape[2], grid.n_t, grid.n_x1 // 2 + 1),
+                      dtype=complex)
 
-    def __init__(self, samples: np.ndarray, grid: GridSpec):
-        self.grid = grid
-        self.x1_hat = np.empty((samples.shape[2], grid.n_t, grid.n_x1 // 2 + 1),
-                               dtype=complex)
+    # One (n_x1, n_x2) t-plane at a time: it fits in cache, where a
+    # whole-stack rfft along the strided x1 axis streams from memory.
+    def planes(lo, hi):
+        for i in range(lo, hi):
+            np.fft.rfft(samples[i].T, axis=-1, out=x1_hat[:, i])
 
-        # One (n_x1, n_x2) t-plane at a time: it fits in cache, where a
-        # whole-stack rfft along the strided x1 axis streams from memory.
-        def planes(lo, hi):
-            for i in range(lo, hi):
-                np.fft.rfft(samples[i].T, axis=-1, out=self.x1_hat[:, i])
-
-        _split(planes, grid.n_t, self.x1_hat.size)
+    _split(planes, grid.n_t, x1_hat.size)
+    return x1_hat
 
 
-def _depth_pass(spectrum: _HalfSpectrum, gamma: float, mu=None,
+def _depth_pass(x1_hat: np.ndarray, grid: GridSpec, gamma: float, mu=None,
                 s: float | None = None, in_place: bool = False):
     """((I, |last level|) if mu is given, norm if s is given) of the slices
     (bins 0..n_x1//2 of :func:`weighted_forward`, x2 leading): I is their
@@ -144,25 +142,25 @@ def _depth_pass(spectrum: _HalfSpectrum, gamma: float, mu=None,
     aside.  in_place overwrites x1_hat and leaves each partial in its spent
     block: no stack is allocated.
     """
-    g, (n, n_t, nh) = spectrum.grid, spectrum.x1_hat.shape
-    w = (_weight(g, gamma) * (g.dt * g.dx1))[:, None]
-    rule = None if mu is None else _DepthSum(mu, g.dx2, n, mu.size)
+    n, n_t, nh = x1_hat.shape
+    w = (_weight(grid, gamma) * (grid.dt * grid.dx1))[:, None]
+    rule = None if mu is None else _DepthSum(mu, grid.dx2, n, mu.size)
     block, chain = _level_block(n_t * nh), 2 * (n // 2 - 1)
     keep = [*range(5), *range(chain, n)]
     ends = np.empty((len(keep) if rule else 0, n_t, nh), dtype=complex)
     parts = [None] * -(-chain // block)
     per_level = np.empty(n)
     if s is not None:
-        weight = _sobolev_weight(g, gamma, s)[:, :nh]
-        weight[:, 1:g.n_x1 - nh + 1] *= 2.0  # conjugate pairs
+        weight = _sobolev_weight(grid, gamma, s)[:, :nh]
+        weight[:, 1:grid.n_x1 - nh + 1] *= 2.0  # conjugate pairs
         weight = weight.ravel()
 
     def blocks(start, stop):
         buf = None if in_place else np.empty((block, n_t, nh), dtype=complex)
         for b in range(start, stop):
             lo, hi = b * block, min(b * block + block, n)
-            x1_hat = spectrum.x1_hat[lo:hi]
-            part = np.multiply(x1_hat, w, out=x1_hat if in_place else buf[:hi - lo])
+            levels = x1_hat[lo:hi]
+            part = np.multiply(levels, w, out=levels if in_place else buf[:hi - lo])
             np.fft.fft(part, axis=1, out=part)
             if s is not None:
                 with np.errstate(over="ignore"):  # _x2_norm refuses an overflow
@@ -181,8 +179,8 @@ def _depth_pass(spectrum: _HalfSpectrum, gamma: float, mu=None,
     _split(blocks, -(-n // block), n * n_t * nh)
     return ((rule.total(extrapolate_origin(ends[:5], axis=0), reversed(parts),
                         ends[5:]), np.abs(ends[-1])) if rule else None,
-            None if s is None else _x2_norm(per_level / (g.L_t * g.L_x1), g,
-                                            s, gamma))
+            None if s is None else _x2_norm(per_level / (grid.L_t * grid.L_x1),
+                                            grid, s, gamma))
 
 
 def _x2_norm(per_level: np.ndarray, grid: GridSpec, s: float,
@@ -210,7 +208,7 @@ def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
     if samples.ndim != 3 or samples.shape[:2] != (grid.n_t, grid.n_x1):
         raise ValueError(f"samples shape {samples.shape} does not fit the grid")
     if s != 0:
-        return _depth_pass(_HalfSpectrum(samples, grid), gamma, s=s,
+        return _depth_pass(_half_spectrum(samples, grid), grid, gamma, s=s,
                            in_place=True)[1]
     with np.errstate(over="ignore"):  # _x2_norm refuses an overflow
         per_level = (np.exp(-2.0 * gamma * grid.t_nodes)

@@ -32,7 +32,7 @@ def bisect_real(fn, lo, hi, iters=120):
 
 
 def smooth_field(n_t=64, n_x1=64, n_x2=192, L_t=1.0, L_x1=1.0, L_x2=2.0,
-                 y_width=0.2, gamma=1.0, s=0.0, minus_scale=0.7):
+                 y_width=0.2, gamma=1.0, minus_scale=0.7):
     """Smooth compactly supported two-sided forcing fixture.
 
     Support in t and x1 is [0.1, 0.5] (width of half the box); the x2
@@ -40,7 +40,7 @@ def smooth_field(n_t=64, n_x1=64, n_x2=192, L_t=1.0, L_x1=1.0, L_x2=2.0,
     boundary so the estimate sweep exercises both sides of the exponential
     crossover.
     """
-    grid = GridSpec(n_t, n_x1, n_x2, L_t, L_x1, L_x2, gamma=gamma, s=s)
+    grid = GridSpec(n_t, n_x1, n_x2, L_t, L_x1, L_x2, gamma=gamma)
     t, x1, y = grid.t_nodes, grid.x1_nodes, grid.x2_nodes
     fp = (bump((t - 0.3) / 0.2)[:, None, None]
           * bump((x1 - 0.3) / 0.2)[None, :, None]

@@ -241,7 +241,7 @@ def test_solve_and_verify_refuse_a_norm_that_overflows(capsys, tmp_path):
                                     *medium])
     assert code == 0 and "r(gamma): 6.16130963115e-07\n" in out
     norms = strict_json((outdir / "norms.json").read_text())["norms"]
-    sol = vf.solve_front(vf.read_field(field_path, s=20.0), vf.Medium(2.0, 1.0))
+    sol = vf.solve_front(vf.read_field(field_path), vf.Medium(2.0, 1.0), s=20.0)
     grid = sol.grid
     for s in (0.0, 20.0, 21.0):  # the norm's formula, bit for bit
         ref = np.sqrt((grid.lambda_sq(1.0) ** s * np.abs(sol.f_hat) ** 2).sum()
@@ -296,6 +296,24 @@ def test_probe_output_and_refusal(capsys):
     code, _, _ = run(capsys, ["probe", "--v", "2", "--c", "1",
                               "--eta", "1", "--gammas", "1.0"])
     assert code == 3
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--eta", "nan", "eta0"), ("--gammas", "nan,1", "gamma"),
+    ("--eta", "inf", "eta0"), ("--eta", "1e300", "eta0")])
+def test_probe_refuses_what_it_cannot_answer(capsys, tmp_path, flag, value, name):
+    # A non-finite --eta or gamma would give NaN rows, and an |Sigma| that
+    # overflows rows of 0.  Exit 2 naming the input, no RuntimeWarning,
+    # nothing written.
+    args = {"--eta": "1", "--gammas": "0.6,0.5", flag: value}
+    out = tmp_path / "probe.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, stdout, err = run(capsys, ["probe", "--v", "1", "--c", "1", *(
+            x for item in args.items() for x in item), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and name in err
+    assert not out.exists()
 
 
 def test_reconstruct_profile_csv(capsys, tmp_path, field_file):
@@ -439,20 +457,37 @@ def test_verify_refuses_a_gamma_that_underflows_the_forcing(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_reconstruct_refuses_a_non_finite_profile(capsys, tmp_path):
-    # At gamma = 1e153 the bin's system is finite but the profile moments
-    # are not (mu^3 overflows where the moment does not underflow): exit 2
-    # naming gamma, no RuntimeWarning, nothing written.
+@pytest.mark.parametrize("gamma", ["1e153", "1e154"])
+def test_reconstruct_writes_a_finite_profile_at_a_huge_gamma(capsys, tmp_path,
+                                                             gamma):
+    # At these gammas |mu+| is past 5.6e102, where mu^3 overflows; the
+    # profile moments form no mu^3 (m2 is taken by parts), so the profile,
+    # finite in exact arithmetic, is written: exit 0, no RuntimeWarning.
+    field_path, out = tmp_path / "field.vfgrid", tmp_path / "profile.csv"
+    vf.write_field(field_path, smooth_field(n_t=16, n_x1=16, n_x2=32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, _ = run(capsys, ["reconstruct", "--v", "2", "--c", "1",
+                                  "--in", str(field_path), "--gamma", gamma,
+                                  "--delta", "6.3", "--eta", "6.3",
+                                  "--out", str(out)])
+    assert code == 0
+    assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+
+
+def test_reconstruct_refuses_a_gamma_that_overflows_the_bin(capsys, tmp_path):
+    # From gamma = 1e155 the bin's system overflows before any profile is
+    # formed: exit 2 naming gamma, no RuntimeWarning, nothing written.
     field_path, out = tmp_path / "field.vfgrid", tmp_path / "profile.csv"
     vf.write_field(field_path, smooth_field(n_t=16, n_x1=16, n_x2=32))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, _, err = run(capsys, ["reconstruct", "--v", "2", "--c", "1",
-                                    "--in", str(field_path), "--gamma", "1e153",
+                                    "--in", str(field_path), "--gamma", "1e155",
                                     "--delta", "6.3", "--eta", "6.3",
                                     "--out", str(out)])
     assert code == 2
-    assert "error: the profile at gamma = 1e+153 is not finite" in err
+    assert "error: gamma = 1e+155 overflows the decay roots" in err
     assert not out.exists()
 
 
@@ -483,8 +518,7 @@ def test_verify_refuses_non_finite_gamma_and_s(capsys, tmp_path, field_file,
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--gamma", "nan"), ("--gamma", "inf"),
-                                        ("--s", "nan")])
+@pytest.mark.parametrize("flag,value", [("--gamma", "nan"), ("--gamma", "inf")])
 def test_reconstruct_refuses_non_finite_gamma_and_s(capsys, tmp_path, field_file,
                                                     flag, value):
     out_path = tmp_path / "profile.csv"

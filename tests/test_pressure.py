@@ -102,6 +102,19 @@ def test_reconstruct_zero_everything():
     assert not prof.growing_plus and not prof.growing_minus
 
 
+def test_reconstruct_refuses_a_non_finite_profile():
+    # The command line reaches no profile that is not finite (the bin's
+    # system overflows first); a slice holding inf does: ArithmeticError
+    # naming gamma.
+    n, h = 32, 0.25
+    zero, bad = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    bad[3] = np.inf
+    st = vf.solve_boundary_system(FREQ, MED, 0.0, 0.0, 0.0)
+    with np.errstate(all="ignore"), pytest.raises(
+            ArithmeticError, match=r"^the profile at gamma = 1 is not finite$"):
+        vf.reconstruct_profile(FREQ, MED, st, bad, zero, h)
+
+
 def test_reconstruct_pure_decaying_exponential():
     # zero forcing with decay-consistent data: P(x2) = P(0) exp(-mu x2)
     n, L = 128, 8.0

@@ -361,6 +361,16 @@ def test_solve_front_refuses_overflowing_front(weakly_stable):
     assert math.isfinite(rep.rows[0].r) and rep.rows[0].r > 0.0
 
 
+def test_solve_front_inverts_through_weighted_inverse(weakly_stable):
+    # f_phys is weighted_inverse of f_hat, bit for bit: the solve keeps no
+    # second copy of the inverse transform's normalization and weight.
+    field = smooth_field(n_t=32, n_x1=16, n_x2=48)
+    for gamma in (1.0, 6.0):
+        sol = vf.solve_front(field, weakly_stable, gamma)
+        want = vf.weighted_inverse(sol.f_hat, field.grid, gamma)
+        assert sol.f_phys.tobytes() == want.tobytes(), gamma
+
+
 def test_inverse_path_wrap_around_shrinks_with_gamma_l_t(weakly_stable):
     # f_phys is a numerical inverse Laplace-Fourier transform on a periodic
     # t-box: its wrap-around error is of order exp(-gamma*L_t).  Early

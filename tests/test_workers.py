@@ -16,7 +16,7 @@ import pytest
 import vortexfront as vf
 from vortexfront import GridSpec, domain, solver
 from vortexfront.solver import mu_symbol_grid
-from vortexfront.transforms import _depth_pass, _HalfSpectrum
+from vortexfront.transforms import _depth_pass, _half_spectrum
 
 from conftest import smooth_field
 
@@ -49,11 +49,11 @@ def test_half_spectrum_is_independent_of_the_core_count(monkeypatch, n_t):
         out = []
         for block_entries in (8, 1 << 16):
             monkeypatch.setattr(vf.quadrature, "_LEVEL_BLOCK_ENTRIES", block_entries)
-            spectra = [_HalfSpectrum(f, grid) for f in samples]
-            out += [spec.x1_hat.copy() for spec in spectra]
+            spectra = [_half_spectrum(f, grid) for f in samples]
+            out += [spec.copy() for spec in spectra]
             for in_place in (False, True):
                 for spec, mu in zip(spectra, mus):
-                    ints, norm = _depth_pass(spec, 1.5, mu, 0.7, in_place)
+                    ints, norm = _depth_pass(spec, grid, 1.5, mu, 0.7, in_place)
                     out += [*ints, np.array(norm)]
         return out
 
