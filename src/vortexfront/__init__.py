@@ -8,7 +8,7 @@ verification of the a priori energy estimate.
 
 from .domain import (Frequency, MachClass, Medium, RegimeError, RegimeReport,
                      RootPair, StabilityClass)
-from .grids import FieldGrid, GridSpec, read_field, suggested_depth, write_field
+from .grids import FieldGrid, GridSpec, read_field, write_field
 from .pressure import (BoundaryState, PressureProfile, front_equation_residual,
                        ode_residual, reconstruct_profile, solve_boundary_system)
 from .quadrature import halfline_integral
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Frequency", "MachClass", "Medium", "RegimeError",
     "RegimeReport", "RootPair", "StabilityClass",
-    "FieldGrid", "GridSpec", "read_field", "suggested_depth", "write_field",
+    "FieldGrid", "GridSpec", "read_field", "write_field",
     "BoundaryState", "PressureProfile", "front_equation_residual",
     "ode_residual", "reconstruct_profile", "solve_boundary_system",
     "EstimateConstants", "EstimateReport", "EstimateRow", "FrontSolution",

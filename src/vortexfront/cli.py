@@ -17,12 +17,13 @@ import sys
 
 import numpy as np
 
-from .domain import Frequency, Medium, RegimeError
-from .grids import _rows, read_field
+from .domain import Frequency, Medium, RegimeError, StabilityClass
+from .grids import _refuse_nonfinite, _rows, read_field
 from .pressure import reconstruct_profile, solve_boundary_system
-from .solver import (_bin_system, _front_hat, _require_weakly_stable,
-                     blowup_probe, solve_front, verify_estimate)
-from .symbol import classify, mu_symbol_grid, symbol_grid, symbol_roots
+from .solver import (_bin_system, _front_hat, blowup_probe, solve_front,
+                     verify_estimate)
+from .symbol import (_require_regime, classify, mu_symbol_grid, symbol_grid,
+                     symbol_roots)
 from .transforms import halfspace_norm
 
 
@@ -54,6 +55,8 @@ def _parse_window(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
         if count < 1:
             raise ValueError("range counts must be at least 1")
+        if not np.isfinite(hi - lo):
+            raise ValueError(f"range '{part}' does not span a finite interval")
         axes.append(np.linspace(lo, hi, count))
     return axes[0], axes[1], axes[2]
 
@@ -139,7 +142,7 @@ def cmd_solve(args, medium: Medium) -> int:
 
 def cmd_verify(args, medium: Medium) -> int:
     gammas = [float(x) for x in args.gammas.split(",")]
-    field = read_field(args.infile, gamma=min(gammas))
+    field = read_field(args.infile)
     report = verify_estimate(field, medium, gammas, args.s)
     rows = [(r.gamma, r.r, r.r_prime, r.g1_ratio, r.pointwise_min,
              float(r.pointwise_ok)) for r in report.rows]
@@ -165,10 +168,13 @@ def cmd_probe(args, medium: Medium) -> int:
 
 
 def cmd_reconstruct(args, medium: Medium) -> int:
+    _refuse_nonfinite(delta=args.delta, eta=args.eta)
     field = read_field(args.infile, gamma=args.gamma)
-    _require_weakly_stable(medium, "reconstruct")
+    _require_regime(medium, StabilityClass.WEAKLY_STABLE, "reconstruct")
     grid = field.grid
-    delta, eta = (float(axis[np.argmin(np.abs(axis - value))])
+    # Clipped first: far beyond the axis every distance rounds alike.
+    delta, eta = (float(axis[np.argmin(np.abs(
+                      axis - np.clip(value, axis.min(), axis.max())))])
                   for axis, value in ((grid.delta_axis, args.delta),
                                       (grid.eta_axis, args.eta)))
     freq = Frequency(args.gamma, delta, eta)

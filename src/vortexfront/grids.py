@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GridSpec", "FieldGrid", "suggested_depth", "read_field",
-           "write_field"]
+__all__ = ["GridSpec", "FieldGrid", "read_field", "write_field"]
 
 # A forcing field must have decayed by this factor at the truncation depth.
 DECAY_FACTOR = 1e-6
@@ -26,6 +25,13 @@ def _refuse_nonfinite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _refuse_gamma(gamma: float) -> None:
+    """Raise ValueError, naming gamma, unless it is finite and at least 1:
+    the weight of every solve and sweep."""
+    if not (math.isfinite(gamma) and gamma >= 1.0):
+        raise ValueError(f"gamma must be finite and at least 1, got {gamma}")
 
 
 def _sobolev_weight(grid: "GridSpec", gamma: float, s: float) -> np.ndarray:
@@ -76,12 +82,10 @@ class GridSpec:
             raise ValueError("n_t and n_x1 must be powers of two")
         if self.n_x2 < 16:
             raise ValueError("n_x2 must be at least 16")
-        _refuse_nonfinite(L_t=self.L_t, L_x1=self.L_x1, L_x2=self.L_x2,
-                          gamma=self.gamma)
+        _refuse_nonfinite(L_t=self.L_t, L_x1=self.L_x1, L_x2=self.L_x2)
         if not (self.L_t > 0 and self.L_x1 > 0 and self.L_x2 > 0):
             raise ValueError("box lengths must be positive")
-        if self.gamma < 1.0:
-            raise ValueError("gamma must be at least 1 for solving")
+        _refuse_gamma(self.gamma)
 
     @property
     def dt(self) -> float:
@@ -115,21 +119,10 @@ class GridSpec:
     def eta_axis(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_x1, d=self.dx1)
 
-    def lambda_sq(self, gamma: float | None = None) -> np.ndarray:
+    def lambda_sq(self, gamma: float) -> np.ndarray:
         """gamma^2 + delta^2 + eta^2 over the (delta, eta) bins."""
-        g = self.gamma if gamma is None else gamma
-        return (g * g + self.delta_axis[:, None] ** 2
+        return (gamma * gamma + self.delta_axis[:, None] ** 2
                 + self.eta_axis[None, :] ** 2)
-
-
-def suggested_depth(gamma: float, c: float, tol: float = 1e-10) -> float:
-    """Truncation depth making exp(-gamma*L/(sqrt(2)*c)) <= tol.
-
-    Uses the worst-case decay rate gamma/(sqrt(2)*c) of the pressure modes.
-    """
-    if gamma <= 0 or c <= 0 or not 0 < tol < 1:
-        raise ValueError("gamma, c must be positive and 0 < tol < 1")
-    return math.sqrt(2.0) * c * math.log(1.0 / tol) / gamma
 
 
 @dataclass(frozen=True)

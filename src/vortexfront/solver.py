@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Frequency, Medium, RegimeError, StabilityClass, _split
-from .grids import (FieldGrid, GridSpec, _refuse_magnitude, _refuse_nonfinite,
-                    _sobolev_weight)
+from .domain import Frequency, Medium, StabilityClass, _split
+from .grids import (FieldGrid, GridSpec, _refuse_gamma, _refuse_magnitude,
+                    _refuse_nonfinite, _sobolev_weight)
 from .quadrature import halfline_integral
-from .symbol import classify, mu_symbol_grid, symbol_grid
+from .symbol import _require_regime, classify, mu_symbol_grid, symbol_grid
 from .transforms import (_bin_slices, _depth_pass, _half_spectrum, sobolev_norm,
                          weighted_inverse)
 
@@ -112,9 +112,7 @@ def build_system(fieldgrid: FieldGrid, medium: Medium,
     """
     grid = fieldgrid.grid
     g = grid.gamma if gamma is None else gamma
-    _refuse_nonfinite(gamma=g)
-    if g < 1.0:
-        raise ValueError("the solver requires gamma >= 1")
+    _refuse_gamma(g)
     # One side's spectrum is held at a time, and its pass runs in place.
     sides = (fieldgrid.f_plus, fieldgrid.f_minus)
     return _assemble(grid, medium, g, lambda i, mu: _depth_pass(
@@ -137,8 +135,7 @@ def _bin_system(fieldgrid: FieldGrid, freq: Frequency, medium: Medium
                 ) -> tuple[SpectralSystem, list[np.ndarray]]:
     """The :func:`build_system` scalars and the two x2 slices of one bin,
     by a direct weighted DFT per side: O(n_t*n_x1*n_x2), no FFT."""
-    if freq.gamma < 1.0:
-        raise ValueError("the solver requires gamma >= 1")
+    _refuse_gamma(freq.gamma)
     grid = fieldgrid.grid
     it = _bin_index(grid.delta_axis, freq.delta, "delta")
     ix = _bin_index(grid.eta_axis, freq.eta, "eta")
@@ -178,16 +175,6 @@ class FrontSolution:
     system: SpectralSystem = field(repr=False)
 
 
-def _require_weakly_stable(medium: Medium, what: str) -> None:
-    """Refuse (RegimeError) a medium outside the weakly stable regime."""
-    report = classify(medium)
-    regime = report.stability_class.value
-    if report.stability_class is not StabilityClass.WEAKLY_STABLE:
-        raise RegimeError(regime, f"{what} requires the weakly stable regime "
-                          f"(v/c > sqrt(2)); medium is {regime} "
-                          f"(v/c = {report.mach_ratio:g})")
-
-
 def _front_hat(sys: SpectralSystem) -> np.ndarray:
     if not np.all(np.abs(sys.sigma) > 0.0):
         raise ArithmeticError("symbol vanished on a grid bin; this cannot "
@@ -207,7 +194,7 @@ def solve_front(fieldgrid: FieldGrid, medium: Medium,
     indices {0, s, s+1}; a forcing whose max|F| leaves grids._PEAK_RANGE,
     where they would overflow or underflow, is refused.
     """
-    _require_weakly_stable(medium, "solve_front")
+    _require_regime(medium, StabilityClass.WEAKLY_STABLE, "solve_front")
     _refuse_magnitude(fieldgrid)
     grid = fieldgrid.grid
     g = grid.gamma if gamma is None else gamma
@@ -350,11 +337,9 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
     if not gammas:
         raise ValueError("need at least one gamma")
     for g in gammas:
-        _refuse_nonfinite(gamma=g)
+        _refuse_gamma(g)
     _refuse_nonfinite(s=s)
-    if any(g < 1.0 for g in gammas):
-        raise ValueError("estimate sweep requires gamma >= 1")
-    _require_weakly_stable(medium, "the a priori estimate")
+    _require_regime(medium, StabilityClass.WEAKLY_STABLE, "verify_estimate")
     grid = fieldgrid.grid
     for g in gammas:  # refused here, before estimate_constants or r overflows
         _sobolev_weight(grid, g, s)
@@ -431,11 +416,7 @@ def blowup_probe(medium: Medium, eta0: float, gammas: list[float]) -> ProbeResul
     the zero being simple).  Refused in the weakly stable regime, and
     where eta0, a gamma, Sigma or |1/Sigma| is not finite (ValueError).
     """
-    report = classify(medium)
-    if report.stability_class is not StabilityClass.ELLIPTIC_UNSTABLE:
-        raise RegimeError(report.stability_class.value,
-                          "blowup probe applies to the elliptic (unstable) "
-                          "regime v/c < sqrt(2) only")
+    report = _require_regime(medium, StabilityClass.ELLIPTIC_UNSTABLE, "blowup_probe")
     _refuse_nonfinite(eta0=eta0)
     if eta0 == 0.0:
         raise ValueError("eta0 must be nonzero")

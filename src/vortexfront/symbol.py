@@ -172,18 +172,6 @@ def symbol_factored(freq: Frequency, medium: Medium) -> complex:
     return medium.c ** 2 * (pair.mu_plus * pair.mu_minus - freq.eta * freq.eta)
 
 
-def _dispersion_parameters(m: float) -> tuple[float, float | None, float | None]:
-    """(Y0, Y1, Y2) of the biquadratic dispersion relation, m = v/c."""
-    disc = math.sqrt(4.0 * m * m + 1.0)
-    y0 = math.sqrt(m * m + 1.0 + disc)
-    rest = disc - (m * m + 1.0)  # sign decides the regime
-    if rest > 0.0:
-        return y0, math.sqrt(rest), None
-    if rest < 0.0:
-        return y0, None, math.sqrt(-rest)
-    return y0, None, None
-
-
 def classify(medium: Medium) -> RegimeReport:
     """Mach and stability classification of a medium.
 
@@ -202,20 +190,33 @@ def classify(medium: Medium) -> RegimeReport:
         mach = MachClass.SUBSONIC
     else:
         mach = MachClass.SUPERSONIC
+    # Y0, Y1 and Y2 of the biquadratic dispersion relation.  The clamps take
+    # rounding that straddles the threshold to 0.0 (never -0.0).
+    disc = math.sqrt(4.0 * m * m + 1.0)
+    y0 = math.sqrt(m * m + 1.0 + disc)
+    rest = disc - (m * m + 1.0)
+    y1 = y2 = None
     if abs(m - SQRT2) <= REGIME_RTOL * SQRT2:
         stability = StabilityClass.TRANSITION
-        y0 = _dispersion_parameters(m)[0]
-        y1 = y2 = None
+    elif m < SQRT2:
+        stability, y1 = StabilityClass.ELLIPTIC_UNSTABLE, math.sqrt(max(0.0, rest))
     else:
-        y0, y1, y2 = _dispersion_parameters(m)
-        stability = (StabilityClass.ELLIPTIC_UNSTABLE if m < SQRT2
-                     else StabilityClass.WEAKLY_STABLE)
-        # Guard against rounding straddling the threshold.
-        if stability is StabilityClass.ELLIPTIC_UNSTABLE and y1 is None:
-            y1, y2 = 0.0, None
-        if stability is StabilityClass.WEAKLY_STABLE and y2 is None:
-            y1, y2 = None, 0.0
+        stability, y2 = StabilityClass.WEAKLY_STABLE, math.sqrt(max(0.0, -rest))
     return RegimeReport(mach, stability, m, y0, y1, y2)
+
+
+def _require_regime(medium: Medium, wanted: StabilityClass, what: str
+                    ) -> RegimeReport:
+    """The medium's :func:`classify` report; RegimeError naming its regime
+    and the refusing call what, unless that regime is wanted."""
+    report = classify(medium)
+    regime = report.stability_class.value
+    if report.stability_class is not wanted:
+        side = ">" if wanted is StabilityClass.WEAKLY_STABLE else "<"
+        raise RegimeError(regime, f"{what} requires the {wanted.value} regime "
+                          f"(v/c {side} sqrt(2)); medium is {regime} "
+                          f"(v/c = {report.mach_ratio:g})")
+    return report
 
 
 def symbol_roots(medium: Medium, eta: float) -> list[complex]:
@@ -249,10 +250,7 @@ def root_cofactor(freq: Frequency, medium: Medium, root_sign: int = 1
     """
     if root_sign not in (1, -1):
         raise ValueError("root_sign must be +1 or -1")
-    report = classify(medium)
-    if report.stability_class is not StabilityClass.WEAKLY_STABLE:
-        raise RegimeError(report.stability_class.value,
-                          "the imaginary root rays exist only for v/c > sqrt(2)")
+    report = _require_regime(medium, StabilityClass.WEAKLY_STABLE, "root_cofactor")
     c = medium.c
     y2 = report.y2
     root_tau = root_sign * 1j * c * y2 * freq.eta

@@ -131,6 +131,34 @@ def test_grid_refuses_overflow(capsys, tmp_path, window):
     assert run(capsys, args)[:2] == (2, "")
 
 
+@pytest.mark.parametrize("window,bad", [
+    ("inf:inf:1,0:0:1,1:1:1", "inf:inf:1"), ("0:1:2,nan:0:1,1:1:1", "nan:0:1"),
+    ("-1e308:1e308:3,0:0:1,1:1:1", "-1e308:1e308:3")])
+def test_grid_refuses_a_window_it_cannot_sample(capsys, tmp_path, window, bad):
+    # A range whose hi - lo is not finite has no linspace: exit 2 naming the
+    # range, where the first two once blamed the symbol and the last one
+    # warned (a RuntimeWarning is an error in this suite).
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run(capsys, ["grid", "--v", "2", "--c", "1",
+                                  f"--window={window}", "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: range '{bad}' does not span a finite interval\n"
+    assert not out_path.exists()
+
+
+def test_installed_entry_refuses_an_infinite_window_under_warnings_as_errors():
+    # The warning filter of this suite acts only in-process: a child run
+    # with -W error::RuntimeWarning once exited 1 with a traceback.
+    env = dict(os.environ, PYTHONPATH=str(Path(vf.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "vortexfront.cli",
+         "grid", "--v", "2", "--c", "1", "--window", "inf:inf:1,0:0:1,1:1:1"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: range 'inf:inf:1' does not span a finite "
+                           "interval\n")
+
+
 @pytest.mark.parametrize("v", ["2", "1"])
 def test_roots_refuses_overflow(capsys, tmp_path, v):
     # |Sigma| at the roots overflows at eta = 1e300 in both regimes: exit 2,
@@ -529,6 +557,112 @@ def test_reconstruct_refuses_non_finite_gamma_and_s(capsys, tmp_path, field_file
     assert code == 2
     assert f"{flag[2:]} must be finite" in err
     assert not out_path.exists()
+
+
+def test_every_gamma_floor_refusal_reads_the_same(capsys, tmp_path, field_file):
+    # One check and one message for the floor gamma >= 1 of the solver's
+    # weight, whichever call refuses.
+    message = "gamma must be finite and at least 1, got 0.5"
+    field = vf.read_field(field_file)
+    medium = vf.Medium(2.0, 1.0)
+    calls = (lambda: vf.GridSpec(16, 8, 24, 1.0, 1.0, 1.0, gamma=0.5),
+             lambda: vf.read_field(field_file, gamma=0.5),
+             lambda: vf.build_system(field, medium, 0.5),
+             lambda: vf.solve_front(field, medium, 0.5),
+             lambda: vf.forcing_functional(field, vf.Frequency(0.5, 0.0, 0.0), medium),
+             lambda: vf.verify_estimate(field, medium, [1.0, 0.5], 0.0))
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    out = tmp_path / "out"
+    for argv in (["solve", "--gamma", "0.5"], ["verify", "--gammas", "1,0.5"],
+                 ["reconstruct", "--gamma", "0.5", "--delta", "0", "--eta", "0"]):
+        code, _, err = run(capsys, [argv[0], "--v", "2", "--c", "1", "--in",
+                                    field_file, *argv[1:], "--out", str(out)])
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("v", [1.0, math.sqrt(2.0), 2.0])
+def test_every_regime_refusal_names_the_regime_and_the_call(capsys, tmp_path,
+                                                            field_file, v):
+    # One gate: each refusal names the medium's regime and the refusing call,
+    # in the library (RegimeError) and on the command line (exit 3).
+    medium = vf.Medium(v, 1.0)
+    regime = vf.classify(medium).stability_class.value
+    field = vf.read_field(field_file)
+    stable, unstable = ("weakly_stable", ">"), ("elliptic_unstable", "<")
+    gates = [
+        ("solve_front", stable, lambda: vf.solve_front(field, medium),
+         ["solve", "--in", field_file]),
+        ("verify_estimate", stable,
+         lambda: vf.verify_estimate(field, medium, [1.0], 0.0),
+         ["verify", "--in", field_file]),
+        ("root_cofactor", stable,
+         lambda: vf.root_cofactor(vf.Frequency(0.0, 0.9, 1.0), medium), None),
+        ("reconstruct", stable, None,
+         ["reconstruct", "--in", field_file, "--delta", "0", "--eta", "0"]),
+        ("blowup_probe", unstable, lambda: vf.blowup_probe(medium, 1.0, [2.0]),
+         ["probe", "--eta", "1", "--gammas", "2"])]
+    refused = [gate for gate in gates if gate[1][0] != regime]
+    assert len(refused) == {1.0: 4, math.sqrt(2.0): 5, 2.0: 1}[v]
+    for what, (wanted, side), call, argv in refused:
+        message = (f"{what} requires the {wanted} regime (v/c {side} sqrt(2)); "
+                   f"medium is {regime} (v/c = {v:g})")
+        if call is not None:
+            with pytest.raises(vf.RegimeError) as exc:
+                call()
+            assert (exc.value.regime, str(exc.value)) == (regime, message)
+        if argv is not None:
+            out = tmp_path / "out"
+            code, _, err = run(capsys, [argv[0], "--v", repr(v), "--c", "1",
+                                        *argv[1:], "--out", str(out)])
+            assert (code, err) == (3, f"error: {message}\n")
+            assert not out.exists()
+
+
+def bin_args(flag, value):
+    """reconstruct's --delta and --eta at 6.3, with flag set to value."""
+    bins = {"--delta": "6.3", "--eta": "6.3", flag: value}
+    return [f"{name}={text}" for name, text in bins.items()]
+
+
+@pytest.mark.parametrize("flag", ["--delta", "--eta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_reconstruct_refuses_a_non_finite_bin(capsys, tmp_path, field_file,
+                                              flag, value):
+    # argmin over NaN or infinite distances is 0: bin 0 was written, exit 0.
+    out_path = tmp_path / "profile.csv"
+    code, _, err = run(capsys, ["reconstruct", "--v", "2", "--c", "1",
+                                "--in", field_file, *bin_args(flag, value),
+                                "--out", str(out_path)])
+    assert code == 2
+    assert err == f"error: {flag[2:]} must be finite, got {value}\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--delta", "--eta"])
+def test_reconstruct_takes_a_far_value_to_the_end_of_its_axis(capsys, tmp_path,
+                                                             field_file, flag):
+    # Every distance to 1e300 rounds to 1e300, so argmin gave bin 0; clipped
+    # to the axis first, 1e300 takes the largest bin.  -1e300 takes the
+    # smallest, the unpaired Nyquist bin, which is refused.
+    grid = vf.read_field(field_file).grid
+    top = float({"--delta": grid.delta_axis, "--eta": grid.eta_axis}[flag].max())
+    paths = {}
+    for value in ("1e300", repr(top)):
+        paths[value] = tmp_path / f"{value}.csv"
+        code, out, _ = run(capsys, ["reconstruct", "--v", "2", "--c", "1",
+                                    "--in", field_file, *bin_args(flag, value),
+                                    "--out", str(paths[value])])
+        assert code == 0 and f"{flag[2:]}={top:.12g}" in out
+    assert paths["1e300"].read_bytes() == paths[repr(top)].read_bytes()
+    code, _, err = run(capsys, ["reconstruct", "--v", "2", "--c", "1",
+                                "--in", field_file, *bin_args(flag, "-1e300"),
+                                "--out", str(tmp_path / "low.csv")])
+    assert code == 2 and "unpaired Nyquist bin" in err
+    assert not (tmp_path / "low.csv").exists()
 
 
 @pytest.mark.parametrize("cmd,flag,value,name", [

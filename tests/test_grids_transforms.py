@@ -33,12 +33,6 @@ def test_gridspec_validation():
     assert g.x2_nodes[0] == g.dx2 and g.x2_nodes[-1] == g.L_x2
 
 
-def test_suggested_depth():
-    L = vf.suggested_depth(1.0, 1.0)
-    assert math.exp(-L / math.sqrt(2.0)) <= 1e-10 * (1 + 1e-12)
-    assert vf.suggested_depth(2.0, 1.0) == pytest.approx(L / 2.0)
-
-
 def test_fieldgrid_decay_invariant():
     grid = GridSpec(16, 8, 32, 1.0, 1.0, 2.0)
     ok = np.zeros((16, 8, 32))

@@ -280,6 +280,76 @@ def test_medium_validation():
         med.v1_plus = 3.0
 
 
+def _guarded_classify(medium):
+    """classify with Y0, Y1 and Y2 from a separate function and two guard
+    branches for rounding that straddles the threshold: the reference for
+    the one-body version, which clamps instead."""
+    def dispersion_parameters(m):
+        disc = math.sqrt(4.0 * m * m + 1.0)
+        y0 = math.sqrt(m * m + 1.0 + disc)
+        rest = disc - (m * m + 1.0)
+        if rest > 0.0:
+            return y0, math.sqrt(rest), None
+        if rest < 0.0:
+            return y0, None, math.sqrt(-rest)
+        return y0, None, None
+
+    v, c = medium.v, medium.c
+    m = v / c
+    if not math.isfinite(4.0 * m * m + 1.0):
+        raise ValueError(f"v/c = {m:g} overflows (v/c)^2 in the dispersion relation")
+    if abs(v - c) <= 1e-12 * max(v, c):
+        mach = MachClass.SONIC
+    elif v < c:
+        mach = MachClass.SUBSONIC
+    else:
+        mach = MachClass.SUPERSONIC
+    if abs(m - SQRT2) <= 1e-12 * SQRT2:
+        stability = StabilityClass.TRANSITION
+        y0 = dispersion_parameters(m)[0]
+        y1 = y2 = None
+    else:
+        y0, y1, y2 = dispersion_parameters(m)
+        stability = (StabilityClass.ELLIPTIC_UNSTABLE if m < SQRT2
+                     else StabilityClass.WEAKLY_STABLE)
+        if stability is StabilityClass.ELLIPTIC_UNSTABLE and y1 is None:
+            y1, y2 = 0.0, None
+        if stability is StabilityClass.WEAKLY_STABLE and y2 is None:
+            y1, y2 = None, 0.0
+    return vf.RegimeReport(mach, stability, m, y0, y1, y2)
+
+
+def test_classify_matches_the_guarded_reference():
+    # Field for field, and with no -0.0, over v/c log-uniform across the
+    # double range (refused by both beyond about 6.7e153), within 1e-11 of
+    # sqrt(2) and of 1, and at the least subnormal and 2^-26, below which
+    # the parameter rest rounds to 0 and Y1 is 0.0 by the clamp (a guard).
+    rng = np.random.default_rng(21)
+    ratios = np.concatenate([np.exp(rng.uniform(-700.0, 700.0, 200_000)),
+                             SQRT2 + rng.uniform(-1e-11, 1e-11, 200_000),
+                             1.0 + rng.uniform(-1e-11, 1e-11, 50_000),
+                             [5e-324, 2.0 ** -26]]).tolist()
+
+    def fields(classify, medium):
+        try:
+            return tuple(vars(classify(medium)).values())
+        except ValueError as exc:
+            return str(exc)
+
+    media = [Medium(m, 1.0) for m in ratios]
+    got = [fields(vf.classify, med) for med in media]
+    want = [fields(_guarded_classify, med) for med in media]
+    assert [m for m, a, b in zip(ratios, got, want) if a != b] == []
+    reports = [row for row in got if isinstance(row, tuple)]
+    assert all(math.copysign(1.0, y) == 1.0 for row in reports
+               for y in row[4:] if y is not None)
+    stabilities = [row[1] for row in reports]
+    assert len(reports) < len(got)  # some overflow
+    assert {row[0] for row in reports} == set(MachClass)
+    assert StabilityClass.TRANSITION in stabilities
+    assert sum(row[4] == 0.0 for row in reports) > 50_000
+
+
 def test_classify_y0_above_mach_plus_one():
     for m in (0.3, 1.0, 1.41, 2.0, 5.0):
         rep = vf.classify(Medium.symmetric(m, 1.0))
@@ -379,6 +449,43 @@ def test_root_cofactor_second_ray_and_rejections(weakly_stable):
         vf.root_cofactor(Frequency(1.0, 0.0, 0.0), weakly_stable)
     with pytest.raises(RegimeError):
         vf.root_cofactor(Frequency(0.0, 0.4, 1.0), Medium.symmetric(1.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the classical stability analysis
+
+@pytest.mark.parametrize("c", [1.0, 0.5, 1.7, 2.5])
+@pytest.mark.parametrize("m", [0.8, 1.2, 2.0, 3.0])
+def test_lopatinskii_determinant_is_the_root_sum_times_the_symbol(m, c):
+    # The normal-mode determinant of the linearized Euler vortex sheet is,
+    # up to a constant, Delta = mu-(tau + i v eta)^2 + mu+(tau - i v eta)^2
+    # (Coulombel & Secchi, Indiana Univ. Math. J. 53, 2004), and it equals
+    # (mu+ + mu-) Sigma.  The largest residual measured here, relative to
+    # Lambda^3, was 1.5e-14 at c = 1 and 1.2e-13 at c = 2.5, m = 3; with
+    # mu+ and mu- swapped it is at least 1.3.
+    rng = np.random.default_rng(12)
+    g = rng.uniform(0.01, 3.0, 20_000)
+    d, e = rng.uniform(-5.0, 5.0, (2, 20_000))
+    tau, v = g + 1j * d, m * c
+    mu_p, mu_m, sigma = mu_symbol_grid(tau, e, Medium(v, c))
+    lam3 = np.sqrt(g * g + d * d + e * e) ** 3
+    up, down = (tau + 1j * v * e) ** 2, (tau - 1j * v * e) ** 2
+    lopatinskii = mu_m * up + mu_p * down
+    assert np.max(np.abs(lopatinskii - (mu_p + mu_m) * sigma) / lam3) <= 2e-12
+    swapped = mu_p * up + mu_m * down
+    assert np.max(np.abs(swapped - (mu_p + mu_m) * sigma) / lam3) > 1.0
+
+
+def test_root_sum_vanishes_at_tau_zero_above_the_sound_speed():
+    # The extra zero of Delta: mu+ + mu- = 0 exactly at tau = 0 for v > c,
+    # a steady corrugation; for v < c it is 2 |eta| sqrt(1 - (v/c)^2).
+    eta = np.array([0.5, 1.0, 3.0, -2.0])
+    tau = np.zeros(eta.shape, dtype=complex)
+    for m in (1.2, 2.0, 3.0):
+        mu_p, mu_m, _ = mu_symbol_grid(tau, eta, Medium(m, 1.0))
+        assert ((mu_p + mu_m) == 0j).all()
+    mu_p, mu_m, _ = mu_symbol_grid(tau, eta, Medium(0.8, 1.0))
+    np.testing.assert_allclose(mu_p + mu_m, [0.6, 1.2, 3.6, 2.4], rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
