@@ -17,8 +17,9 @@ import sys
 
 import numpy as np
 
-from .domain import Frequency, Medium, RegimeError, StabilityClass
-from .grids import _refuse_nonfinite, _rows, read_field
+from .domain import (Frequency, Medium, RegimeError, StabilityClass,
+                     _refuse_nonfinite, _require_finite)
+from .grids import _rows, read_field
 from .pressure import reconstruct_profile, solve_boundary_system
 from .solver import (_bin_system, _front_hat, blowup_probe, solve_front,
                      verify_estimate)
@@ -38,11 +39,6 @@ def _emit(text, out: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _require_finite(what: str, *values) -> None:
-    if not all(np.isfinite(v).all() for v in values):
-        raise ArithmeticError(f"{what} is not finite (overflow)")
-
-
 def _parse_window(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -55,8 +51,7 @@ def _parse_window(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
         if count < 1:
             raise ValueError("range counts must be at least 1")
-        if not np.isfinite(hi - lo):
-            raise ValueError(f"range '{part}' does not span a finite interval")
+        _require_finite("the span max - min of a range", hi - lo, min=lo, max=hi)
         axes.append(np.linspace(lo, hi, count))
     return axes[0], axes[1], axes[2]
 
@@ -91,7 +86,7 @@ def cmd_grid(args, medium: Medium) -> int:
             # hypot, not np.abs: the vector abs loop may round differently.
             cols = (g, dd, ee, sig.real, sig.imag, np.hypot(sig.real, sig.imag),
                     mu_p.real, mu_p.imag, mu_m.real, mu_m.imag)
-        _require_finite(f"the symbol at gamma = {g:.6g}", *cols)
+        _require_finite("the symbol", *cols, gamma=g, v=medium.v, c=medium.c)
         planes.append(cols)
     _emit(itertools.chain([header], (_rows(*cols) for cols in planes)), args.out)
     return 0
@@ -102,7 +97,8 @@ def cmd_roots(args, medium: Medium) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         sig = np.abs(symbol_grid(np.asarray(roots),
                                  np.full(len(roots), args.eta), medium))
-    _require_finite(f"the symbol at its roots for eta = {args.eta:.6g}", roots, sig)
+    _require_finite("the roots and symbol", roots, sig, eta=args.eta, v=medium.v,
+                    c=medium.c)
     payload = {"eta": args.eta,
                "regime": classify(medium).stability_class.value,
                "roots_re": [r.real for r in roots],
@@ -123,7 +119,11 @@ def cmd_solve(args, medium: Medium) -> int:
     nfp = halfspace_norm(field.f_plus, grid, args.s, args.gamma)
     nfm = halfspace_norm(field.f_minus, grid, args.s, args.gamma)
     denom = nfp ** 2 + nfm ** 2
-    r = args.gamma ** 3 * sol.norms[args.s + 1.0] ** 2 / denom if denom > 0 else None
+    with np.errstate(over="ignore"):  # r is None for a zero forcing
+        r = (float(np.float64(args.gamma) ** 3 * sol.norms[args.s + 1.0] ** 2 / denom)
+             if denom > 0 else None)
+    _require_finite("the ratio r", r or 0.0, gamma=args.gamma, s=args.s, v=medium.v,
+                    c=medium.c)
     os.makedirs(args.out, exist_ok=True)
     front_path = os.path.join(args.out, "front.csv")
     _emit("t,x1,f\n" + _rows(grid.t_nodes[:, None], grid.x1_nodes,

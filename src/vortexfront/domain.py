@@ -9,6 +9,8 @@ import os
 import threading
 from dataclasses import dataclass
 
+import numpy as np
+
 SQRT2 = math.sqrt(2.0)
 
 # Relative tolerance used to classify a medium as sonic / at the stability
@@ -92,6 +94,22 @@ def _split(fn, n: int, entries: int) -> None:
         raise min(errors, key=lambda error: error[0])[1]
 
 
+def _refuse_nonfinite(**values: float) -> None:
+    """The gate for inputs: ValueError naming the first value not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_finite(what: str, *values, **inputs: float) -> None:
+    """The gate for results computed under np.errstate: ArithmeticError unless
+    all values are finite, naming what they are and the inputs (gamma, s, v,
+    c) they scale with.  The message is formed only on refusal."""
+    if not all(np.isfinite(value).all() for value in values):
+        at = ", ".join(f"{name} = {float(value)!r}" for name, value in inputs.items())
+        raise ArithmeticError(f"{what} at {at} is not finite in double precision")
+
+
 class RegimeError(RuntimeError):
     """An operation was requested outside the regime where it is defined."""
 
@@ -114,9 +132,7 @@ class Frequency:
     eta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and math.isfinite(self.delta)
-                and math.isfinite(self.eta)):
-            raise ValueError("frequency components must be finite")
+        _refuse_nonfinite(gamma=self.gamma, delta=self.delta, eta=self.eta)
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         if self.gamma == 0 and self.delta == 0 and self.eta == 0:
@@ -148,8 +164,7 @@ class Medium:
     c: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.v) and math.isfinite(self.c)):
-            raise ValueError("medium parameters must be finite")
+        _refuse_nonfinite(v=self.v, c=self.c)
         if self.v <= 0 or self.c <= 0:
             raise ValueError("velocity v and sound speed c must be positive")
 

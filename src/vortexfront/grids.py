@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domain import _refuse_nonfinite, _require_finite
+
 __all__ = ["GridSpec", "FieldGrid", "read_field", "write_field"]
 
 # A forcing field must have decayed by this factor at the truncation depth.
@@ -20,13 +22,6 @@ _PEAK_RANGE = (2.0 ** -480, 2.0 ** 480)
 _WRITE_ROWS = 1 << 14
 
 
-def _refuse_nonfinite(**values: float) -> None:
-    """Raise ValueError naming the first of the values that is not finite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def _refuse_gamma(gamma: float) -> None:
     """Raise ValueError, naming gamma, unless it is finite and at least 1:
     the weight of every solve and sweep."""
@@ -35,15 +30,12 @@ def _refuse_gamma(gamma: float) -> None:
 
 
 def _sobolev_weight(grid: "GridSpec", gamma: float, s: float) -> np.ndarray:
-    """(gamma^2 + delta^2 + eta^2)^s over the bins; ValueError naming gamma
-    or s where it overflows."""
+    """(gamma^2 + delta^2 + eta^2)^s over the bins, gated."""
     with np.errstate(over="ignore"):
         lam2 = grid.lambda_sq(gamma)
         weight = lam2 ** s
-    for name, value, a in (("gamma", gamma, lam2), ("s", s, weight)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} = {value:g} overflows the Sobolev weight "
-                             f"(gamma^2 + delta^2 + eta^2)^s at s = {s:g}")
+    _require_finite("the Sobolev weight (gamma^2 + delta^2 + eta^2)^s", lam2, weight,
+                    gamma=gamma, s=s)
     return weight
 
 

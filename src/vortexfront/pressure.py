@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Frequency, Medium, RootPair
+from .domain import Frequency, Medium, RootPair, _require_finite
 # exp_weighted_integral is only a name here: bench/workloads.py wraps it by
 # name.  ROADMAP item 3 deletes it together with its pin in test_layering.py.
 from .quadrature import (exp_weighted_integral, exp_weighted_segment,
@@ -75,7 +75,7 @@ def solve_boundary_system(freq: Frequency, medium: Medium, f_hat: complex,
     s = mu_p + mu_m
     if abs(s) <= 1e-13 * (abs(mu_p) + abs(mu_m)):
         raise ArithmeticError("boundary system is singular: mu_plus + mu_minus "
-                              "vanishes (possible only as gamma -> 0 with v >= c)")
+                              "vanishes (possible only as gamma/c -> 0 with v >= c)")
     jump = -4j * freq.eta * (medium.v / c) * (freq.tau / c) * f_hat
     p0 = ((i_plus + i_minus) / (c * c) - jump) / s
     dp_p = i_plus / (c * c) - mu_p * p0
@@ -121,7 +121,7 @@ def reconstruct_profile(freq: Frequency, medium: Medium, state: BoundaryState,
     the last term nonzero only when the decay condition fails.  Both sides
     are solved in one call on the stacked samples, with the decay roots of
     `state` (from :func:`solve_boundary_system` at the same freq and medium).
-    A profile that is not finite is refused (ArithmeticError naming gamma).
+    A profile that is not finite is refused, naming gamma, v and c.
     """
     sl = np.array((slice_plus, slice_minus), dtype=complex)
     full = np.concatenate((extrapolate_origin(sl)[:, None], sl), axis=1).T
@@ -146,8 +146,7 @@ def reconstruct_profile(freq: Frequency, medium: Medium, state: BoundaryState,
                 "the growing exponential is retained", RuntimeWarning)
             prof += 0.5 * defect * np.exp(mu_s * nodes)
         grew.append(growing)
-    if not np.isfinite(profs).all():  # e.g. mu^3 past the float range
-        raise ArithmeticError(f"the profile at gamma = {freq.gamma:g} is not finite")
+    _require_finite("the profile", profs, gamma=freq.gamma, v=medium.v, c=medium.c)
     return PressureProfile(nodes, *profs, *grew)
 
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Frequency, Medium, StabilityClass, _split
-from .grids import (FieldGrid, GridSpec, _refuse_gamma, _refuse_magnitude,
-                    _refuse_nonfinite, _sobolev_weight)
+from .domain import (Frequency, Medium, StabilityClass, _refuse_nonfinite,
+                     _require_finite, _split)
+from .grids import FieldGrid, GridSpec, _refuse_gamma, _refuse_magnitude
 from .quadrature import halfline_integral
 from .symbol import _require_regime, classify, mu_symbol_grid, symbol_grid
 from .transforms import (_bin_slices, _depth_pass, _half_spectrum, sobolev_norm,
@@ -78,14 +78,13 @@ def _paired_full(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.concatenate((half, np.conj(mirror)), axis=1)
 
 
-def _system(grid: GridSpec, g: float, mu_p, mu_m, sigma, i_p, last_p,
-            i_m, last_m) -> SpectralSystem:
+def _system(grid: GridSpec, medium: Medium, g: float, mu_p, mu_m, sigma,
+            i_p, last_p, i_m, last_m) -> SpectralSystem:
     """M, g and the truncation bounds, on the whole grid or at one bin."""
     m = i_p / mu_p - i_m / mu_m
     g_hat = -(mu_p * mu_m / (mu_p + mu_m)) * m
-    if not all(np.isfinite(a).all() for a in (mu_p, mu_m, sigma, g_hat)):
-        raise ValueError(f"gamma = {g:g} overflows the decay roots, the "
-                         "symbol or the forcing integrals")
+    _require_finite("the decay roots, symbol and forcing integrals", mu_p, mu_m,
+                    sigma, g_hat, gamma=g, v=medium.v, c=medium.c)
     trunc_p = np.exp(-mu_p.real * grid.L_x2) * last_p
     trunc_m = np.exp(-mu_m.real * grid.L_x2) * last_m
     return SpectralSystem(grid, g, mu_p, mu_m, sigma, i_p, i_m, m, g_hat,
@@ -96,12 +95,12 @@ def _assemble(grid: GridSpec, medium: Medium, g: float, run
               ) -> tuple[SpectralSystem, list]:
     """The system and the half-space norms from run(side, mu) for sides 0
     (+) and 1 (-), that side's :func:`_depth_pass` on the half spectrum."""
-    with np.errstate(all="ignore"):  # _system refuses what overflows
+    with np.errstate(all="ignore"):  # _system gates the result
         tau = g + 1j * grid.delta_axis[:, None]
         mus = mu_symbol_grid(tau, grid.eta_axis[None, :], medium)
         sides = [run(i, mu[:, :grid.n_x1 // 2 + 1]) for i, mu in enumerate(mus[:2])]
         full = [_paired_full(a, grid) for ints, _ in sides for a in ints]
-        return _system(grid, g, *mus, *full), [norm for _, norm in sides]
+        return _system(grid, medium, g, *mus, *full), [norm for _, norm in sides]
 
 
 def build_system(fieldgrid: FieldGrid, medium: Medium,
@@ -146,7 +145,7 @@ def _bin_system(fieldgrid: FieldGrid, freq: Frequency, medium: Medium
         full = []
         for mu, sl in zip((mu_p, mu_m), slices):
             full += [halfline_integral(sl, mu, grid.dx2), np.abs(sl[-1])]
-        return _system(grid, freq.gamma, mu_p, mu_m, sigma, *full), slices
+        return _system(grid, medium, freq.gamma, mu_p, mu_m, sigma, *full), slices
 
 
 def forcing_functional(fieldgrid: FieldGrid, freq: Frequency,
@@ -189,8 +188,8 @@ def solve_front(fieldgrid: FieldGrid, medium: Medium,
     Only the weakly stable regime is accepted; elliptic and transition media
     are refused with a diagnostic naming the regime.  f_hat holds the exact
     per-bin quotient (so each bin satisfies its equation to rounding); the
-    physical samples, its :func:`weighted_inverse`, raise ArithmeticError
-    when not finite (gamma*L_t beyond about 709).  Norms are returned at
+    physical samples, its :func:`weighted_inverse`, are refused when not
+    finite (gamma*L_t beyond about 709).  Norms are returned at
     indices {0, s, s+1}; a forcing whose max|F| leaves grids._PEAK_RANGE,
     where they would overflow or underflow, is refused.
     """
@@ -200,12 +199,11 @@ def solve_front(fieldgrid: FieldGrid, medium: Medium,
     g = grid.gamma if gamma is None else gamma
     _refuse_nonfinite(s=s)  # build_system refuses a non-finite gamma
     sys = build_system(fieldgrid, medium, g)
-    f_hat = _front_hat(sys)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        f_hat = _front_hat(sys)
         f_phys = weighted_inverse(f_hat, grid, g)
-    if not np.all(np.isfinite(f_phys)):
-        raise ArithmeticError("the front exp(gamma*t)*u is not finite at "
-                              f"gamma*L_t = {g * grid.L_t:.6g}")
+    _require_finite("the front exp(gamma*t)*u", f_phys, gamma=g, L_t=grid.L_t,
+                    v=medium.v, c=medium.c)
     norms = {idx: sobolev_norm(f_hat, idx, g, grid)
              for idx in {0.0, float(s), float(s) + 1.0}}
     return FrontSolution(grid, g, float(s), f_hat, f_phys, norms, sys)
@@ -237,6 +235,7 @@ class EstimateConstants:
 _N_POLAR, _N_AZIMUTH, _RAY_RADIUS, _CONSTANTS_CHUNK = 120, 240, 0.3, 4096
 
 
+@np.errstate(all="ignore")  # the constants are gated on return
 def estimate_constants(medium: Medium,
                        extra_points: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
                        ) -> EstimateConstants:
@@ -247,6 +246,8 @@ def estimate_constants(medium: Medium,
     solve's own bins are honest lower/upper bounds for those bins.  The
     points are evaluated in fixed chunks: every step is elementwise and the
     extrema are exact, so the chunking changes no bit of the result.
+    Constants that are not finite are refused, naming v and c, but c_cofactor
+    is inf where no sample lies near a root ray (see ROADMAP).
     """
     report = classify(medium)
     psi = (np.arange(_N_POLAR) + 0.5) * (0.5 * np.pi / _N_POLAR)
@@ -262,7 +263,6 @@ def estimate_constants(medium: Medium,
         e = np.concatenate((e, ee / lam))
     keep = g > 0.0
     g, d, e = g[keep], d[keep], e[keep]
-    weakly_stable = report.stability_class is StabilityClass.WEAKLY_STABLE
     extrema = []  # per chunk: max |Sigma|, min (|Sigma|/g)^2, elliptic, cofactor
     for lo in range(0, g.size, _CONSTANTS_CHUNK):
         gc, dc, ec = (a[lo:lo + _CONSTANTS_CHUNK] for a in (g, d, e))
@@ -270,7 +270,7 @@ def estimate_constants(medium: Medium,
         sigma = symbol_grid(tau, ec, medium)
         abs_sigma = np.abs(sigma)
         far, cof, c, y2 = abs_sigma, np.empty(0), medium.c, report.y2
-        if weakly_stable:
+        if report.stability_class is StabilityClass.WEAKLY_STABLE:
             to_upper = np.abs(tau - 1j * c * y2 * ec)  # distances to the two rays
             to_lower = np.abs(tau + 1j * c * y2 * ec)
             near = np.minimum(to_upper, to_lower) < _RAY_RADIUS
@@ -278,11 +278,14 @@ def estimate_constants(medium: Medium,
             sign = np.where(to_upper <= to_lower, 1.0, -1.0)
             cof = np.abs(sigma[near] / (tau[near] - sign[near] * 1j * c * y2 * ec[near]))
         extrema.append((abs_sigma.max(), ((abs_sigma / gc) ** 2).min(),
-                        far.min(initial=math.inf), cof.min(initial=math.inf)))
-    high, pointwise, elliptic, cofactor = np.array(extrema).T
-    return EstimateConstants(float(elliptic.min()), float(cofactor.min()),
-                             float(pointwise.min()) * (1.0 - 1e-9),
-                             float(high.max()))
+                        far.min(initial=math.inf), cof.min(initial=math.inf), cof.size))
+    high, pointwise, elliptic, cofactor, n_near = np.array(extrema).T
+    out = EstimateConstants(float(elliptic.min()), float(cofactor.min()),
+                            float(pointwise.min()) * (1.0 - 1e-9), float(high.max()))
+    _require_finite("the estimate constants", out.c_elliptic, out.c_pointwise,
+                    out.c_bound, out.c_cofactor if n_near.any() else 0.0,
+                    v=medium.v, c=medium.c)
+    return out
 
 
 @dataclass(frozen=True)
@@ -328,7 +331,8 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
     integrals, the system, f_hat and the ratios (no slice stack and no
     physical front is formed).  The rows do not depend on the core count,
     and a failing gamma raises what a serial sweep would raise first; a
-    gamma at which exp(-gamma*t) leaves both forcing norms zero is refused.
+    gamma at which exp(-gamma*t) leaves both forcing norms zero is refused,
+    and so is a row or constant that is not finite.
     The pointwise constant is estimated over the hemisphere augmented with
     every bin of the sweep; the right-hand-side constant comes from the bin
     supremum of |mu_minus/(mu_plus+mu_minus)|^2 combined with the exact
@@ -341,12 +345,6 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
     _refuse_nonfinite(s=s)
     _require_regime(medium, StabilityClass.WEAKLY_STABLE, "verify_estimate")
     grid = fieldgrid.grid
-    for g in gammas:  # refused here, before estimate_constants or r overflows
-        _sobolev_weight(grid, g, s)
-        try:
-            g ** 3  # as r takes it, a float power that raises on overflow
-        except OverflowError:
-            raise ValueError(f"gamma = {g:g} overflows gamma^3 in the ratio r") from None
     if fieldgrid.peak == 0.0:
         raise ValueError("estimate ratios are undefined for a zero field")
     _refuse_magnitude(fieldgrid)
@@ -357,6 +355,7 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
                for f in (fieldgrid.f_plus, fieldgrid.f_minus)]
     done = [None] * (len(gammas) + 1)
 
+    @np.errstate(all="ignore")  # each row is gated
     def item(i):
         if i == 0:  # the calling thread's: bench/ traces it on one span stack
             done[0] = estimate_constants(medium, extra_points=tuple(
@@ -371,17 +370,20 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
         if denom == 0.0:
             raise ValueError(f"gamma = {g:g} underflows the weight exp(-gamma*t) "
                              "on the forcing: both half-space norms are zero")
-        r = g ** 3 * nf2 / denom
+        r = np.float64(g) ** 3 * nf2 / denom
         r_prime = g ** 2 * nf2 / ng ** 2 if ng > 0 else 0.0
         ratio = sys.mu_minus / (sys.mu_plus + sys.mu_minus)
         g1_hat = -ratio * sys.i_plus
         ng1 = sobolev_norm(g1_hat, s, g, grid)
         g1_ratio = g * ng1 ** 2 / nfp ** 2 if nfp > 0 else 0.0
         pw = (np.abs(sys.sigma) / (g * np.sqrt(grid.lambda_sq(g)))) ** 2
+        sup = (np.abs(ratio) ** 2).max()
+        _require_finite("the estimate ratios", r, r_prime, g1_ratio, pw, sup,
+                        gamma=g, s=s, v=medium.v, c=medium.c)
         done[i] = (dict(gamma=float(g), r=float(r), r_prime=float(r_prime),
                         g1_ratio=float(g1_ratio), pointwise_min=float(pw.min()),
                         norm_f=float(math.sqrt(nf2)), norm_g=float(ng)),
-                   nfp, nfm, float((np.abs(ratio) ** 2).max()))
+                   nfp, nfm, float(sup))
 
     _split(lambda lo, hi: [item(i) for i in range(lo, hi)], len(done),
            len(gammas) * 2 * spectra[0].size)
@@ -413,8 +415,8 @@ def blowup_probe(medium: Medium, eta0: float, gammas: list[float]) -> ProbeResul
 
     Evaluates |1/Sigma(gamma + 0i, eta0)| for each gamma and fits the
     power-law exponent of the growth in gamma - c*Y1*|eta0| (expected -1,
-    the zero being simple).  Refused in the weakly stable regime, and
-    where eta0, a gamma, Sigma or |1/Sigma| is not finite (ValueError).
+    the zero being simple).  Refused in the weakly stable regime, where eta0
+    or a gamma is not finite, and where Sigma or |1/Sigma| is not (a root).
     """
     report = _require_regime(medium, StabilityClass.ELLIPTIC_UNSTABLE, "blowup_probe")
     _refuse_nonfinite(eta0=eta0)
@@ -427,13 +429,12 @@ def blowup_probe(medium: Medium, eta0: float, gammas: list[float]) -> ProbeResul
     root_gamma = medium.c * report.y1 * abs(eta0)
     tau = np.asarray([complex(g, 0.0) for g in gammas])
     eta = np.full(len(gammas), float(eta0))
-    with np.errstate(all="ignore"):  # refused below where not finite
+    with np.errstate(all="ignore"):  # gated below
         sigma = symbol_grid(tau, eta, medium)
         inv = 1.0 / np.abs(sigma)
     for g, a, b in zip(gammas, sigma, inv):
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise ValueError(f"Sigma or |1/Sigma| at gamma = {g:g}, eta0 = "
-                             f"{eta0:g} is not finite (overflow or a root)")
+        _require_finite("Sigma or |1/Sigma|", a, b, gamma=g, eta0=eta0, v=medium.v,
+                        c=medium.c)
     dist = np.asarray(gammas, dtype=float) - root_gamma
     fit = dist > 0.0
     slope = (float(np.polyfit(np.log(dist[fit]), np.log(inv[fit]), 1)[0])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .domain import (ENDPOINT_ATOL, REGIME_RTOL, SQRT2, Frequency,
                      MachClass, Medium, RegimeError, RegimeReport, RootPair,
-                     StabilityClass)
+                     StabilityClass, _refuse_nonfinite, _require_finite)
 
 __all__ = [
     "signed_sqrt", "decay_root", "decay_root_pair", "ratio_sq", "symbol",
@@ -178,12 +178,10 @@ def classify(medium: Medium) -> RegimeReport:
     Within relative tolerance 1e-12 of v = c the medium is reported sonic,
     and within the same tolerance of v/c = sqrt(2) as the degenerate
     transition case (both Y1 and Y2 absent).  A v/c whose 4*(v/c)^2 + 1
-    overflows is refused (ValueError).
+    is not finite is refused (ArithmeticError).
     """
     v, c = medium.v, medium.c
     m = v / c
-    if not math.isfinite(4.0 * m * m + 1.0):
-        raise ValueError(f"v/c = {m:g} overflows (v/c)^2 in the dispersion relation")
     if abs(v - c) <= REGIME_RTOL * max(v, c):
         mach = MachClass.SONIC
     elif v < c:
@@ -193,6 +191,7 @@ def classify(medium: Medium) -> RegimeReport:
     # Y0, Y1 and Y2 of the biquadratic dispersion relation.  The clamps take
     # rounding that straddles the threshold to 0.0 (never -0.0).
     disc = math.sqrt(4.0 * m * m + 1.0)
+    _require_finite("4*(v/c)^2 + 1 in the dispersion relation", disc, v=v, c=c)
     y0 = math.sqrt(m * m + 1.0 + disc)
     rest = disc - (m * m + 1.0)
     y1 = y2 = None
@@ -224,8 +223,9 @@ def symbol_roots(medium: Medium, eta: float) -> list[complex]:
 
     Below the stability threshold the single root c*Y1*|eta| on the positive
     real axis; above it the conjugate pair +-i*c*Y2*eta.  The degenerate
-    transition case is refused.
+    transition case is refused, and so is an eta that is not finite.
     """
+    _refuse_nonfinite(eta=eta)
     if eta == 0.0:
         raise ValueError("eta must be nonzero (Sigma(tau, 0) = tau^2 has no roots)")
     report = classify(medium)

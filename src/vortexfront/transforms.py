@@ -9,11 +9,9 @@ the only one each allocates.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .domain import _split
+from .domain import _require_finite, _split
 from .grids import FieldGrid, GridSpec, _sobolev_weight
 from .quadrature import (_DepthSum, _level_block, extrapolate_origin,
                          simpson_closed)
@@ -73,23 +71,16 @@ def sobolev_norm(f_hat: np.ndarray, s: float, gamma: float,
 
     Discrete form of (1/(2*pi)^2) * double-integral of
     (gamma^2 + delta^2 + eta^2)^s |f_hat|^2; with s = 0 this is the
-    discrete Plancherel L^2 norm.  ValueError naming s and gamma where the
-    squared norm overflows.
+    discrete Plancherel L^2 norm.  A squared norm that is not finite is
+    refused, naming gamma and s.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         density = np.abs(np.asarray(f_hat)) ** 2
         if s != 0:
             density = _sobolev_weight(grid, gamma, s) * density
         total = density.sum() / (grid.L_t * grid.L_x1)
-    return float(np.sqrt(_finite_square(total, "Sobolev", s, gamma)))
-
-
-def _finite_square(total, what: str, s: float, gamma: float):
-    """total, a squared norm; ValueError naming s and gamma if not finite."""
-    if not math.isfinite(total):
-        raise ValueError(f"the {what} norm at s = {s:g}, gamma = {gamma:g} "
-                         "overflows the double range")
-    return total
+    _require_finite("the squared Sobolev norm", total, gamma=gamma, s=s)
+    return float(np.sqrt(total))
 
 
 def spectral_slices(field: FieldGrid, gamma: float | None = None
@@ -163,7 +154,7 @@ def _depth_pass(x1_hat: np.ndarray, grid: GridSpec, gamma: float, mu=None,
             part = np.multiply(levels, w, out=levels if in_place else buf[:hi - lo])
             np.fft.fft(part, axis=1, out=part)
             if s is not None:
-                with np.errstate(over="ignore"):  # _x2_norm refuses an overflow
+                with np.errstate(over="ignore"):  # _x2_norm gates the result
                     sq = np.abs(part)
                     per_level[lo:hi] = (np.square(sq, out=sq).reshape(hi - lo, -1)
                                         @ weight)
@@ -186,11 +177,12 @@ def _depth_pass(x1_hat: np.ndarray, grid: GridSpec, gamma: float, mu=None,
 def _x2_norm(per_level: np.ndarray, grid: GridSpec, s: float,
              gamma: float) -> float:
     """sqrt of the x2 integral over [0, L_x2], origin level extrapolated;
-    ValueError naming s and gamma where the integral overflows."""
+    an integral that is not finite is refused, naming gamma and s."""
     with np.errstate(over="ignore", invalid="ignore"):
         full = np.concatenate(([extrapolate_origin(per_level)], per_level))
         total = simpson_closed(full, grid.dx2)
-    return float(np.sqrt(_finite_square(total, "half-space", s, gamma)))
+    _require_finite("the squared half-space norm", total, gamma=gamma, s=s)
+    return float(np.sqrt(total))
 
 
 def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
@@ -202,7 +194,7 @@ def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
     spectrum, weight 2 on columns that stand for a conjugate pair; the
     Nyquist bins are kept.  At s = 0 that sum is, by discrete Plancherel,
     dt*dx1*sum over (t, x1) of exp(-2*gamma*t)*F^2, taken with no transform.
-    ValueError naming s and gamma where the squared norm overflows.
+    A squared norm that is not finite is refused, naming gamma and s.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 3 or samples.shape[:2] != (grid.n_t, grid.n_x1):
@@ -210,7 +202,7 @@ def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
     if s != 0:
         return _depth_pass(_half_spectrum(samples, grid), grid, gamma, s=s,
                            in_place=True)[1]
-    with np.errstate(over="ignore"):  # _x2_norm refuses an overflow
+    with np.errstate(over="ignore"):  # _x2_norm gates the result
         per_level = (np.exp(-2.0 * gamma * grid.t_nodes)
                      @ np.einsum("ijk,ijk->ik", samples, samples))
     return _x2_norm((grid.dt * grid.dx1) * per_level, grid, s, gamma)

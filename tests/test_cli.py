@@ -69,7 +69,7 @@ def test_commands_refuse_an_overflowing_mach_ratio(capsys, tmp_path,
                                                    field_file, v, c):
     # 4*(v/c)^2 + 1 overflows: classify reported Y0 inf (and "sonic" for the
     # second medium) with exit 0.  Every command that classifies exits 2
-    # naming v/c, and writes nothing.
+    # naming v and c, and writes nothing.
     out = tmp_path / "out"
     for args in (["classify", "--out", str(out)], ["roots", "--eta", "1"],
                  ["probe", "--eta", "1", "--gammas", "1,2"],
@@ -77,7 +77,9 @@ def test_commands_refuse_an_overflowing_mach_ratio(capsys, tmp_path,
                  ["verify", "--in", field_file, "--out", str(out)]):
         code, stdout, err = run(capsys, args + ["--v", v, "--c", c])
         assert (code, stdout) == (2, ""), args
-        assert "error: v/c = " in err and "overflows" in err
+        assert err == ("error: 4*(v/c)^2 + 1 in the dispersion relation at "
+                       f"v = {float(v)!r}, c = {float(c)!r} is not finite in "
+                       "double precision\n")
     assert not out.exists()
     code, stdout, _ = run(capsys, ["classify", "--v", "1e150", "--c", "1"])
     assert code == 0 and "stability_class: weakly_stable" in stdout
@@ -135,14 +137,16 @@ def test_grid_refuses_overflow(capsys, tmp_path, window):
     ("inf:inf:1,0:0:1,1:1:1", "inf:inf:1"), ("0:1:2,nan:0:1,1:1:1", "nan:0:1"),
     ("-1e308:1e308:3,0:0:1,1:1:1", "-1e308:1e308:3")])
 def test_grid_refuses_a_window_it_cannot_sample(capsys, tmp_path, window, bad):
-    # A range whose hi - lo is not finite has no linspace: exit 2 naming the
-    # range, where the first two once blamed the symbol and the last one
+    # A range whose hi - lo is not finite has no linspace: exit 2 naming its
+    # ends, where the first two once blamed the symbol and the last one
     # warned (a RuntimeWarning is an error in this suite).
     out_path = tmp_path / "grid.csv"
     code, out, err = run(capsys, ["grid", "--v", "2", "--c", "1",
                                   f"--window={window}", "--out", str(out_path)])
     assert (code, out) == (2, "")
-    assert err == f"error: range '{bad}' does not span a finite interval\n"
+    lo, hi, _ = (float(x) for x in bad.split(":"))
+    assert err == (f"error: the span max - min of a range at min = {lo!r}, "
+                   f"max = {hi!r} is not finite in double precision\n")
     assert not out_path.exists()
 
 
@@ -155,8 +159,8 @@ def test_installed_entry_refuses_an_infinite_window_under_warnings_as_errors():
          "grid", "--v", "2", "--c", "1", "--window", "inf:inf:1,0:0:1,1:1:1"],
         env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("error: range 'inf:inf:1' does not span a finite "
-                           "interval\n")
+    assert proc.stderr == ("error: the span max - min of a range at min = inf, "
+                           "max = inf is not finite in double precision\n")
 
 
 @pytest.mark.parametrize("v", ["2", "1"])
@@ -166,7 +170,9 @@ def test_roots_refuses_overflow(capsys, tmp_path, v):
     out_path = tmp_path / "roots.json"
     code, out, err = run(capsys, ["roots", "--v", v, "--c", "1", "--eta",
                                   "1e300", "--out", str(out_path)])
-    assert (code, out) == (2, "") and "not finite" in err
+    assert (code, out) == (2, "")
+    assert err == (f"error: the roots and symbol at eta = 1e+300, v = {float(v)!r}, "
+                   "c = 1.0 is not finite in double precision\n")
     assert not out_path.exists()
 
 
@@ -249,7 +255,7 @@ def test_solve_and_verify_refuse_a_norm_that_overflows(capsys, tmp_path):
     # max|F| = 1.4e60 is inside the magnitude range, but at s = 60 the
     # weighted squares overflow: solve wrote the norms as Infinity (not
     # JSON) and verify r and r' as NaN, with exit 0 and RuntimeWarnings.
-    # Exit 2 naming s and gamma, nothing written; s = 20 still answers.
+    # Exit 2 naming gamma and s, nothing written; s = 20 still answers.
     field_path = tmp_path / "field.vfgrid"
     vf.write_field(field_path, smooth_field(n_t=16, n_x1=16, n_x2=32).scaled(
         2.0 ** 200))
@@ -257,13 +263,16 @@ def test_solve_and_verify_refuse_a_norm_that_overflows(capsys, tmp_path):
     outdir, sweep = tmp_path / "sol", tmp_path / "sweep.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for args in (["solve", "--s", "60", "--out", str(outdir)],
-                     ["verify", "--gammas", "1,2", "--s", "60", "--out", str(sweep)]):
+        for norm, args in (
+                ("Sobolev", ["solve", "--s", "60", "--out", str(outdir)]),
+                ("half-space", ["verify", "--gammas", "1,2", "--s", "60",
+                                "--out", str(sweep)])):
             code, out, err = run(capsys, args + medium)
             for path in outdir.glob("*.json"):  # "60": Infinity, once
                 strict_json(path.read_text())
             assert (code, out) == (2, ""), args
-            assert "norm at s = 60, gamma = 1 overflows the double range" in err
+            assert err == (f"error: the squared {norm} norm at gamma = 1.0, "
+                           "s = 60.0 is not finite in double precision\n")
         assert not outdir.exists() and not sweep.exists()
         code, out, _ = run(capsys, ["solve", "--s", "20", "--out", str(outdir),
                                     *medium])
@@ -295,8 +304,10 @@ def test_solve_refuses_overflowing_front(capsys, tmp_path, field_file):
     code, _, err = run(capsys, ["solve", "--v", "2", "--c", "1",
                                 "--in", field_file, "--gamma", "800",
                                 "--out", str(outdir)])
-    assert code == 2
-    assert "not finite" in err
+    L_t = vf.read_field(field_file).grid.L_t
+    assert (code, err) == (2, f"error: the front exp(gamma*t)*u at gamma = 800.0, "
+                              f"L_t = {L_t!r}, v = 2.0, c = 1.0 is not finite in "
+                              "double precision\n")
     assert not outdir.exists()
 
 
@@ -505,7 +516,7 @@ def test_reconstruct_writes_a_finite_profile_at_a_huge_gamma(capsys, tmp_path,
 
 def test_reconstruct_refuses_a_gamma_that_overflows_the_bin(capsys, tmp_path):
     # From gamma = 1e155 the bin's system overflows before any profile is
-    # formed: exit 2 naming gamma, no RuntimeWarning, nothing written.
+    # formed: exit 2 naming gamma, v and c, no RuntimeWarning, nothing written.
     field_path, out = tmp_path / "field.vfgrid", tmp_path / "profile.csv"
     vf.write_field(field_path, smooth_field(n_t=16, n_x1=16, n_x2=32))
     with warnings.catch_warnings():
@@ -514,9 +525,10 @@ def test_reconstruct_refuses_a_gamma_that_overflows_the_bin(capsys, tmp_path):
                                     "--in", str(field_path), "--gamma", "1e155",
                                     "--delta", "6.3", "--eta", "6.3",
                                     "--out", str(out)])
-    assert code == 2
-    assert "error: gamma = 1e+155 overflows the decay roots" in err
-    assert not out.exists()
+    assert err == ("error: the decay roots, symbol and forcing integrals at "
+                   "gamma = 1e+155, v = 2.0, c = 1.0 is not finite in double "
+                   "precision\n")
+    assert code == 2 and not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--gamma", "nan"), ("--gamma", "inf"),
@@ -675,10 +687,12 @@ def test_commands_refuse_an_overflowing_weight(capsys, tmp_path, cmd, flag,
     # (gamma^2 + delta^2 + eta^2)^s overflows at s = 200 on a 16x16x32
     # field (the parent wrote NaN norms and verify rows with exit 0), and
     # gamma^2 at gamma = 1e160 (the parent exited 2 after RuntimeWarnings,
-    # blaming a vanishing symbol); the gamma^3 of verify's ratio r, a float
-    # power, at gamma = 1e110 (once an exit 2 with the bare message
-    # "(34, 'Numerical result out of range')").  Exit 2 naming the argument,
-    # no RuntimeWarning, nothing written.
+    # blaming a vanishing symbol); at gamma = 1e110 the ratio r's gamma^3
+    # once gave an exit 2 with the bare message "(34, 'Numerical result out
+    # of range')", where this field, starting at t = 0.1, is now refused for
+    # the weight exp(-gamma*t) that underflows on it.  Exit 2 naming the
+    # argument (s + 1 for the solve's norm at s + 1), no RuntimeWarning,
+    # nothing written.
     field_path = tmp_path / "field.vfgrid"
     vf.write_field(field_path, smooth_field(n_t=16, n_x1=16, n_x2=32))
     out = tmp_path / "out"
@@ -688,8 +702,19 @@ def test_commands_refuse_an_overflowing_weight(capsys, tmp_path, cmd, flag,
         code, _, err = run(capsys, [cmd, "--v", "2", "--c", "1", "--in",
                                     str(field_path), flag, value, *where,
                                     "--out", str(out)])
-    assert code == 2
-    assert f"error: {name} = " in err and "overflows" in err
+    weight = "the Sobolev weight (gamma^2 + delta^2 + eta^2)^s at {}"
+    system = "the decay roots, symbol and forcing integrals at {}, v = 2.0, c = 1.0"
+    expected = {
+        ("solve", "200"): weight.format("gamma = 1.0, s = 201.0"),
+        ("solve", "1e160"): system.format("gamma = 1e+160"),
+        ("verify", "200"): weight.format("gamma = 1.0, s = 200.0"),
+        ("verify", "1,1e160"): weight.format("gamma = 1e+160, s = 0.0"),
+        ("reconstruct", "1e160"): system.format("gamma = 1e+160")}
+    message = ("gamma = 1e+110 underflows the weight exp(-gamma*t) on the "
+               "forcing: both half-space norms are zero"
+               if value == "1,1e110" else
+               expected[cmd, value] + " is not finite in double precision")
+    assert (code, err) == (2, f"error: {message}\n") and f"{name} = " in err
     assert not out.exists()
 
 

@@ -220,14 +220,14 @@ def test_weighted_transforms_allocate_only_their_outputs():
 def test_norms_refuse_an_overflowing_square(s):
     # Squares past the double range gave inf (sobolev_norm) or NaN
     # (halfspace_norm, through the origin extrapolation) with
-    # RuntimeWarnings; now a ValueError names s and gamma.
+    # RuntimeWarnings; now the result gate's ArithmeticError names gamma and s.
     field = smooth_field(n_t=16, n_x1=8, n_x2=33).scaled(1e200)
     spec = vf.weighted_forward(field.f_plus[:, :, 0], field.grid, 1.0)
-    with pytest.raises(ValueError, match=f"^the Sobolev norm at s = {s:g}, "
-                       "gamma = 1 overflows the double range$"):
+    with pytest.raises(ArithmeticError, match=f"^the squared Sobolev norm at "
+                       f"gamma = 1.0, s = {s!r} is not finite in double precision$"):
         vf.sobolev_norm(spec, s, 1.0, field.grid)
-    with pytest.raises(ValueError, match=f"^the half-space norm at s = {s:g}, "
-                       "gamma = 1 overflows the double range$"):
+    with pytest.raises(ArithmeticError, match=f"^the squared half-space norm at "
+                       f"gamma = 1.0, s = {s!r} is not finite in double precision$"):
         vf.halfspace_norm(field.f_plus, field.grid, s, 1.0)
 
 
