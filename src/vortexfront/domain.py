@@ -105,9 +105,10 @@ def _require_finite(what: str, *values, **inputs: float) -> None:
     """The gate for results computed under np.errstate: ArithmeticError unless
     all values are finite, naming what they are and the inputs (gamma, s, v,
     c) they scale with.  The message is formed only on refusal."""
-    if not all(np.isfinite(value).all() for value in values):
-        at = ", ".join(f"{name} = {float(value)!r}" for name, value in inputs.items())
-        raise ArithmeticError(f"{what} at {at} is not finite in double precision")
+    for value in values:
+        if not np.isfinite(value).all():
+            at = ", ".join(f"{name} = {float(v)!r}" for name, v in inputs.items())
+            raise ArithmeticError(f"{what} at {at} is not finite in double precision")
 
 
 class RegimeError(RuntimeError):

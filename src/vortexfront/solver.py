@@ -26,7 +26,7 @@ import numpy as np
 from .domain import (Frequency, Medium, StabilityClass, _refuse_nonfinite,
                      _require_finite, _split)
 from .grids import FieldGrid, GridSpec, _refuse_gamma, _refuse_magnitude
-from .quadrature import halfline_integral
+from .quadrature import _DepthSum, halfline_integral
 from .symbol import _require_regime, classify, mu_symbol_grid, symbol_grid
 from .transforms import (_bin_slices, _depth_pass, _half_spectrum, sobolev_norm,
                          weighted_inverse)
@@ -93,12 +93,21 @@ def _system(grid: GridSpec, medium: Medium, g: float, mu_p, mu_m, sigma,
 
 def _assemble(grid: GridSpec, medium: Medium, g: float, run
               ) -> tuple[SpectralSystem, list]:
-    """The system and the half-space norms from run(side, mu) for sides 0
-    (+) and 1 (-), that side's :func:`_depth_pass` on the half spectrum."""
+    """The system and the half-space norms from run(side, rule) for sides 0
+    (+) and 1 (-), that side's :func:`_depth_pass` on the half spectrum.
+    rule() builds the side's :class:`_DepthSum`; its first call also
+    computes the roots and Sigma over the grid."""
+    mus = []
+
+    def rule(side):
+        if not mus:
+            tau = g + 1j * grid.delta_axis[:, None]
+            mus.extend(mu_symbol_grid(tau, grid.eta_axis[None, :], medium))
+        mu = mus[side][:, :grid.n_x1 // 2 + 1]
+        return _DepthSum(mu, grid.dx2, grid.n_x2, mu.size)
+
     with np.errstate(all="ignore"):  # _system gates the result
-        tau = g + 1j * grid.delta_axis[:, None]
-        mus = mu_symbol_grid(tau, grid.eta_axis[None, :], medium)
-        sides = [run(i, mu[:, :grid.n_x1 // 2 + 1]) for i, mu in enumerate(mus[:2])]
+        sides = [run(i, lambda i=i: rule(i)) for i in range(2)]
         full = [_paired_full(a, grid) for ints, _ in sides for a in ints]
         return _system(grid, medium, g, *mus, *full), [norm for _, norm in sides]
 
@@ -112,10 +121,18 @@ def build_system(fieldgrid: FieldGrid, medium: Medium,
     grid = fieldgrid.grid
     g = grid.gamma if gamma is None else gamma
     _refuse_gamma(g)
-    # One side's spectrum is held at a time, and its pass runs in place.
+    # One x1 spectrum for both sides: side + is transformed, passed in place
+    # and joined into I+ before side - is transformed into the same array.
+    # Each side's rule is built beside its transform, as item 0 of its split.
+    x1_hat = np.empty((grid.n_x2, grid.n_t, grid.n_x1 // 2 + 1), dtype=complex)
     sides = (fieldgrid.f_plus, fieldgrid.f_minus)
-    return _assemble(grid, medium, g, lambda i, mu: _depth_pass(
-        _half_spectrum(sides[i], grid), grid, g, mu, in_place=True))[0]
+
+    def run(i, rule):
+        built = []
+        _half_spectrum(sides[i], grid, x1_hat, lambda: built.append(rule()))
+        return _depth_pass(x1_hat, grid, g, built[0], in_place=True)
+
+    return _assemble(grid, medium, g, run)[0]
 
 
 def _bin_index(axis: np.ndarray, value: float, name: str) -> int:
@@ -362,8 +379,8 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
                 b.ravel() for b in bins))
             return
         g = gammas[i - 1]
-        sys, (nfp, nfm) = _assemble(grid, medium, g, lambda side, mu: _depth_pass(
-            spectra[side], grid, g, mu, s))
+        sys, (nfp, nfm) = _assemble(grid, medium, g, lambda side, rule: _depth_pass(
+            spectra[side], grid, g, rule(), s))
         nf2 = sobolev_norm(_front_hat(sys), float(s) + 1.0, g, grid) ** 2
         ng = sobolev_norm(sys.g_hat, s, g, grid)
         denom = nfp ** 2 + nfm ** 2
@@ -416,7 +433,8 @@ def blowup_probe(medium: Medium, eta0: float, gammas: list[float]) -> ProbeResul
     Evaluates |1/Sigma(gamma + 0i, eta0)| for each gamma and fits the
     power-law exponent of the growth in gamma - c*Y1*|eta0| (expected -1,
     the zero being simple).  Refused in the weakly stable regime, where eta0
-    or a gamma is not finite, and where Sigma or |1/Sigma| is not (a root).
+    or a gamma is not finite, where Sigma or |1/Sigma| is not (a root), and
+    where fewer than two gammas lie above the root, which leaves no fit.
     """
     report = _require_regime(medium, StabilityClass.ELLIPTIC_UNSTABLE, "blowup_probe")
     _refuse_nonfinite(eta0=eta0)
@@ -437,7 +455,10 @@ def blowup_probe(medium: Medium, eta0: float, gammas: list[float]) -> ProbeResul
                         c=medium.c)
     dist = np.asarray(gammas, dtype=float) - root_gamma
     fit = dist > 0.0
-    slope = (float(np.polyfit(np.log(dist[fit]), np.log(inv[fit]), 1)[0])
-             if fit.sum() >= 2 else math.nan)
+    if fit.sum() < 2:
+        raise ValueError(f"the fit needs two gammas above the root gamma = "
+                         f"c*Y1*|eta0| = {root_gamma!r}; {fit.sum()} of "
+                         f"{len(gammas)} lie above it")
+    slope = float(np.polyfit(np.log(dist[fit]), np.log(inv[fit]), 1)[0])
     return ProbeResult(float(eta0), float(root_gamma), [float(g) for g in gammas],
                        [float(v) for v in inv], slope)

@@ -86,6 +86,7 @@ def mu_grid(tau, eta, v1, c: float) -> np.ndarray:
     return mu
 
 
+@np.errstate(all="ignore")  # the scalar functions gate their results
 def decay_root(freq: Frequency, v1: float, c: float) -> complex:
     """The root mu of mu^2 = ((tau + i*v1*eta)/c)^2 + eta^2 selecting decay.
 
@@ -93,15 +94,27 @@ def decay_root(freq: Frequency, v1: float, c: float) -> complex:
     for gamma = 0 it is the continuous extension: the real branch inside the
     propagation cone, the imaginary branch signed by delta + v1*eta outside
     it (i*delta/c when eta = 0), and zero within ENDPOINT_ATOL*|eta| of the
-    loci delta = -(v1 +- c)*eta.
+    loci delta = -(v1 +- c)*eta.  A root that is not finite is refused.
     """
-    return complex(mu_grid(freq.tau, freq.eta, v1, c))
+    mu = mu_grid(freq.tau, freq.eta, v1, c)
+    _require_finite("the decay root", mu, gamma=freq.gamma, delta=freq.delta,
+                    eta=freq.eta, v1=v1, c=c)
+    return complex(mu)
 
 
+@np.errstate(all="ignore")
 def decay_root_pair(freq: Frequency, medium: Medium) -> RootPair:
-    """Both decay roots of a medium, from one kernel call."""
+    """Both decay roots of a medium, from one kernel call; refused if not
+    finite."""
     mu = mu_grid(freq.tau, freq.eta, np.array([medium.v, -medium.v]), medium.c)
-    return RootPair(*(complex(m) for m in mu))
+    _require_finite("the decay roots", mu, **_named(freq, medium))
+    return RootPair(*mu.tolist())
+
+
+def _named(freq: Frequency, medium: Medium) -> dict[str, float]:
+    """The inputs a refusal of a scalar function names."""
+    return dict(gamma=freq.gamma, delta=freq.delta, eta=freq.eta, v=medium.v,
+                c=medium.c)
 
 
 def mu_symbol_grid(tau: np.ndarray, eta: np.ndarray, medium: Medium
@@ -138,17 +151,22 @@ def symbol_grid(tau: np.ndarray, eta: np.ndarray, medium: Medium,
     return mu_symbol_grid(tau, eta, medium)[2]
 
 
+@np.errstate(all="ignore")
 def symbol(freq: Frequency, medium: Medium) -> complex:
     """The order-2 front symbol Sigma(tau, eta).
 
     Well defined on the whole frequency set, including the boundary points
     where the root sum vanishes; one root-kernel call.  Units 1/time^2.
+    A Sigma that is not finite is refused.
     """
     # One-entry arrays: numpy rounds a product of complex scalars
     # differently from its array loop, and symbol_grid must agree.
-    return complex(symbol_grid([freq.tau], [freq.eta], medium)[0])
+    sigma = symbol_grid([freq.tau], [freq.eta], medium)
+    _require_finite("the symbol", sigma, **_named(freq, medium))
+    return complex(sigma[0])
 
 
+@np.errstate(all="ignore")
 def ratio_sq(freq: Frequency, medium: Medium) -> complex:
     """The squared ratio ((tau/c) / (mu_plus + mu_minus))^2.
 
@@ -157,19 +175,29 @@ def ratio_sq(freq: Frequency, medium: Medium) -> complex:
     the direct quotient is defined and extends it continuously across the
     points tau = 0 where the root sum vanishes (value
     ((v/c)^2 - 1)/(4*(v/c)^2) there).  For eta = 0 both roots coincide
-    and the ratio is exactly 1/4.
+    and the ratio is exactly 1/4.  A ratio that is not finite in double
+    precision is refused.
     """
     if freq.eta == 0.0:
         return complex(0.25, 0.0)
     pair = decay_root_pair(freq, medium)
     diff = medium.c * (pair.mu_plus - pair.mu_minus)
-    return -(diff * diff) / (16.0 * (medium.v * freq.eta) ** 2)
+    # numpy's power is C pow, as Python's, but overflows to inf.
+    scale = 16.0 * np.float64(medium.v * freq.eta) ** 2
+    ratio = -(diff * diff) / scale if scale else math.inf
+    _require_finite("the squared ratio", ratio, **_named(freq, medium))
+    return complex(ratio)
 
 
+@np.errstate(all="ignore")
 def symbol_factored(freq: Frequency, medium: Medium) -> complex:
-    """The product form c^2*(mu_plus*mu_minus - eta^2) of the symbol."""
+    """The product form c^2*(mu_plus*mu_minus - eta^2) of the symbol;
+    refused if not finite."""
     pair = decay_root_pair(freq, medium)
-    return medium.c ** 2 * (pair.mu_plus * pair.mu_minus - freq.eta * freq.eta)
+    sigma = np.float64(medium.c) ** 2 * (pair.mu_plus * pair.mu_minus
+                                         - freq.eta * freq.eta)
+    _require_finite("the factored symbol", sigma, **_named(freq, medium))
+    return complex(sigma)
 
 
 def classify(medium: Medium) -> RegimeReport:

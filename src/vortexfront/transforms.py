@@ -13,8 +13,7 @@ import numpy as np
 
 from .domain import _require_finite, _split
 from .grids import FieldGrid, GridSpec, _sobolev_weight
-from .quadrature import (_DepthSum, _level_block, extrapolate_origin,
-                         simpson_closed)
+from .quadrature import _level_block, extrapolate_origin, simpson_closed
 
 __all__ = ["weighted_forward", "weighted_inverse", "sobolev_norm",
            "halfspace_norm", "spectral_slices"]
@@ -102,40 +101,47 @@ def _bin_slices(field: FieldGrid, gamma: float, it: int, ix: int
             for f in (field.f_plus, field.f_minus)]
 
 
-def _half_spectrum(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The x1 rfft of one real forcing side, laid out (n_x2, n_t, n_x1//2+1).
+def _half_spectrum(samples: np.ndarray, grid: GridSpec, x1_hat=None,
+                   setup=None) -> np.ndarray:
+    """The x1 rfft of one real forcing side, laid out (n_x2, n_t, n_x1//2+1),
+    into x1_hat when one is given.
 
     It does not depend on gamma; :func:`_depth_pass` adds the weight and
-    t-FFT.
+    t-FFT.  setup(), work that does not read the field, is item 0 of the
+    split, on the calling thread beside the other threads' planes.
     """
-    x1_hat = np.empty((samples.shape[2], grid.n_t, grid.n_x1 // 2 + 1),
-                      dtype=complex)
+    if x1_hat is None:
+        x1_hat = np.empty((samples.shape[2], grid.n_t, grid.n_x1 // 2 + 1),
+                          dtype=complex)
 
     # One (n_x1, n_x2) t-plane at a time: it fits in cache, where a
     # whole-stack rfft along the strided x1 axis streams from memory.
     def planes(lo, hi):
         for i in range(lo, hi):
-            np.fft.rfft(samples[i].T, axis=-1, out=x1_hat[:, i])
+            if i:
+                np.fft.rfft(samples[i - 1].T, axis=-1, out=x1_hat[:, i - 1])
+            elif setup:
+                setup()
 
-    _split(planes, grid.n_t, x1_hat.size)
+    _split(planes, grid.n_t + 1, x1_hat.size)
     return x1_hat
 
 
-def _depth_pass(x1_hat: np.ndarray, grid: GridSpec, gamma: float, mu=None,
+def _depth_pass(x1_hat: np.ndarray, grid: GridSpec, gamma: float, rule=None,
                 s: float | None = None, in_place: bool = False):
-    """((I, |last level|) if mu is given, norm if s is given) of the slices
-    (bins 0..n_x1//2 of :func:`weighted_forward`, x2 leading): I is their
-    :func:`halfline_integral`, norm their :func:`halfspace_norm`.
+    """((I, |last level|) if a rule is given, norm if s is given) of the
+    slices (bins 0..n_x1//2 of :func:`weighted_forward`, x2 leading): I is
+    their :func:`halfline_integral` by `rule`, the :class:`_DepthSum` of
+    their roots, and norm their :func:`halfspace_norm`.
 
-    One :func:`_split` over the :class:`_DepthSum` level blocks weights a
-    block, runs its t-FFT, adds its level norms and sums its chain partial
-    while it is in cache; levels 0..4 and those after the chains are copied
-    aside.  in_place overwrites x1_hat and leaves each partial in its spent
-    block: no stack is allocated.
+    One :func:`_split` over the rule's level blocks weights a block, runs
+    its t-FFT, adds its level norms and sums its chain partial while it is
+    in cache; levels 0..4 and those after the chains are copied aside.
+    in_place overwrites x1_hat and leaves each partial in its spent block:
+    no stack is allocated.
     """
     n, n_t, nh = x1_hat.shape
     w = (_weight(grid, gamma) * (grid.dt * grid.dx1))[:, None]
-    rule = None if mu is None else _DepthSum(mu, grid.dx2, n, mu.size)
     block, chain = _level_block(n_t * nh), 2 * (n // 2 - 1)
     keep = [*range(5), *range(chain, n)]
     ends = np.empty((len(keep) if rule else 0, n_t, nh), dtype=complex)
@@ -202,7 +208,12 @@ def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
     if s != 0:
         return _depth_pass(_half_spectrum(samples, grid), grid, gamma, s=s,
                            in_place=True)[1]
+    sq = np.empty((grid.n_t, samples.shape[2]))
+
+    def planes(lo, hi):  # each entry sums its x1 terms in order, in any split
+        np.einsum("ijk,ijk->ik", samples[lo:hi], samples[lo:hi], out=sq[lo:hi])
+
     with np.errstate(over="ignore"):  # _x2_norm gates the result
-        per_level = (np.exp(-2.0 * gamma * grid.t_nodes)
-                     @ np.einsum("ijk,ijk->ik", samples, samples))
+        _split(planes, grid.n_t, samples.size)
+        per_level = np.exp(-2.0 * gamma * grid.t_nodes) @ sq
     return _x2_norm((grid.dt * grid.dx1) * per_level, grid, s, gamma)

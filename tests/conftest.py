@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from vortexfront import FieldGrid, Frequency, GridSpec, Medium
-from vortexfront.quadrature import (exp_weighted_integral, exp_weighted_segment,
-                                    extrapolate_origin, simpson_closed)
+from vortexfront.quadrature import (_DepthSum, exp_weighted_integral,
+                                    exp_weighted_segment, extrapolate_origin,
+                                    simpson_closed)
 
 
 def bump(u):
@@ -70,6 +71,11 @@ def fft2_halfspace_norm(samples, grid, s, gamma):
                  / (grid.L_t * grid.L_x1))
     full = np.concatenate(([extrapolate_origin(per_level)], per_level))
     return float(np.sqrt(simpson_closed(full, grid.dx2)))
+
+
+def depth_rule(mu, grid):
+    """The depth rule that build_system makes for half-spectrum roots mu."""
+    return _DepthSum(mu, grid.dx2, grid.n_x2, mu.size)
 
 
 def per_node_convolution(full, mu, h, c):

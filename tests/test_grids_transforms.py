@@ -11,7 +11,8 @@ from vortexfront.quadrature import (exp_weighted_integral, exp_weighted_segment,
 from vortexfront.symbol import mu_symbol_grid
 from vortexfront.transforms import _depth_pass, _half_spectrum
 
-from conftest import bump, fft2_halfspace_norm, mp_moments, smooth_field
+from conftest import (bump, depth_rule, fft2_halfspace_norm, mp_moments,
+                      smooth_field)
 
 
 def test_gridspec_validation():
@@ -338,7 +339,8 @@ def test_depth_pass_in_place_matches_copying(monkeypatch):
         for spec, in_place in ((reused, False), (last, True)):
             tracemalloc.start()
             try:
-                out = _depth_pass(spec, grid, gamma, mu, 1.0, in_place=in_place)
+                out = _depth_pass(spec, grid, gamma, depth_rule(mu, grid), 1.0,
+                                  in_place=in_place)
                 peaks.append(tracemalloc.get_traced_memory()[1] / before_size)
             finally:
                 tracemalloc.stop()
@@ -372,7 +374,8 @@ def test_depth_pass_matches_materialized_slices(monkeypatch, n_x2, block_entries
         if gamma == 1e4:  # the powers of s underflow along the chains
             assert np.all(np.exp(-grid.L_x2 * mus[0]) == 0.0)
         for spec, mu in zip(spectra, mus):
-            (i_half, last), norm = _depth_pass(spec, grid, gamma, mu, s)
+            (i_half, last), norm = _depth_pass(spec, grid, gamma,
+                                               depth_rule(mu, grid), s)
             sl = materialized_slices(spec, grid, gamma)
             want = vf.halfline_integral(sl, mu, grid.dx2, axis=0)
             assert i_half.tobytes() == want.tobytes()

@@ -61,6 +61,12 @@ AT_TINY, AT_HUGE = "v = 1e-300, c = 5e-301", "v = 1e+150, c = 5e+149"
 CONSTANTS = "the estimate constants at {}"
 RATIOS = "the estimate ratios at gamma = {}, s = 0.0, {}"
 PROBE = "Sigma or |1/Sigma| at gamma = 1.0, eta0 = 1.0, v = 1e-300, c = 1e-300"
+NO_FIT = ("the fit needs two gammas above the root gamma = c*Y1*|eta0| = "
+          "0.48586827175664576; 0 of 3 lie above it")
+FAR_ETA = vf.Frequency(1.0, 0.0, 1e200)   # the root kernel's eta^2 overflows
+WIDE = vf.Medium(4e154, 2e154)            # c^2 and (v*eta)^2 overflow
+AT_FAR_ETA = "gamma = 1.0, delta = 0.0, eta = 1e+200, v{} = 2.0, c = 1.0"
+AT_WIDE = "gamma = 1.0, delta = 0.0, eta = 1.0, v = 4e+154, c = 2e+154"
 _BIN = vf.Frequency(1.0, float(FIELD.grid.delta_axis[1]), float(FIELD.grid.eta_axis[1]))
 
 LIBRARY = {
@@ -101,6 +107,20 @@ LIBRARY = {
                         bad_result(RATIOS.format("1e+110", "v = 2.0, c = 1.0"))),
     "probe": (lambda: vf.blowup_probe(vf.Medium(1e-300, 1e-300), 1.0, [1.0, 2.0]),
               bad_result(PROBE)),
+    "probe fit": (lambda: vf.blowup_probe(vf.Medium(1.0, 1.0), 1.0, [0.1, 0.2, 0.3]),
+                  (ValueError, NO_FIT)),
+    "symbol": (lambda: vf.symbol(FAR_ETA, STABLE),
+               bad_result("the symbol at " + AT_FAR_ETA.format(""))),
+    "decay_root": (lambda: vf.decay_root(FAR_ETA, 2.0, 1.0),
+                   bad_result("the decay root at " + AT_FAR_ETA.format("1"))),
+    "decay_root_pair": (lambda: vf.decay_root_pair(FAR_ETA, STABLE),
+                        bad_result("the decay roots at " + AT_FAR_ETA.format(""))),
+    "ratio_sq far eta": (lambda: vf.ratio_sq(FAR_ETA, STABLE),
+                         bad_result("the decay roots at " + AT_FAR_ETA.format(""))),
+    "ratio_sq": (lambda: vf.ratio_sq(vf.Frequency(1.0, 0.0, 1.0), WIDE),
+                 bad_result("the squared ratio at " + AT_WIDE)),
+    "symbol_factored": (lambda: vf.symbol_factored(vf.Frequency(1.0, 0.0, 1.0), WIDE),
+                        bad_result("the factored symbol at " + AT_WIDE)),
 }
 
 
@@ -142,6 +162,8 @@ COMMANDS = {
                       not_finite(RATIOS.format("1e+110", "v = 2.0, c = 1.0"))),
     "probe symbol": (["probe", "--eta", "1", "--gammas", "1,2"],
                      ["--v", "1e-300", "--c", "1e-300"], not_finite(PROBE)),
+    "probe fit": (["probe", "--eta", "1", "--gammas", "0.1,0.2,0.3"],
+                  ["--v", "1", "--c", "1"], NO_FIT),
     "reconstruct system": (["reconstruct", "--in", "{field}", *ON_BIN], TINY_ARGS,
                            not_finite(SYSTEM.format(AT_TINY))),
 }

@@ -485,8 +485,9 @@ def test_blowup_probe_growth_and_fit():
 
 
 def test_blowup_probe_far_from_root():
+    # Two gammas: the fit needs two above the root.
     med = Medium.symmetric(1.0, 1.0)
-    res = vf.blowup_probe(med, 1.0, [10.0])
+    res = vf.blowup_probe(med, 1.0, [10.0, 20.0])
     assert res.inv_abs_sigma[0] < 0.05
 
 

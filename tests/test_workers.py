@@ -16,9 +16,9 @@ import pytest
 import vortexfront as vf
 from vortexfront import GridSpec, domain, solver
 from vortexfront.solver import mu_symbol_grid
-from vortexfront.transforms import _depth_pass, _half_spectrum
+from vortexfront.transforms import _depth_pass, _half_spectrum, _x2_norm
 
-from conftest import smooth_field
+from conftest import bump, depth_rule, smooth_field
 
 WORKERS = (1, 2, 3)
 
@@ -53,7 +53,8 @@ def test_half_spectrum_is_independent_of_the_core_count(monkeypatch, n_t):
             out += [spec.copy() for spec in spectra]
             for in_place in (False, True):
                 for spec, mu in zip(spectra, mus):
-                    ints, norm = _depth_pass(spec, grid, 1.5, mu, 0.7, in_place)
+                    ints, norm = _depth_pass(spec, grid, 1.5, depth_rule(mu, grid),
+                                             0.7, in_place)
                     out += [*ints, np.array(norm)]
         return out
 
@@ -61,6 +62,77 @@ def test_half_spectrum_is_independent_of_the_core_count(monkeypatch, n_t):
     assert all(r == first for r in rest)
     for lo in (0, 14):  # copying and in-place passes, per block size
         assert first[lo + 2:lo + 8] == first[lo + 8:lo + 14]
+
+
+def test_halfspace_norm_is_independent_of_the_core_count(monkeypatch):
+    # At s = 0 the per-level sums split over t-planes, each entry summing
+    # its x1 terms in order: bitwise the former one-call einsum.  At s = 1
+    # the x1 rfft and the depth pass split.  n_t = 1 and 2 leave some of
+    # three workers without a t-plane; n_x2 is odd.
+    def run():
+        out = []
+        for n_t in (1, 2, 16):
+            grid = GridSpec(n_t, 8, 21, 1.0, 1.0, 2.0)
+            samples = np.random.default_rng(n_t).standard_normal((n_t, 8, 21))
+            out += [np.array([vf.halfspace_norm(samples, grid, s, 1.5)
+                              for s in (0.0, 1.0)])]
+            whole = (np.exp(-3.0 * grid.t_nodes)
+                     @ np.einsum("ijk,ijk->ik", samples, samples))
+            assert out[-1][0] == _x2_norm((grid.dt * grid.dx1) * whole, grid, 0.0, 1.5)
+        return out
+
+    first, *rest = each_worker_count(monkeypatch, run)
+    assert all(r == first for r in rest)
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 16])
+@pytest.mark.parametrize("chunks_per_core", [1, 4])
+def test_the_setup_item_is_independent_of_its_chunk(monkeypatch, n_t, chunks_per_core):
+    # The roots, Sigma and each side's depth rule are item 0 of that
+    # side's x1-transform split: on one worker it shares its chunk with
+    # every t-plane, on three with fewer or none.  Every array of the
+    # system is the same bytes.
+    monkeypatch.setattr(domain, "_CHUNKS_PER_CORE", chunks_per_core)
+    grid = GridSpec(n_t, 8, 21, 1.0, 1.0, 2.0)
+    taper = bump(grid.x2_nodes / grid.L_x2)
+    f = np.random.default_rng(n_t).standard_normal((2, n_t, 8, 21)) * taper
+    field = vf.FieldGrid(f[0], f[1], grid)
+    medium = vf.Medium.symmetric(2.0, 1.0)
+    first, *rest = each_worker_count(
+        monkeypatch, lambda: astuple(vf.build_system(field, medium, 1.5))[2:])
+    assert all(r == first for r in rest)
+
+
+def test_one_solve_transforms_both_sides_into_one_array(monkeypatch):
+    # Side + is transformed, passed and joined before side - is
+    # transformed into the same array, and each side's rule is built once,
+    # during that side's transform, from that side's roots.
+    field = smooth_field(n_t=16, n_x1=32, n_x2=24, y_width=0.5)
+    medium = vf.Medium.symmetric(2.0, 1.0)
+    spectra, rules, transforming = [], [], []
+    real_half, real_rule = solver._half_spectrum, solver._DepthSum
+
+    def half_spectrum(samples, grid, x1_hat=None, setup=None):
+        spectra.append((samples, x1_hat))
+        transforming.append(True)
+        try:
+            return real_half(samples, grid, x1_hat, setup)
+        finally:
+            transforming.pop()
+
+    def depth_sum(mu, *args):
+        rules.append((mu, bool(transforming)))
+        return real_rule(mu, *args)
+
+    monkeypatch.setattr(solver, "_half_spectrum", half_spectrum)
+    monkeypatch.setattr(solver, "_DepthSum", depth_sum)
+    sol = vf.solve_front(field, medium, 1.5)
+    (plus, x1_hat), (minus, reused) = spectra
+    assert plus is field.f_plus and minus is field.f_minus
+    assert x1_hat is not None and reused is x1_hat
+    assert [during for _, during in rules] == [True, True]
+    for (mu, _), want in zip(rules, (sol.system.mu_plus, sol.system.mu_minus)):
+        assert mu.tobytes() == np.ascontiguousarray(want[:, :17]).tobytes()
 
 
 def test_solve_and_estimate_are_independent_of_the_core_count(monkeypatch):
