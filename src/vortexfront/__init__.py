@@ -17,8 +17,8 @@ from .solver import (EstimateConstants, EstimateReport, EstimateRow,
                      build_system, estimate_constants, forcing_functional,
                      solve_front, verify_estimate)
 from .symbol import (BoundarySigns, boundary_root_signs, classify, decay_root,
-                     decay_root_pair, ratio_sq, root_cofactor, signed_sqrt,
-                     symbol, symbol_factored, symbol_grid, symbol_roots)
+                     decay_root_pair, ratio_sq, root_cofactor, symbol,
+                     symbol_factored, symbol_grid, symbol_roots)
 from .transforms import (halfspace_norm, sobolev_norm, spectral_slices,
                          weighted_forward, weighted_inverse)
 
@@ -35,7 +35,7 @@ __all__ = [
     "estimate_constants", "forcing_functional", "halfline_integral",
     "solve_front", "verify_estimate",
     "BoundarySigns", "boundary_root_signs", "classify", "decay_root",
-    "decay_root_pair", "ratio_sq", "root_cofactor", "signed_sqrt", "symbol",
+    "decay_root_pair", "ratio_sq", "root_cofactor", "symbol",
     "symbol_factored", "symbol_grid", "symbol_roots",
     "halfspace_norm", "sobolev_norm", "spectral_slices", "weighted_forward",
     "weighted_inverse",

@@ -45,13 +45,14 @@ def extrapolate_origin(values: np.ndarray, axis: int = -1) -> np.ndarray:
             - 5.0 * v[..., 3] + v[..., 4])
 
 
-def simpson_closed(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
-    """Composite Simpson over samples spanning [0, (n-1)*h], both ends included.
+def simpson_closed(values: np.ndarray, h: float) -> np.ndarray:
+    """Composite Simpson over samples spanning [0, (n-1)*h], both ends included,
+    on the last axis.
 
     An odd interval count is finished with the 3/8 rule on the last three
     intervals, preserving order 4.
     """
-    v = np.moveaxis(np.asarray(values), axis, -1)
+    v = np.asarray(values)
     n = v.shape[-1] - 1
     if n < 1:
         raise ValueError("need at least two samples")
@@ -166,18 +167,17 @@ class _DepthSum:
 
 
 def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
-                          axis: int = -1, origin: np.ndarray | None = None
-                          ) -> np.ndarray:
+                          origin: np.ndarray | None = None) -> np.ndarray:
     """integral_0^{(n-1)h} exp(-mu*y) f(y) dy from samples f at 0, h, ..., (n-1)h,
     or from f(0) = `origin` and `values` at h, 2h, ..., (n-1)h.
 
     f is interpolated by quadratics over Simpson pairs (and on a last odd
     interval) while the exponential is integrated exactly, by the block sums
     of :class:`_DepthSum` on node-first views, last block first: a few
-    planes at a time, and the stack is never copied.  `mu` has the shape of
-    `values` without the node axis `axis`, or broadcasts to it.
+    planes at a time, and the stack is never copied.  The nodes lie on the
+    last axis; `mu` has the shape of the others, or broadcasts to it.
     """
-    v = np.moveaxis(np.asarray(values, dtype=complex), axis, 0)
+    v = np.moveaxis(np.asarray(values, dtype=complex), -1, 0)
     if origin is None:
         origin, v = v[0], v[1:]
     if len(v) < 2:
@@ -190,14 +190,15 @@ def exp_weighted_integral(values: np.ndarray, h: float, mu: np.ndarray,
 
 
 def halfline_integral(slice_values: np.ndarray, mu: np.ndarray,
-                      dx2: float, axis: int = -1) -> np.ndarray:
-    """integral_0^{L_x2} exp(-mu*y) f(y) dy from samples at the stored nodes.
+                      dx2: float) -> np.ndarray:
+    """integral_0^{L_x2} exp(-mu*y) f(y) dy from samples at the stored nodes,
+    on the last axis.
 
     The origin sample is extrapolated (the stack is not copied); the
     exponential factor is integrated exactly (order 4 in the smoothness).
     """
-    return exp_weighted_integral(slice_values, dx2, mu, axis,
-                                 extrapolate_origin(slice_values, axis))
+    return exp_weighted_integral(slice_values, dx2, mu,
+                                 extrapolate_origin(slice_values))
 
 
 def exp_weighted_segment(f, h: float, mu, pairs: bool = True):

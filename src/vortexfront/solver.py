@@ -78,9 +78,11 @@ def _paired_full(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.concatenate((half, np.conj(mirror)), axis=1)
 
 
-def _system(grid: GridSpec, medium: Medium, g: float, mu_p, mu_m, sigma,
-            i_p, last_p, i_m, last_m) -> SpectralSystem:
-    """M, g and the truncation bounds, on the whole grid or at one bin."""
+def _system(grid: GridSpec, medium: Medium, g: float, roots, plus, minus
+            ) -> SpectralSystem:
+    """M, g and the truncation bounds from the roots (mu+, mu-, Sigma) and,
+    per side, (I, |last level|), on the whole grid or at one bin."""
+    (mu_p, mu_m, sigma), (i_p, last_p), (i_m, last_m) = roots, plus, minus
     m = i_p / mu_p - i_m / mu_m
     g_hat = -(mu_p * mu_m / (mu_p + mu_m)) * m
     _require_finite("the decay roots, symbol and forcing integrals", mu_p, mu_m,
@@ -91,48 +93,44 @@ def _system(grid: GridSpec, medium: Medium, g: float, mu_p, mu_m, sigma,
                           trunc_p, trunc_m)
 
 
-def _assemble(grid: GridSpec, medium: Medium, g: float, run
-              ) -> tuple[SpectralSystem, list]:
-    """The system and the half-space norms from run(side, rule) for sides 0
-    (+) and 1 (-), that side's :func:`_depth_pass` on the half spectrum.
-    rule() builds the side's :class:`_DepthSum`; its first call also
-    computes the roots and Sigma over the grid."""
-    mus = []
-
-    def rule(side):
-        if not mus:
-            tau = g + 1j * grid.delta_axis[:, None]
-            mus.extend(mu_symbol_grid(tau, grid.eta_axis[None, :], medium))
-        mu = mus[side][:, :grid.n_x1 // 2 + 1]
-        return _DepthSum(mu, grid.dx2, grid.n_x2, mu.size)
-
-    with np.errstate(all="ignore"):  # _system gates the result
-        sides = [run(i, lambda i=i: rule(i)) for i in range(2)]
-        full = [_paired_full(a, grid) for ints, _ in sides for a in ints]
-        return _system(grid, medium, g, *mus, *full), [norm for _, norm in sides]
+def _roots(grid: GridSpec, medium: Medium, g: float
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu+, mu-, Sigma) over the grid's (delta, eta) bins at gamma = g."""
+    return mu_symbol_grid(g + 1j * grid.delta_axis[:, None],
+                          grid.eta_axis[None, :], medium)
 
 
+def _rule(grid: GridSpec, mu: np.ndarray) -> _DepthSum:
+    """The depth rule of one side's roots over the half spectrum."""
+    return _DepthSum(mu[:, :grid.n_x1 // 2 + 1], grid.dx2, grid.n_x2,
+                     grid.n_t * (grid.n_x1 // 2 + 1))
+
+
+@np.errstate(all="ignore")  # _system gates the result
 def build_system(fieldgrid: FieldGrid, medium: Medium,
-                 gamma: float | None = None) -> SpectralSystem:
+                 gamma: float) -> SpectralSystem:
     """Transform the forcing and assemble mu, Sigma, I+-, M and g per bin.
 
     The unpaired Nyquist bins are annihilated (see :func:`_paired_full`).
     """
     grid = fieldgrid.grid
-    g = grid.gamma if gamma is None else gamma
-    _refuse_gamma(g)
+    _refuse_gamma(gamma)
     # One x1 spectrum for both sides: side + is transformed, passed in place
     # and joined into I+ before side - is transformed into the same array.
-    # Each side's rule is built beside its transform, as item 0 of its split.
     x1_hat = np.empty((grid.n_x2, grid.n_t, grid.n_x1 // 2 + 1), dtype=complex)
-    sides = (fieldgrid.f_plus, fieldgrid.f_minus)
+    roots, rule, sides = [], [], []
 
-    def run(i, rule):
-        built = []
-        _half_spectrum(sides[i], grid, x1_hat, lambda: built.append(rule()))
-        return _depth_pass(x1_hat, grid, g, built[0], in_place=True)
+    def setup():  # item 0 of the split, beside the other threads' planes
+        if not roots:
+            roots.extend(_roots(grid, medium, gamma))
+        rule.append(_rule(grid, roots[len(sides)]))
 
-    return _assemble(grid, medium, g, run)[0]
+    for samples in (fieldgrid.f_plus, fieldgrid.f_minus):
+        _half_spectrum(samples, grid, x1_hat, setup)
+        # The rule is released with its pass: two held at once raise the peak.
+        sides.append(_depth_pass(x1_hat, grid, gamma, rule.pop(), in_place=True)[0])
+    return _system(grid, medium, gamma, roots,
+                   *([_paired_full(a, grid) for a in side] for side in sides))
 
 
 def _bin_index(axis: np.ndarray, value: float, name: str) -> int:
@@ -157,12 +155,11 @@ def _bin_system(fieldgrid: FieldGrid, freq: Frequency, medium: Medium
     ix = _bin_index(grid.eta_axis, freq.eta, "eta")
     slices = _bin_slices(fieldgrid, freq.gamma, it, ix)
     with np.errstate(all="ignore"):
-        (mu_p,), (mu_m,), (sigma,) = mu_symbol_grid(
-            [freq.gamma + 1j * grid.delta_axis[it]], [grid.eta_axis[ix]], medium)
-        full = []
-        for mu, sl in zip((mu_p, mu_m), slices):
-            full += [halfline_integral(sl, mu, grid.dx2), np.abs(sl[-1])]
-        return _system(grid, medium, freq.gamma, mu_p, mu_m, sigma, *full), slices
+        roots = [a[0] for a in mu_symbol_grid(
+            [freq.gamma + 1j * grid.delta_axis[it]], [grid.eta_axis[ix]], medium)]
+        sides = [(halfline_integral(sl, mu, grid.dx2), np.abs(sl[-1]))
+                 for mu, sl in zip(roots, slices)]
+        return _system(grid, medium, freq.gamma, roots, *sides), slices
 
 
 def forcing_functional(fieldgrid: FieldGrid, freq: Frequency,
@@ -379,8 +376,11 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
                 b.ravel() for b in bins))
             return
         g = gammas[i - 1]
-        sys, (nfp, nfm) = _assemble(grid, medium, g, lambda side, rule: _depth_pass(
-            spectra[side], grid, g, rule(), s))
+        roots = _roots(grid, medium, g)
+        sides, (nfp, nfm) = zip(*(_depth_pass(spectrum, grid, g, _rule(grid, mu), s)
+                                  for spectrum, mu in zip(spectra, roots)))
+        sys = _system(grid, medium, g, roots,
+                      *([_paired_full(a, grid) for a in side] for side in sides))
         nf2 = sobolev_norm(_front_hat(sys), float(s) + 1.0, g, grid) ** 2
         ng = sobolev_norm(sys.g_hat, s, g, grid)
         denom = nfp ** 2 + nfm ** 2

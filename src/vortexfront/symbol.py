@@ -28,7 +28,7 @@ from .domain import (ENDPOINT_ATOL, REGIME_RTOL, SQRT2, Frequency,
                      StabilityClass, _refuse_nonfinite, _require_finite)
 
 __all__ = [
-    "signed_sqrt", "decay_root", "decay_root_pair", "ratio_sq", "symbol",
+    "decay_root", "decay_root_pair", "ratio_sq", "symbol",
     "symbol_factored", "classify", "symbol_roots", "root_cofactor",
     "boundary_root_signs", "BoundarySigns", "mu_grid", "mu_symbol_grid",
     "symbol_grid",
@@ -45,18 +45,6 @@ def _csqrt(a, b) -> np.ndarray:
     out.real = a
     np.abs(b, out=out.imag)
     return np.sqrt(out, out=out)
-
-
-def signed_sqrt(a, b):
-    """Square root of a + i*b with nonnegative imaginary part, elementwise.
-
-    Returns sgn(b)*sqrt((r+a)/2) + i*sqrt((r-a)/2) with r = |a+ib| and the
-    convention sgn(0) = 1, also for b = -0.0, which fixes the branch on the
-    negative real axis: :func:`_csqrt` signed by b.  Scalars give a complex.
-    """
-    out = _csqrt(a, b)
-    np.negative(out.real, out=out.real, where=b < 0.0)
-    return complex(out) if out.ndim == 0 else out
 
 
 def mu_grid(tau, eta, v1, c: float) -> np.ndarray:
@@ -170,21 +158,22 @@ def symbol(freq: Frequency, medium: Medium) -> complex:
 def ratio_sq(freq: Frequency, medium: Medium) -> complex:
     """The squared ratio ((tau/c) / (mu_plus + mu_minus))^2.
 
-    Evaluated through the equivalent difference form
-    -c^2*(mu_plus - mu_minus)^2 / (16*v^2*eta^2), which is exact wherever
-    the direct quotient is defined and extends it continuously across the
+    Evaluated through the equivalent difference form -q^2 with
+    q = c*(mu_plus - mu_minus)/(4*v*eta), which is exact wherever the
+    direct quotient is defined and extends it continuously across the
     points tau = 0 where the root sum vanishes (value
-    ((v/c)^2 - 1)/(4*(v/c)^2) there).  For eta = 0 both roots coincide
-    and the ratio is exactly 1/4.  A ratio that is not finite in double
-    precision is refused.
+    ((v/c)^2 - 1)/(4*(v/c)^2) there).  q is formed as
+    ((mu_plus - mu_minus)/(4*eta))*(c/v), with no product of a speed and
+    eta, and only then squared, so a common scale of (tau, v, c) cannot
+    take it out of range.  For eta = 0 both roots coincide and the ratio
+    is exactly 1/4.  A ratio that is not finite in double precision is
+    refused.
     """
     if freq.eta == 0.0:
         return complex(0.25, 0.0)
     pair = decay_root_pair(freq, medium)
-    diff = medium.c * (pair.mu_plus - pair.mu_minus)
-    # numpy's power is C pow, as Python's, but overflows to inf.
-    scale = 16.0 * np.float64(medium.v * freq.eta) ** 2
-    ratio = -(diff * diff) / scale if scale else math.inf
+    q = (pair.mu_plus - pair.mu_minus) / (4.0 * freq.eta) * (medium.c / medium.v)
+    ratio = -(q * q)
     _require_finite("the squared ratio", ratio, **_named(freq, medium))
     return complex(ratio)
 

@@ -24,7 +24,7 @@ def _weight(grid: GridSpec, gamma: float) -> np.ndarray:
 
 
 def weighted_forward(samples: np.ndarray, grid: GridSpec,
-                     gamma: float | None = None) -> np.ndarray:
+                     gamma: float) -> np.ndarray:
     """Multiply by exp(-gamma*t) and Fourier transform in (t, x1).
 
     Accepts a (n_t, n_x1) plane or a (n_t, n_x1, n_levels) stack; the
@@ -32,12 +32,11 @@ def weighted_forward(samples: np.ndarray, grid: GridSpec,
     approximate the continuous transform of the weighted field.  The
     returned complex array is the only one allocated.
     """
-    g = grid.gamma if gamma is None else gamma
     samples = np.asarray(samples)
     if samples.shape[:2] != (grid.n_t, grid.n_x1):
         raise ValueError(f"samples shape {samples.shape} does not start with "
                          f"({grid.n_t}, {grid.n_x1})")
-    w = _weight(grid, g).reshape((grid.n_t,) + (1,) * (samples.ndim - 1))
+    w = _weight(grid, gamma).reshape((grid.n_t,) + (1,) * (samples.ndim - 1))
     out = np.multiply(samples, w, dtype=complex)
     np.fft.fft(out, axis=1, out=out)  # the axis order of np.fft.fft2
     np.fft.fft(out, axis=0, out=out)
@@ -46,13 +45,12 @@ def weighted_forward(samples: np.ndarray, grid: GridSpec,
 
 
 def weighted_inverse(spectrum: np.ndarray, grid: GridSpec,
-                     gamma: float | None = None) -> np.ndarray:
+                     gamma: float) -> np.ndarray:
     """Inverse of :func:`weighted_forward`; returns the real part.
 
     One complex array is transformed in place; the real array returned,
     which owns its data, is the only other one allocated.
     """
-    g = grid.gamma if gamma is None else gamma
     spectrum = np.asarray(spectrum, dtype=complex)
     if spectrum.shape[:2] != (grid.n_t, grid.n_x1):
         raise ValueError(f"spectrum shape {spectrum.shape} does not start with "
@@ -60,7 +58,7 @@ def weighted_inverse(spectrum: np.ndarray, grid: GridSpec,
     u = np.divide(spectrum, grid.dt * grid.dx1)
     np.fft.ifft(u, axis=1, out=u)  # the axis order of np.fft.ifft2
     np.fft.ifft(u, axis=0, out=u)
-    w = np.exp(g * grid.t_nodes).reshape((grid.n_t,) + (1,) * (spectrum.ndim - 1))
+    w = np.exp(gamma * grid.t_nodes).reshape((grid.n_t,) + (1,) * (spectrum.ndim - 1))
     return np.multiply(u.real, w)
 
 
@@ -82,7 +80,7 @@ def sobolev_norm(f_hat: np.ndarray, s: float, gamma: float,
     return float(np.sqrt(total))
 
 
-def spectral_slices(field: FieldGrid, gamma: float | None = None
+def spectral_slices(field: FieldGrid, gamma: float
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Transformed forcing slices at every stored x2 level."""
     return (weighted_forward(field.f_plus, field.grid, gamma),

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from vortexfront import FieldGrid, Frequency, GridSpec, Medium
-from vortexfront.quadrature import (_DepthSum, exp_weighted_integral,
-                                    exp_weighted_segment, extrapolate_origin,
-                                    simpson_closed)
+from vortexfront.quadrature import (exp_weighted_integral, exp_weighted_segment,
+                                    extrapolate_origin, simpson_closed)
+from vortexfront.symbol import _csqrt
 
 
 def bump(u):
@@ -52,6 +52,19 @@ def smooth_field(n_t=64, n_x1=64, n_x2=192, L_t=1.0, L_x1=1.0, L_x2=2.0,
     return FieldGrid(fp, fm, grid)
 
 
+def signed_sqrt(a, b):
+    """Square root of a + i*b with nonnegative imaginary part, elementwise.
+
+    Returns sgn(b)*sqrt((r+a)/2) + i*sqrt((r-a)/2) with r = |a+ib| and the
+    convention sgn(0) = 1, also for b = -0.0, which fixes the branch on the
+    negative real axis: symbol._csqrt signed by b.  Scalars give a complex.
+    The reference that the root kernel's branch choice is tested against.
+    """
+    out = _csqrt(a, b)
+    np.negative(out.real, out=out.real, where=b < 0.0)
+    return complex(out) if out.ndim == 0 else out
+
+
 def mirror_field(field):
     """f_plus kept and f_minus[i, j, k] = f_plus[i, -j % n_x1, k].
 
@@ -71,11 +84,6 @@ def fft2_halfspace_norm(samples, grid, s, gamma):
                  / (grid.L_t * grid.L_x1))
     full = np.concatenate(([extrapolate_origin(per_level)], per_level))
     return float(np.sqrt(simpson_closed(full, grid.dx2)))
-
-
-def depth_rule(mu, grid):
-    """The depth rule that build_system makes for half-spectrum roots mu."""
-    return _DepthSum(mu, grid.dx2, grid.n_x2, mu.size)
 
 
 def per_node_convolution(full, mu, h, c):

@@ -184,7 +184,7 @@ def test_criterion_06_quadrature_oracle():
     errs = {}
     for n in (32, 64, 128, 256, 512):
         field = exp_oracle_field(n)
-        spec = vf.weighted_forward(field.f_plus, field.grid)
+        spec = vf.weighted_forward(field.f_plus, field.grid, freq.gamma)
         amp = spec[0, 0, 0] / math.exp(-field.grid.x2_nodes[0])
         exact = amp / (mu * (mu + 1.0))          # closed-form oracle
         got = vf.forcing_functional(field, freq, med).value

@@ -176,9 +176,12 @@ def test_roots_refuses_overflow(capsys, tmp_path, v):
     assert not out_path.exists()
 
 
-def test_roots_output(capsys):
-    code, out, _ = run(capsys, ["roots", "--v", "2", "--c", "1", "--eta", "1"])
+def test_roots_output(capsys, tmp_path):
+    path = tmp_path / "roots.json"
+    code, out, _ = run(capsys, ["roots", "--v", "2", "--c", "1", "--eta", "1",
+                                "--out", str(path)])
     assert code == 0
+    assert path.read_text() == out              # --out writes what it prints
     payload = strict_json(out)
     assert payload["regime"] == "weakly_stable"
     assert payload["roots_im"] == pytest.approx([0.936426384924271,

@@ -8,11 +8,11 @@ import vortexfront as vf
 from vortexfront import FieldGrid, GridSpec, grids, quadrature
 from vortexfront.quadrature import (exp_weighted_integral, exp_weighted_segment,
                                     extrapolate_origin, simpson_closed)
+from vortexfront.solver import _rule
 from vortexfront.symbol import mu_symbol_grid
 from vortexfront.transforms import _depth_pass, _half_spectrum
 
-from conftest import (bump, depth_rule, fft2_halfspace_norm, mp_moments,
-                      smooth_field)
+from conftest import bump, fft2_halfspace_norm, mp_moments, smooth_field
 
 
 def test_gridspec_validation():
@@ -339,7 +339,7 @@ def test_depth_pass_in_place_matches_copying(monkeypatch):
         for spec, in_place in ((reused, False), (last, True)):
             tracemalloc.start()
             try:
-                out = _depth_pass(spec, grid, gamma, depth_rule(mu, grid), 1.0,
+                out = _depth_pass(spec, grid, gamma, _rule(grid, mu), 1.0,
                                   in_place=in_place)
                 peaks.append(tracemalloc.get_traced_memory()[1] / before_size)
             finally:
@@ -375,9 +375,9 @@ def test_depth_pass_matches_materialized_slices(monkeypatch, n_x2, block_entries
             assert np.all(np.exp(-grid.L_x2 * mus[0]) == 0.0)
         for spec, mu in zip(spectra, mus):
             (i_half, last), norm = _depth_pass(spec, grid, gamma,
-                                               depth_rule(mu, grid), s)
+                                               _rule(grid, mu), s)
             sl = materialized_slices(spec, grid, gamma)
-            want = vf.halfline_integral(sl, mu, grid.dx2, axis=0)
+            want = vf.halfline_integral(np.moveaxis(sl, 0, -1), mu, grid.dx2)
             assert i_half.tobytes() == want.tobytes()
             assert last.tobytes() == np.abs(sl[-1]).tobytes()
             weight = grid.lambda_sq(gamma)[:, :5] ** s
@@ -409,6 +409,12 @@ def test_simpson_closed_cubic_exact_and_odd():
         L = n * h
         exact = L ** 4 / 4 - 2 * L ** 3 / 3 + L ** 2 / 2 - 0.5 * L
         assert simpson_closed(vals, h) == pytest.approx(exact, rel=1e-13)
+
+
+def test_simpson_closed_on_two_samples_is_the_trapezoid():
+    assert simpson_closed(np.array([1.0, 4.0]), 0.25) == 0.625
+    assert np.array_equal(simpson_closed(np.array([[1.0, 4.0], [2.0, -2.0]]), 0.5),
+                          [1.25, 0.0])
 
 
 def test_exp_weighted_integral_quadratic_exact():
@@ -450,14 +456,15 @@ def test_exp_weighted_integral_order_four():
 
 
 def test_exp_weighted_integral_node_axis():
-    # Node axis first equals node axis last and the per-entry 1-D calls,
-    # for even and odd interval counts; halfline_integral likewise.
+    # The nodes on the last axis: a strided view of a node-first stack
+    # equals its contiguous copy and the per-entry 1-D calls, for even and
+    # odd interval counts; halfline_integral likewise.
     rng = np.random.default_rng(67)
     h = 0.1
     mu = rng.uniform(0.2, 4.0, (3, 4)) + 1j * rng.uniform(-3.0, 3.0, (3, 4))
     for n in (8, 9):
         vals = rng.standard_normal((n + 1, 3, 4)) + 1j * rng.standard_normal((n + 1, 3, 4))
-        first = exp_weighted_integral(vals, h, mu, axis=0)
+        first = exp_weighted_integral(np.ascontiguousarray(np.moveaxis(vals, 0, -1)), h, mu)
         last = exp_weighted_integral(np.moveaxis(vals, 0, -1), h, mu)
         scale = np.max(np.abs(last))
         assert np.max(np.abs(first - last)) <= 1e-15 * scale
@@ -468,8 +475,9 @@ def test_exp_weighted_integral_node_axis():
 
 @pytest.mark.parametrize("block_entries", [12, 36, 4096])
 def test_halfline_integral_blocks_match_per_entry(monkeypatch, block_entries):
-    # The origin enters the first pair instead of being prepended; node axis
-    # first and last equal per-entry calls on the prepended samples.  The
+    # The origin enters the first pair instead of being prepended; the
+    # nodes on the last axis, contiguous and as a strided view of a
+    # node-first stack, equal per-entry calls on the prepended samples.  The
     # series moments run in blocks of one entry (12 and 36) and of all
     # entries of a plane (4096).  The same numbers of entries per level
     # block cut the 3x4 stacks into blocks of 2 and 4 levels and one block,
@@ -481,7 +489,7 @@ def test_halfline_integral_blocks_match_per_entry(monkeypatch, block_entries):
     mu = rng.uniform(0.2, 4.0, (3, 4)) + 1j * rng.uniform(-3.0, 3.0, (3, 4))
     for n in (5, 6, 7, 8, 31, 32, 33, 192, 193):
         vals = rng.standard_normal((n, 3, 4)) + 1j * rng.standard_normal((n, 3, 4))
-        first = vf.halfline_integral(vals, mu, h, axis=0)
+        first = vf.halfline_integral(np.ascontiguousarray(np.moveaxis(vals, 0, -1)), mu, h)
         last = vf.halfline_integral(np.moveaxis(vals, 0, -1), mu, h)
         want = np.empty((3, 4), dtype=complex)
         for i, j in np.ndindex(3, 4):
@@ -499,7 +507,7 @@ def test_halfline_integral_does_not_copy_the_stack():
     mu = rng.uniform(0.2, 4.0, (64, 33)) + 1j * rng.uniform(-3.0, 3.0, (64, 33))
     tracemalloc.start()
     try:
-        vf.halfline_integral(stack, mu, 0.01, axis=0)
+        vf.halfline_integral(np.moveaxis(stack, 0, -1), mu, 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -606,7 +614,8 @@ def _interpolant_integral(f, h, mu):
 @pytest.mark.parametrize("block_entries", [3, 4096])
 def test_exp_weighted_integral_where_the_chain_underflows(monkeypatch, block_entries):
     # At |mu*h| = 10..60, s^k = exp(-2k*mu*h) underflows within a few pairs
-    # of the in-place chains.  Node axis first and last, even and odd
+    # of the in-place chains.  The nodes on the last axis, contiguous and
+    # as a strided view of a node-first array, even and odd
     # interval counts, against the same interpolant integrated in mpmath;
     # no RuntimeWarning.  The block size steers only the series moments,
     # which these |mu*h| do not reach: both sizes take the same path.
@@ -619,9 +628,9 @@ def test_exp_weighted_integral_where_the_chain_underflows(monkeypatch, block_ent
         vals = rng.standard_normal((n + 1, 3)) + 1j * rng.standard_normal((n + 1, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            whole = (exp_weighted_integral(vals, h, mu, axis=0),
+            whole = (exp_weighted_integral(np.ascontiguousarray(vals.T), h, mu),
                      exp_weighted_integral(vals.T, h, mu))
-            half = (vf.halfline_integral(vals[1:], mu, h, axis=0),
+            half = (vf.halfline_integral(np.ascontiguousarray(vals[1:].T), mu, h),
                     vf.halfline_integral(vals[1:].T, mu, h))
         for i in range(3):
             full = np.concatenate(([extrapolate_origin(vals[1:, i])], vals[1:, i]))

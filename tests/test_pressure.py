@@ -322,7 +322,7 @@ def test_pressure_oracle_every_bin(weakly_stable):
         grid = field.grid
         sol = vf.solve_front(field, med)
         system = sol.system
-        slices = vf.spectral_slices(field)
+        slices = vf.spectral_slices(field, sol.gamma)
         worst, bins = 0.0, 0
         for it in set(range(grid.n_t)) - {grid.n_t // 2}:
             for ix in set(range(grid.n_x1)) - {grid.n_x1 // 2}:

@@ -1,6 +1,7 @@
-"""One table of refusals: every finiteness gate, in the library and per command.
+"""One table of refusals: every finiteness gate, in the library and per command,
+and every other refusal of an input that no test at its own site checks.
 
-Two gates hold the policy.  An input that is not finite is refused by
+Two gates hold the finiteness policy.  An input that is not finite is refused by
 domain._refuse_nonfinite, ValueError "<name> must be finite, got <value>";
 a result that leaves the double range by domain._require_finite,
 ArithmeticError "<what> at <inputs> is not finite in double precision",
@@ -23,6 +24,9 @@ import pytest
 
 import vortexfront as vf
 from vortexfront.cli import main
+from vortexfront.quadrature import (exp_weighted_integral, extrapolate_origin,
+                                    simpson_closed)
+from vortexfront.symbol import mu_grid
 
 from conftest import smooth_field
 
@@ -67,6 +71,8 @@ FAR_ETA = vf.Frequency(1.0, 0.0, 1e200)   # the root kernel's eta^2 overflows
 WIDE = vf.Medium(4e154, 2e154)            # c^2 and (v*eta)^2 overflow
 AT_FAR_ETA = "gamma = 1.0, delta = 0.0, eta = 1e+200, v{} = 2.0, c = 1.0"
 AT_WIDE = "gamma = 1.0, delta = 0.0, eta = 1.0, v = 4e+154, c = 2e+154"
+SLOW = vf.Medium(1e-300, 1e10)            # c/v overflows
+AT_SLOW = "gamma = 1.0, delta = 0.0, eta = 1.0, v = 1e-300, c = 10000000000.0"
 _BIN = vf.Frequency(1.0, float(FIELD.grid.delta_axis[1]), float(FIELD.grid.eta_axis[1]))
 
 LIBRARY = {
@@ -91,7 +97,7 @@ LIBRARY = {
                          bad_input("eta", math.inf)),
     "symbol_roots -inf": (lambda: vf.symbol_roots(STABLE, -math.inf),
                           bad_input("eta", -math.inf)),
-    "system": (lambda: vf.build_system(FIELD, TINY), bad_result(SYSTEM.format(AT_TINY))),
+    "system": (lambda: vf.build_system(FIELD, TINY, 1.0), bad_result(SYSTEM.format(AT_TINY))),
     "system at one bin": (lambda: vf.forcing_functional(FIELD, _BIN, TINY),
                           bad_result(SYSTEM.format(AT_TINY))),
     "estimate constants huge": (lambda: vf.estimate_constants(HUGE),
@@ -117,10 +123,47 @@ LIBRARY = {
                         bad_result("the decay roots at " + AT_FAR_ETA.format(""))),
     "ratio_sq far eta": (lambda: vf.ratio_sq(FAR_ETA, STABLE),
                          bad_result("the decay roots at " + AT_FAR_ETA.format(""))),
-    "ratio_sq": (lambda: vf.ratio_sq(vf.Frequency(1.0, 0.0, 1.0), WIDE),
-                 bad_result("the squared ratio at " + AT_WIDE)),
+    "ratio_sq": (lambda: vf.ratio_sq(vf.Frequency(1.0, 0.0, 1.0), SLOW),
+                 bad_result("the squared ratio at " + AT_SLOW)),
     "symbol_factored": (lambda: vf.symbol_factored(vf.Frequency(1.0, 0.0, 1.0), WIDE),
                         bad_result("the factored symbol at " + AT_WIDE)),
+    "Frequency.scaled": (lambda: vf.Frequency(1.0, 0.0, 1.0).scaled(0.0),
+                         (ValueError, "scale factor must be positive")),
+    "GridSpec L_t": (lambda: vf.GridSpec(16, 8, 24, 0.0, 1.0, 2.0),
+                     (ValueError, "box lengths must be positive")),
+    "FieldGrid shape": (lambda: vf.FieldGrid(FIELD.f_plus[:, :, 1:], FIELD.f_minus,
+                                             FIELD.grid),
+                        (ValueError, "f_plus has shape (16, 16, 31), "
+                                     "expected (16, 16, 32)")),
+    "extrapolate_origin": (lambda: extrapolate_origin(np.ones(4)),
+                           (ValueError, "need at least five samples to "
+                                        "extrapolate the origin")),
+    "simpson_closed": (lambda: simpson_closed(np.ones(1), 0.1),
+                       (ValueError, "need at least two samples")),
+    "exp_weighted_integral": (lambda: exp_weighted_integral(np.ones(2), 0.1, 1.0),
+                              (ValueError, "need at least three samples")),
+    "verify_estimate no gamma": (lambda: vf.verify_estimate(FIELD, STABLE, [], 0.0),
+                                 (ValueError, "need at least one gamma")),
+    "blowup_probe eta0 = 0": (lambda: vf.blowup_probe(vf.Medium(1.0, 1.0), 0.0, [1.0]),
+                              (ValueError, "eta0 must be nonzero")),
+    "blowup_probe no gamma": (lambda: vf.blowup_probe(vf.Medium(1.0, 1.0), 1.0, []),
+                              (ValueError, "need at least one gamma")),
+    "mu_grid c = 0": (lambda: mu_grid(1.0, 1.0, 2.0, 0.0),
+                      (ValueError, "sound speed c must be positive")),
+    "symbol_roots eta = 0": (lambda: vf.symbol_roots(STABLE, 0.0),
+                             (ValueError, "eta must be nonzero (Sigma(tau, 0) = "
+                                          "tau^2 has no roots)")),
+    "root_cofactor sign": (lambda: vf.root_cofactor(vf.Frequency(1.0, 0.0, 1.0),
+                                                    STABLE, 0),
+                           (ValueError, "root_sign must be +1 or -1")),
+    "weighted_forward shape": (lambda: vf.weighted_forward(np.zeros((8, 16)),
+                                                           FIELD.grid, 1.0),
+                               (ValueError, "samples shape (8, 16) does not "
+                                            "start with (16, 16)")),
+    "weighted_inverse shape": (lambda: vf.weighted_inverse(np.zeros((16, 8, 2)),
+                                                           FIELD.grid, 1.0),
+                               (ValueError, "spectrum shape (16, 8, 2) does not "
+                                            "start with (16, 16)")),
 }
 
 
@@ -166,6 +209,14 @@ COMMANDS = {
                   ["--v", "1", "--c", "1"], NO_FIT),
     "reconstruct system": (["reconstruct", "--in", "{field}", *ON_BIN], TINY_ARGS,
                            not_finite(SYSTEM.format(AT_TINY))),
+    "grid two ranges": (["grid", "--window", "0:1:2,0:0:1"], None,
+                        "--window needs three ranges gamma,delta,eta"),
+    "grid range": (["grid", "--window", "0:1,0:0:1,1:1:1"], None,
+                   "range '0:1' is not min:max:count"),
+    "grid count 0": (["grid", "--window", "0:1:0,0:0:1,1:1:1"], None,
+                     "range counts must be at least 1"),
+    "grid negative gamma": (["grid", "--window=-1:1:3,0:0:1,1:1:1"], None,
+                            "gamma samples must be nonnegative"),
 }
 
 

@@ -52,7 +52,7 @@ def test_forcing_functional_exponential_oracle():
     freq = Frequency(1.0, 0.0, 0.0)
     mu = vf.decay_root(freq, med.v1_plus, med.c)
     field = exp_oracle_field(512)
-    spec = vf.weighted_forward(field.f_plus, field.grid)
+    spec = vf.weighted_forward(field.f_plus, field.grid, freq.gamma)
     amp = spec[0, 0, 0] / math.exp(-field.grid.x2_nodes[0])
     mv = vf.forcing_functional(field, freq, med)
     exact = amp / (mu * (mu + 1.0))
@@ -138,7 +138,7 @@ def test_quadrature_order_under_doubling():
     errs = {}
     for n in (64, 128, 256, 512):
         field = exp_oracle_field(n)
-        spec = vf.weighted_forward(field.f_plus, field.grid)
+        spec = vf.weighted_forward(field.f_plus, field.grid, freq.gamma)
         amp = spec[0, 0, 0] / math.exp(-field.grid.x2_nodes[0])
         exact = amp / (mu * (mu + 1.0))
         errs[n] = abs(vf.forcing_functional(field, freq, med).value - exact) / abs(exact)

@@ -9,7 +9,7 @@ from vortexfront import Frequency, Medium, RegimeError
 from vortexfront.domain import ENDPOINT_ATOL, MachClass, StabilityClass
 from vortexfront.symbol import mu_grid, mu_symbol_grid, symbol_grid
 
-from conftest import bisect_real
+from conftest import bisect_real, signed_sqrt
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -19,18 +19,18 @@ SQRT3 = math.sqrt(3.0)
 # signed_sqrt
 
 def test_signed_sqrt_examples():
-    assert vf.signed_sqrt(1.0, 0.0) == 1.0 + 0.0j
-    assert abs(vf.signed_sqrt(0.0, 2.0) - (1.0 + 1.0j)) < 1e-15
+    assert signed_sqrt(1.0, 0.0) == 1.0 + 0.0j
+    assert abs(signed_sqrt(0.0, 2.0) - (1.0 + 1.0j)) < 1e-15
     # negative real axis uses the sgn(0) = 1 convention
-    assert vf.signed_sqrt(-1.0, 0.0) == 1.0j
-    assert vf.signed_sqrt(0.0, 0.0) == 0.0j
+    assert signed_sqrt(-1.0, 0.0) == 1.0j
+    assert signed_sqrt(0.0, 0.0) == 0.0j
 
 
 def test_signed_sqrt_squares_back():
     rng = np.random.default_rng(7)
     for _ in range(2000):
         a, b = rng.uniform(-1e3, 1e3, 2) * 10.0 ** rng.uniform(-6, 6)
-        z = vf.signed_sqrt(a, b)
+        z = signed_sqrt(a, b)
         assert abs(z * z - complex(a, b)) <= 1e-14 * abs(complex(a, b))
         assert z.imag >= 0.0
 
@@ -161,6 +161,18 @@ def test_ratio_sq_matches_direct_quotient(weakly_stable):
         pair = vf.decay_root_pair(f, weakly_stable)
         direct = ((f.tau / weakly_stable.c) / (pair.mu_plus + pair.mu_minus)) ** 2
         assert abs(vf.ratio_sq(f, weakly_stable) - direct) <= 1e-12 * abs(direct)
+
+
+@pytest.mark.parametrize("k", [1.0, 2e153, 3e307, 5e-154])
+def test_ratio_sq_is_invariant_under_a_common_scale(k):
+    # ratio_sq is homogeneous of degree 0 in (tau, v, c): the point
+    # Frequency(k/2e153, 0, 1), Medium(2k, k) is Frequency(5e-154, 0, 1),
+    # Medium(2, 1) scaled, ratio 3/16.  Formed as -(c*(mu+ - mu-))^2 /
+    # (16*(v*eta)^2), (v*eta)^2 overflowed at k = 2e153 and the ratio read
+    # -0j; formed as c*(mu+ - mu-)/(4*v*eta), 4*v*eta overflows at k = 3e307.
+    got = vf.ratio_sq(Frequency(k / 2e153, 0.0, 1.0), Medium(2.0 * k, k))
+    assert got == pytest.approx(0.1875, rel=4 * EPS, abs=0.0)
+    assert got == vf.ratio_sq(Frequency(5e-154, 0.0, 1.0), Medium(2.0, 1.0))
 
 
 def test_ratio_limit_at_root_sum_zero():
@@ -783,7 +795,7 @@ def test_signed_sqrt_matches_mpmath_componentwise():
                         slog(-3, 3, 100), np.zeros(20)))
     b = np.concatenate((slog(-300, 300, 600), slog(-310, -300, 100),
                         rng.choice([0.0, -0.0], 100), slog(-3, 3, 20)))
-    z = vf.signed_sqrt(a, b)
+    z = signed_sqrt(a, b)
     for i in range(len(a)):
         with mp.workdps(40):
             root = mp.sqrt(mp.mpc(a[i], abs(b[i])))
@@ -793,9 +805,9 @@ def test_signed_sqrt_matches_mpmath_componentwise():
                 assert abs(got - exact) <= np.finfo(float).smallest_subnormal
             else:
                 assert abs(got - exact) <= 3 * EPS * abs(exact), (a[i], b[i])
-    assert vf.signed_sqrt(-4.0, -0.0) == 2j
-    assert not np.signbit(vf.signed_sqrt(-4.0, -0.0).real)
-    assert vf.signed_sqrt(4.0, -0.0) == 2.0
+    assert signed_sqrt(-4.0, -0.0) == 2j
+    assert not np.signbit(signed_sqrt(-4.0, -0.0).real)
+    assert signed_sqrt(4.0, -0.0) == 2.0
 
 
 def _roots_reference(tau, eta, v1, c):
@@ -804,7 +816,7 @@ def _roots_reference(tau, eta, v1, c):
     x = tau.real / c
     y = (tau.imag + v1 * eta) / c
     a = x * x + (eta - y) * (eta + y)
-    mu = np.asarray(vf.signed_sqrt(a, 2.0 * x * y))
+    mu = np.asarray(signed_sqrt(a, 2.0 * x * y))
     np.abs(mu.real, out=mu.real)
     np.copysign(mu.imag, y, out=mu.imag)
     near = np.abs(np.abs(y) - np.abs(eta)) <= ENDPOINT_ATOL * np.abs(eta)

@@ -15,10 +15,10 @@ import pytest
 
 import vortexfront as vf
 from vortexfront import GridSpec, domain, solver
-from vortexfront.solver import mu_symbol_grid
+from vortexfront.solver import _rule, mu_symbol_grid
 from vortexfront.transforms import _depth_pass, _half_spectrum, _x2_norm
 
-from conftest import bump, depth_rule, smooth_field
+from conftest import bump, smooth_field
 
 WORKERS = (1, 2, 3)
 
@@ -53,7 +53,7 @@ def test_half_spectrum_is_independent_of_the_core_count(monkeypatch, n_t):
             out += [spec.copy() for spec in spectra]
             for in_place in (False, True):
                 for spec, mu in zip(spectra, mus):
-                    ints, norm = _depth_pass(spec, grid, 1.5, depth_rule(mu, grid),
+                    ints, norm = _depth_pass(spec, grid, 1.5, _rule(grid, mu),
                                              0.7, in_place)
                     out += [*ints, np.array(norm)]
         return out
@@ -105,12 +105,16 @@ def test_the_setup_item_is_independent_of_its_chunk(monkeypatch, n_t, chunks_per
 
 def test_one_solve_transforms_both_sides_into_one_array(monkeypatch):
     # Side + is transformed, passed and joined before side - is
-    # transformed into the same array, and each side's rule is built once,
-    # during that side's transform, from that side's roots.
+    # transformed into the same array.  The roots are computed once, during
+    # side +'s transform; each side's rule is built once, during that side's
+    # transform, from that side's roots, and side +'s rule is released
+    # before side -'s is built.
+    import weakref
     field = smooth_field(n_t=16, n_x1=32, n_x2=24, y_width=0.5)
     medium = vf.Medium.symmetric(2.0, 1.0)
-    spectra, rules, transforming = [], [], []
-    real_half, real_rule = solver._half_spectrum, solver._DepthSum
+    spectra, roots, rules, transforming = [], [], [], []
+    real_half, real_roots, real_rule = (solver._half_spectrum, solver._roots,
+                                        solver._DepthSum)
 
     def half_spectrum(samples, grid, x1_hat=None, setup=None):
         spectra.append((samples, x1_hat))
@@ -120,18 +124,26 @@ def test_one_solve_transforms_both_sides_into_one_array(monkeypatch):
         finally:
             transforming.pop()
 
+    def roots_at(*args):
+        roots.append(bool(transforming))
+        return real_roots(*args)
+
     def depth_sum(mu, *args):
-        rules.append((mu, bool(transforming)))
-        return real_rule(mu, *args)
+        alive = [ref() is not None for _, _, ref in rules]
+        rule = real_rule(mu, *args)
+        rules.append((mu, (bool(transforming), alive), weakref.ref(rule)))
+        return rule
 
     monkeypatch.setattr(solver, "_half_spectrum", half_spectrum)
+    monkeypatch.setattr(solver, "_roots", roots_at)
     monkeypatch.setattr(solver, "_DepthSum", depth_sum)
     sol = vf.solve_front(field, medium, 1.5)
     (plus, x1_hat), (minus, reused) = spectra
     assert plus is field.f_plus and minus is field.f_minus
     assert x1_hat is not None and reused is x1_hat
-    assert [during for _, during in rules] == [True, True]
-    for (mu, _), want in zip(rules, (sol.system.mu_plus, sol.system.mu_minus)):
+    assert roots == [True]
+    assert [when for _, when, _ in rules] == [(True, []), (True, [False])]
+    for (mu, _, _), want in zip(rules, (sol.system.mu_plus, sol.system.mu_minus)):
         assert mu.tobytes() == np.ascontiguousarray(want[:, :17]).tobytes()
 
 
