@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,17 +49,23 @@ def _refuse_magnitude(fieldgrid: "FieldGrid") -> None:
                          "norms stay in the double range")
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+def _refuse_shape(name: str, array: np.ndarray, grid: "GridSpec",
+                  *levels: int) -> None:
+    """Raise ValueError, naming the array, unless its shape is
+    (n_t, n_x1, *levels): the one check of an array against its grid."""
+    shape = (grid.n_t, grid.n_x1, *levels)
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Discretization of the periodic (t, x1) box and the x2 half-space.
 
-    n_t and n_x1 must be powers of two; x2 is sampled at the n_x2 uniform
-    nodes k*L_x2/n_x2, k = 1..n_x2 (the value at x2 = 0 is recovered by
-    extrapolation where a quadrature needs it); gamma >= 1 is the default weight.
+    n_t and n_x1 must be powers of two, at least 2; x2 is sampled at the
+    n_x2 uniform nodes k*L_x2/n_x2, k = 1..n_x2 (the value at x2 = 0 is
+    recovered by extrapolation where a quadrature needs it); gamma >= 1 is
+    the default weight.
     """
 
     n_t: int
@@ -70,8 +77,8 @@ class GridSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not _is_power_of_two(self.n_t) or not _is_power_of_two(self.n_x1):
-            raise ValueError("n_t and n_x1 must be powers of two")
+        if not all(n >= 2 and n & (n - 1) == 0 for n in (self.n_t, self.n_x1)):
+            raise ValueError("n_t and n_x1 must be powers of two, at least 2")
         if self.n_x2 < 16:
             raise ValueError("n_x2 must be at least 16")
         _refuse_nonfinite(L_t=self.L_t, L_x1=self.L_x1, L_x2=self.L_x2)
@@ -134,11 +141,9 @@ class FieldGrid:
     peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        shape = (self.grid.n_t, self.grid.n_x1, self.grid.n_x2)
         peaks = []
         for name, arr in (("f_plus", self.f_plus), ("f_minus", self.f_minus)):
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+            _refuse_shape(name, arr, self.grid, self.grid.n_x2)
             # Two reductions, no temporary the size of the side: NaN reaches
             # both and +-inf one, so both are finite iff every entry is.
             lo, hi = float(np.min(arr)), float(np.max(arr))
@@ -195,7 +200,9 @@ def read_field(path, gamma: float = 1.0) -> FieldGrid:
         n_t, n_x1, n_x2 = (int(x) for x in header[2:5])
         L_t, L_x1, L_x2 = (float(x) for x in header[5:8])
         grid = GridSpec(n_t, n_x1, n_x2, L_t, L_x1, L_x2, gamma=gamma)
-        data = np.loadtxt(fh, dtype=float, ndmin=2)
+        with warnings.catch_warnings():  # no rows: refused below, by count
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, dtype=float, ndmin=2)
     count = n_t * n_x1 * n_x2
     if data.shape != (count, 2):
         raise ValueError(f"expected {count} data rows of 2 columns, "

@@ -31,14 +31,14 @@ _BLOCK_ENTRIES = 4096
 _LEVEL_BLOCK_ENTRIES = 1 << 16
 
 
-def extrapolate_origin(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Value at y = 0 from samples at h, 2h, ..., by a degree-4 polynomial.
+def extrapolate_origin(values: np.ndarray) -> np.ndarray:
+    """Value at y = 0 from samples at h, 2h, ... on the last axis, by a
+    degree-4 polynomial.
 
     Error O(h^5) for smooth data, below the O(h^4) of the integration rules
     that consume it.
     """
     v = np.asarray(values)
-    v = v if axis in (-1, v.ndim - 1) else np.moveaxis(v, axis, -1)
     if v.shape[-1] < 5:
         raise ValueError("need at least five samples to extrapolate the origin")
     return (5.0 * v[..., 0] - 10.0 * v[..., 1] + 10.0 * v[..., 2]
@@ -54,16 +54,12 @@ def simpson_closed(values: np.ndarray, h: float) -> np.ndarray:
     """
     v = np.asarray(values)
     n = v.shape[-1] - 1
-    if n < 1:
-        raise ValueError("need at least two samples")
-    if n == 1:
-        return 0.5 * h * (v[..., 0] + v[..., 1])
+    if n < 4:
+        raise ValueError("need at least five samples")
     stop = n if n % 2 == 0 else n - 3
-    total = np.zeros(v.shape[:-1], dtype=v.dtype)
-    if stop >= 2:
-        total = (h / 3.0) * (v[..., 0] + v[..., stop]
-                             + 4.0 * v[..., 1:stop:2].sum(axis=-1)
-                             + 2.0 * v[..., 2:stop:2].sum(axis=-1))
+    total = (h / 3.0) * (v[..., 0] + v[..., stop]
+                         + 4.0 * v[..., 1:stop:2].sum(axis=-1)
+                         + 2.0 * v[..., 2:stop:2].sum(axis=-1))
     if stop < n:  # 3/8 tail
         total = total + (3.0 * h / 8.0) * (v[..., n - 3] + 3.0 * v[..., n - 2]
                                            + 3.0 * v[..., n - 1] + v[..., n])

@@ -51,8 +51,6 @@ class MValue:
 class SpectralSystem:
     """All per-bin quantities of one weighted solve (scalars for one bin)."""
 
-    grid: GridSpec
-    gamma: float
     mu_plus: np.ndarray
     mu_minus: np.ndarray
     sigma: np.ndarray
@@ -89,8 +87,7 @@ def _system(grid: GridSpec, medium: Medium, g: float, roots, plus, minus
                     sigma, g_hat, gamma=g, v=medium.v, c=medium.c)
     trunc_p = np.exp(-mu_p.real * grid.L_x2) * last_p
     trunc_m = np.exp(-mu_m.real * grid.L_x2) * last_m
-    return SpectralSystem(grid, g, mu_p, mu_m, sigma, i_p, i_m, m, g_hat,
-                          trunc_p, trunc_m)
+    return SpectralSystem(mu_p, mu_m, sigma, i_p, i_m, m, g_hat, trunc_p, trunc_m)
 
 
 def _roots(grid: GridSpec, medium: Medium, g: float
@@ -134,9 +131,8 @@ def build_system(fieldgrid: FieldGrid, medium: Medium,
 
 
 def _bin_index(axis: np.ndarray, value: float, name: str) -> int:
-    spacing = abs(axis[1] - axis[0]) if axis.size > 1 else 1.0
     idx = int(np.argmin(np.abs(axis - value)))
-    if abs(axis[idx] - value) > 1e-9 * max(abs(value), spacing):
+    if abs(axis[idx] - value) > 1e-9 * max(abs(value), abs(axis[1] - axis[0])):
         raise ValueError(f"{name} = {value:g} is not a grid frequency "
                          f"(nearest bin {axis[idx]:g})")
     if idx == axis.size // 2:

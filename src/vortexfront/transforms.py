@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import _require_finite, _split
-from .grids import FieldGrid, GridSpec, _sobolev_weight
+from .grids import FieldGrid, GridSpec, _refuse_shape, _sobolev_weight
 from .quadrature import _level_block, extrapolate_origin, simpson_closed
 
 __all__ = ["weighted_forward", "weighted_inverse", "sobolev_norm",
@@ -33,9 +33,7 @@ def weighted_forward(samples: np.ndarray, grid: GridSpec,
     returned complex array is the only one allocated.
     """
     samples = np.asarray(samples)
-    if samples.shape[:2] != (grid.n_t, grid.n_x1):
-        raise ValueError(f"samples shape {samples.shape} does not start with "
-                         f"({grid.n_t}, {grid.n_x1})")
+    _refuse_shape("samples", samples, grid, *samples.shape[2:])
     w = _weight(grid, gamma).reshape((grid.n_t,) + (1,) * (samples.ndim - 1))
     out = np.multiply(samples, w, dtype=complex)
     np.fft.fft(out, axis=1, out=out)  # the axis order of np.fft.fft2
@@ -52,9 +50,7 @@ def weighted_inverse(spectrum: np.ndarray, grid: GridSpec,
     which owns its data, is the only other one allocated.
     """
     spectrum = np.asarray(spectrum, dtype=complex)
-    if spectrum.shape[:2] != (grid.n_t, grid.n_x1):
-        raise ValueError(f"spectrum shape {spectrum.shape} does not start with "
-                         f"({grid.n_t}, {grid.n_x1})")
+    _refuse_shape("spectrum", spectrum, grid, *spectrum.shape[2:])
     u = np.divide(spectrum, grid.dt * grid.dx1)
     np.fft.ifft(u, axis=1, out=u)  # the axis order of np.fft.ifft2
     np.fft.ifft(u, axis=0, out=u)
@@ -71,8 +67,10 @@ def sobolev_norm(f_hat: np.ndarray, s: float, gamma: float,
     discrete Plancherel L^2 norm.  A squared norm that is not finite is
     refused, naming gamma and s.
     """
+    f_hat = np.asarray(f_hat)
+    _refuse_shape("f_hat", f_hat, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        density = np.abs(np.asarray(f_hat)) ** 2
+        density = np.abs(f_hat) ** 2
         if s != 0:
             density = _sobolev_weight(grid, gamma, s) * density
         total = density.sum() / (grid.L_t * grid.L_x1)
@@ -172,8 +170,8 @@ def _depth_pass(x1_hat: np.ndarray, grid: GridSpec, gamma: float, rule=None,
                     parts[b] = rule.partial(part[:top], acc if in_place else acc.copy())
 
     _split(blocks, -(-n // block), n * n_t * nh)
-    return ((rule.total(extrapolate_origin(ends[:5], axis=0), reversed(parts),
-                        ends[5:]), np.abs(ends[-1])) if rule else None,
+    return ((rule.total(extrapolate_origin(np.moveaxis(ends[:5], 0, -1)),
+                        reversed(parts), ends[5:]), np.abs(ends[-1])) if rule else None,
             None if s is None else _x2_norm(per_level / (grid.L_t * grid.L_x1),
                                             grid, s, gamma))
 
@@ -201,12 +199,11 @@ def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
     A squared norm that is not finite is refused, naming gamma and s.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 3 or samples.shape[:2] != (grid.n_t, grid.n_x1):
-        raise ValueError(f"samples shape {samples.shape} does not fit the grid")
+    _refuse_shape("samples", samples, grid, grid.n_x2)
     if s != 0:
         return _depth_pass(_half_spectrum(samples, grid), grid, gamma, s=s,
                            in_place=True)[1]
-    sq = np.empty((grid.n_t, samples.shape[2]))
+    sq = np.empty((grid.n_t, grid.n_x2))
 
     def planes(lo, hi):  # each entry sums its x1 terms in order, in any split
         np.einsum("ijk,ijk->ik", samples[lo:hi], samples[lo:hi], out=sq[lo:hi])

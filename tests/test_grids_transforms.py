@@ -411,12 +411,6 @@ def test_simpson_closed_cubic_exact_and_odd():
         assert simpson_closed(vals, h) == pytest.approx(exact, rel=1e-13)
 
 
-def test_simpson_closed_on_two_samples_is_the_trapezoid():
-    assert simpson_closed(np.array([1.0, 4.0]), 0.25) == 0.625
-    assert np.array_equal(simpson_closed(np.array([[1.0, 4.0], [2.0, -2.0]]), 0.5),
-                          [1.25, 0.0])
-
-
 def test_exp_weighted_integral_quadratic_exact():
     # the rule integrates exp(-mu y) * (quadratic) exactly, any mu
     import cmath

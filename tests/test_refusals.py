@@ -5,11 +5,12 @@ Two gates hold the finiteness policy.  An input that is not finite is refused by
 domain._refuse_nonfinite, ValueError "<name> must be finite, got <value>";
 a result that leaves the double range by domain._require_finite,
 ArithmeticError "<what> at <inputs> is not finite in double precision",
-naming the result and the gamma, s, v and c it scales with.  Each library
-row raises its gate's exception with that message; each command row exits 2
-with "error: <message>", prints and writes nothing, and emits no
-RuntimeWarning (an error in this suite, and under -W error in the child
-runs).  A refusal whose message a test at its own site already checks has
+naming the result and the gamma, s, v and c it scales with.  One gate holds
+the shape policy: an array that does not fit its grid is refused by
+grids._refuse_shape, ValueError "<name> has shape <shape>, expected <shape>".
+Each library row raises its gate's exception with that message; each command
+row exits 2 with "error: <message>", prints and writes nothing, and emits no
+warning (an error in those runs, and under -W error in the child runs).  A refusal whose message a test at its own site already checks has
 no row here.
 """
 
@@ -17,6 +18,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +75,7 @@ AT_FAR_ETA = "gamma = 1.0, delta = 0.0, eta = 1e+200, v{} = 2.0, c = 1.0"
 AT_WIDE = "gamma = 1.0, delta = 0.0, eta = 1.0, v = 4e+154, c = 2e+154"
 SLOW = vf.Medium(1e-300, 1e10)            # c/v overflows
 AT_SLOW = "gamma = 1.0, delta = 0.0, eta = 1.0, v = 1e-300, c = 10000000000.0"
+POWERS = "n_t and n_x1 must be powers of two, at least 2"
 _BIN = vf.Frequency(1.0, float(FIELD.grid.delta_axis[1]), float(FIELD.grid.eta_axis[1]))
 
 LIBRARY = {
@@ -139,7 +142,9 @@ LIBRARY = {
                            (ValueError, "need at least five samples to "
                                         "extrapolate the origin")),
     "simpson_closed": (lambda: simpson_closed(np.ones(1), 0.1),
-                       (ValueError, "need at least two samples")),
+                       (ValueError, "need at least five samples")),
+    "simpson_closed four samples": (lambda: simpson_closed(np.ones(4), 0.1),
+                                    (ValueError, "need at least five samples")),
     "exp_weighted_integral": (lambda: exp_weighted_integral(np.ones(2), 0.1, 1.0),
                               (ValueError, "need at least three samples")),
     "verify_estimate no gamma": (lambda: vf.verify_estimate(FIELD, STABLE, [], 0.0),
@@ -158,12 +163,27 @@ LIBRARY = {
                            (ValueError, "root_sign must be +1 or -1")),
     "weighted_forward shape": (lambda: vf.weighted_forward(np.zeros((8, 16)),
                                                            FIELD.grid, 1.0),
-                               (ValueError, "samples shape (8, 16) does not "
-                                            "start with (16, 16)")),
+                               (ValueError, "samples has shape (8, 16), "
+                                            "expected (16, 16)")),
     "weighted_inverse shape": (lambda: vf.weighted_inverse(np.zeros((16, 8, 2)),
                                                            FIELD.grid, 1.0),
-                               (ValueError, "spectrum shape (16, 8, 2) does not "
-                                            "start with (16, 16)")),
+                               (ValueError, "spectrum has shape (16, 8, 2), "
+                                            "expected (16, 16, 2)")),
+    "GridSpec n_t = 1": (lambda: vf.GridSpec(1, 8, 24, 1.0, 1.0, 2.0),
+                         (ValueError, POWERS)),
+    "GridSpec n_x1 = 1": (lambda: vf.GridSpec(16, 1, 24, 1.0, 1.0, 2.0),
+                          (ValueError, POWERS)),
+    "halfspace_norm depth": (lambda: vf.halfspace_norm(np.zeros((16, 16, 33)),
+                                                       FIELD.grid, 0.0, 1.0),
+                             (ValueError, "samples has shape (16, 16, 33), "
+                                          "expected (16, 16, 32)")),
+    "sobolev_norm vector": (lambda: vf.sobolev_norm(np.zeros(16), 0.0, 1.0,
+                                                    FIELD.grid),
+                            (ValueError, "f_hat has shape (16,), expected (16, 16)")),
+    "sobolev_norm stack": (lambda: vf.sobolev_norm(np.zeros((16, 16, 2)), 0.0, 1.0,
+                                                   FIELD.grid),
+                           (ValueError, "f_hat has shape (16, 16, 2), "
+                                        "expected (16, 16)")),
 }
 
 
@@ -178,9 +198,17 @@ def test_every_library_gate_raises_its_message(name):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("refusals")
-    paths = {"field": root / "field.vfgrid", "dense": root / "dense.vfgrid"}
+    paths = {"field": root / "field.vfgrid", "dense": root / "dense.vfgrid",
+             "flat": root / "flat.vfgrid", "empty": root / "empty.vfgrid"}
     vf.write_field(paths["field"], FIELD)
     vf.write_field(paths["dense"], dense_field())
+    # An x1-independent forcing on n_x1 = 1, the eta = 0 mode alone: no
+    # GridSpec holds it, so it is written by hand.
+    t, y = np.arange(16) / 16, np.arange(1, 25) / 12
+    f = np.cos(2.0 * np.pi * t + 0.3)[:, None] * np.exp(-(y / 0.2) ** 2)
+    paths["flat"].write_text("VFGRID 1 16 1 24 1 1 2\n" + "".join(
+        f"{a:.17g} {0.7 * a:.17g}\n" for a in f.ravel()))
+    paths["empty"].write_text("VFGRID 1 16 8 24 1 1 2\n")
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -188,7 +216,8 @@ TINY_ARGS, HUGE_ARGS = ["--v", "1e-300", "--c", "5e-301"], ["--v", "1e150", "--c
 ON_BIN = ["--delta", "6.3", "--eta", "6.3"]
 ROOTS = "the roots and symbol at eta = 1e+300, v = 2.0, c = 1.0"
 
-# (argv with {field} or {dense} for an input file, medium, error message)
+# (argv with {field}, {dense}, {flat} or {empty} for an input file, medium,
+# error message)
 COMMANDS = {
     "classify v": (["classify"], ["--v", "inf", "--c", "1"], "v must be finite, got inf"),
     "grid symbol": (["grid", "--window", "1:1:1,0:1:2,1:1:1"], TINY_ARGS,
@@ -217,6 +246,13 @@ COMMANDS = {
                      "range counts must be at least 1"),
     "grid negative gamma": (["grid", "--window=-1:1:3,0:0:1,1:1:1"], None,
                             "gamma samples must be nonnegative"),
+    "solve n_x1 = 1": (["solve", "--in", "{flat}"], None, POWERS),
+    "verify n_x1 = 1": (["verify", "--in", "{flat}"], None, POWERS),
+    "reconstruct n_x1 = 1": (["reconstruct", "--in", "{flat}", "--delta", "0",
+                              "--eta", "0"], None, POWERS),
+    "solve header only": (["solve", "--in", "{empty}"], None,
+                          "expected 3072 data rows of 2 columns, got array of "
+                          "shape (0, 1)"),
 }
 
 
@@ -226,7 +262,9 @@ def test_every_command_refusal_exits_2_with_its_message(capsys, tmp_path, files,
     argv, medium, message = COMMANDS[name]
     out = tmp_path / "out"
     args = [arg.format(**files) for arg in argv]
-    code = main(args + (medium or ["--v", "2", "--c", "1"]) + ["--out", str(out)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(args + (medium or ["--v", "2", "--c", "1"]) + ["--out", str(out)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
     assert not out.exists()
