@@ -171,22 +171,16 @@ def cmd_reconstruct(args, medium: Medium) -> int:
     _refuse_nonfinite(delta=args.delta, eta=args.eta)
     field = read_field(args.infile, gamma=args.gamma)
     _require_regime(medium, StabilityClass.WEAKLY_STABLE, "reconstruct")
-    grid = field.grid
-    # Clipped first: far beyond the axis every distance rounds alike.
-    delta, eta = (float(axis[np.argmin(np.abs(
-                      axis - np.clip(value, axis.min(), axis.max())))])
-                  for axis, value in ((grid.delta_axis, args.delta),
-                                      (grid.eta_axis, args.eta)))
-    freq = Frequency(args.gamma, delta, eta)
-    sys_, (sp, sm) = _bin_system(field, freq, medium)
+    sys_, (sp, sm), freq = _bin_system(
+        field, Frequency(args.gamma, args.delta, args.eta), medium)
     with np.errstate(all="ignore"):  # as in _bin_system: refused if not finite
         state = solve_boundary_system(freq, medium, complex(_front_hat(sys_)),
                                       complex(sys_.i_plus), complex(sys_.i_minus))
-        profile = reconstruct_profile(freq, medium, state, sp, sm, grid.dx2)
+        profile = reconstruct_profile(freq, medium, state, sp, sm, field.grid.dx2)
     _emit("x2,re_p_plus,im_p_plus,re_p_minus,im_p_minus\n"
           + _rows(profile.x2_nodes, profile.p_plus.real, profile.p_plus.imag,
                   profile.p_minus.real, profile.p_minus.imag), args.out)
-    print(f"bin: delta={delta:.12g} eta={eta:.12g}")
+    print(f"bin: delta={freq.delta:.12g} eta={freq.eta:.12g}")
     return 0
 
 

@@ -31,7 +31,8 @@ def _refuse_gamma(gamma: float) -> None:
 
 
 def _sobolev_weight(grid: "GridSpec", gamma: float, s: float) -> np.ndarray:
-    """(gamma^2 + delta^2 + eta^2)^s over the bins, gated."""
+    """(gamma^2 + delta^2 + eta^2)^s over the bins: inputs and result gated."""
+    _refuse_nonfinite(gamma=gamma, s=s)
     with np.errstate(over="ignore"):
         lam2 = grid.lambda_sq(gamma)
         weight = lam2 ** s

@@ -26,10 +26,10 @@ import numpy as np
 from .domain import (Frequency, Medium, StabilityClass, _refuse_nonfinite,
                      _require_finite, _split)
 from .grids import FieldGrid, GridSpec, _refuse_gamma, _refuse_magnitude
-from .quadrature import _DepthSum, halfline_integral
+from .quadrature import halfline_integral
 from .symbol import _require_regime, classify, mu_symbol_grid, symbol_grid
-from .transforms import (_bin_slices, _depth_pass, _half_spectrum, sobolev_norm,
-                         weighted_inverse)
+from .transforms import (_bin_slices, _depth_pass, _depth_rule, _half_spectrum,
+                         _paired_full, sobolev_norm, weighted_inverse)
 
 __all__ = [
     "MValue", "SpectralSystem", "FrontSolution", "EstimateConstants",
@@ -62,20 +62,6 @@ class SpectralSystem:
     trunc_minus: np.ndarray
 
 
-def _paired_full(half: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The full grid of a Hermitian half-spectrum array, Nyquist bins zeroed.
-
-    Column j > n_x1//2 is the conjugate of column n_x1 - j at the negated
-    t-frequency.  Unpaired, the Nyquist bins would leave the solved spectrum
-    non-Hermitian; the discrete forcing is in effect band-limited to the
-    paired modes.
-    """
-    half[grid.n_t // 2, :] = 0.0
-    half[:, grid.n_x1 // 2] = 0.0
-    mirror = half[-np.arange(grid.n_t), grid.n_x1 - half.shape[1]:0:-1]
-    return np.concatenate((half, np.conj(mirror)), axis=1)
-
-
 def _system(grid: GridSpec, medium: Medium, g: float, roots, plus, minus
             ) -> SpectralSystem:
     """M, g and the truncation bounds from the roots (mu+, mu-, Sigma) and,
@@ -97,12 +83,6 @@ def _roots(grid: GridSpec, medium: Medium, g: float
                           grid.eta_axis[None, :], medium)
 
 
-def _rule(grid: GridSpec, mu: np.ndarray) -> _DepthSum:
-    """The depth rule of one side's roots over the half spectrum."""
-    return _DepthSum(mu[:, :grid.n_x1 // 2 + 1], grid.dx2, grid.n_x2,
-                     grid.n_t * (grid.n_x1 // 2 + 1))
-
-
 @np.errstate(all="ignore")  # _system gates the result
 def build_system(fieldgrid: FieldGrid, medium: Medium,
                  gamma: float) -> SpectralSystem:
@@ -114,48 +94,34 @@ def build_system(fieldgrid: FieldGrid, medium: Medium,
     _refuse_gamma(gamma)
     # One x1 spectrum for both sides: side + is transformed, passed in place
     # and joined into I+ before side - is transformed into the same array.
-    x1_hat = np.empty((grid.n_x2, grid.n_t, grid.n_x1 // 2 + 1), dtype=complex)
-    roots, rule, sides = [], [], []
+    x1_hat, roots, rule, sides = None, [], [], []
 
     def setup():  # item 0 of the split, beside the other threads' planes
         if not roots:
             roots.extend(_roots(grid, medium, gamma))
-        rule.append(_rule(grid, roots[len(sides)]))
+        rule.append(_depth_rule(grid, roots[len(sides)]))
 
     for samples in (fieldgrid.f_plus, fieldgrid.f_minus):
-        _half_spectrum(samples, grid, x1_hat, setup)
+        x1_hat = _half_spectrum(samples, grid, x1_hat, setup)
         # The rule is released with its pass: two held at once raise the peak.
         sides.append(_depth_pass(x1_hat, grid, gamma, rule.pop(), in_place=True)[0])
     return _system(grid, medium, gamma, roots,
                    *([_paired_full(a, grid) for a in side] for side in sides))
 
 
-def _bin_index(axis: np.ndarray, value: float, name: str) -> int:
-    idx = int(np.argmin(np.abs(axis - value)))
-    if abs(axis[idx] - value) > 1e-9 * max(abs(value), abs(axis[1] - axis[0])):
-        raise ValueError(f"{name} = {value:g} is not a grid frequency "
-                         f"(nearest bin {axis[idx]:g})")
-    if idx == axis.size // 2:
-        raise ValueError(f"{name} = {axis[idx]:.12g} is an unpaired Nyquist "
-                         "bin, which the solver zeroes")
-    return idx
-
-
 def _bin_system(fieldgrid: FieldGrid, freq: Frequency, medium: Medium
-                ) -> tuple[SpectralSystem, list[np.ndarray]]:
-    """The :func:`build_system` scalars and the two x2 slices of one bin,
-    by a direct weighted DFT per side: O(n_t*n_x1*n_x2), no FFT."""
+                ) -> tuple[SpectralSystem, list[np.ndarray], Frequency]:
+    """The :func:`build_system` scalars, the two x2 slices and the frequency of
+    the bin nearest freq, by a direct weighted DFT per side: no FFT."""
     _refuse_gamma(freq.gamma)
     grid = fieldgrid.grid
-    it = _bin_index(grid.delta_axis, freq.delta, "delta")
-    ix = _bin_index(grid.eta_axis, freq.eta, "eta")
-    slices = _bin_slices(fieldgrid, freq.gamma, it, ix)
+    (delta, eta), slices = _bin_slices(fieldgrid, freq.gamma, freq.delta, freq.eta)
     with np.errstate(all="ignore"):
-        roots = [a[0] for a in mu_symbol_grid(
-            [freq.gamma + 1j * grid.delta_axis[it]], [grid.eta_axis[ix]], medium)]
+        roots = [a[0] for a in mu_symbol_grid([freq.gamma + 1j * delta], [eta], medium)]
         sides = [(halfline_integral(sl, mu, grid.dx2), np.abs(sl[-1]))
                  for mu, sl in zip(roots, slices)]
-        return _system(grid, medium, freq.gamma, roots, *sides), slices
+        return (_system(grid, medium, freq.gamma, roots, *sides), slices,
+                Frequency(freq.gamma, delta, eta))
 
 
 def forcing_functional(fieldgrid: FieldGrid, freq: Frequency,
@@ -166,7 +132,13 @@ def forcing_functional(fieldgrid: FieldGrid, freq: Frequency,
     (delta, eta) must be a paired bin of the field's grid (not Nyquist).
     Only that bin is computed, in O(n_t*n_x1*n_x2) with no FFT.
     """
-    sys, _ = _bin_system(fieldgrid, freq, medium)
+    grid = fieldgrid.grid
+    sys, _, at = _bin_system(fieldgrid, freq, medium)
+    for name, value, got, step in (("delta", freq.delta, at.delta, grid.delta_axis[1]),
+                                   ("eta", freq.eta, at.eta, grid.eta_axis[1])):
+        if abs(got - value) > 1e-9 * max(abs(value), step):
+            raise ValueError(f"{name} = {value:g} is not a grid frequency "
+                             f"(nearest bin {got:g})")
     assert sys.mu_plus.real > 0 and sys.mu_minus.real > 0
     return MValue(complex(sys.m), float(sys.trunc_plus + sys.trunc_minus))
 
@@ -207,13 +179,9 @@ def solve_front(fieldgrid: FieldGrid, medium: Medium,
     _refuse_magnitude(fieldgrid)
     grid = fieldgrid.grid
     g = grid.gamma if gamma is None else gamma
-    _refuse_nonfinite(s=s)  # build_system refuses a non-finite gamma
     sys = build_system(fieldgrid, medium, g)
-    with np.errstate(all="ignore"):
-        f_hat = _front_hat(sys)
-        f_phys = weighted_inverse(f_hat, grid, g)
-    _require_finite("the front exp(gamma*t)*u", f_phys, gamma=g, L_t=grid.L_t,
-                    v=medium.v, c=medium.c)
+    f_hat = _front_hat(sys)
+    f_phys = weighted_inverse(f_hat, grid, g)
     norms = {idx: sobolev_norm(f_hat, idx, g, grid)
              for idx in {0.0, float(s), float(s) + 1.0}}
     return FrontSolution(grid, g, float(s), f_hat, f_phys, norms, sys)
@@ -352,7 +320,6 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
         raise ValueError("need at least one gamma")
     for g in gammas:
         _refuse_gamma(g)
-    _refuse_nonfinite(s=s)
     _require_regime(medium, StabilityClass.WEAKLY_STABLE, "verify_estimate")
     grid = fieldgrid.grid
     if fieldgrid.peak == 0.0:
@@ -373,7 +340,7 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
             return
         g = gammas[i - 1]
         roots = _roots(grid, medium, g)
-        sides, (nfp, nfm) = zip(*(_depth_pass(spectrum, grid, g, _rule(grid, mu), s)
+        sides, (nfp, nfm) = zip(*(_depth_pass(spectrum, grid, g, _depth_rule(grid, mu), s)
                                   for spectrum, mu in zip(spectra, roots)))
         sys = _system(grid, medium, g, roots,
                       *([_paired_full(a, grid) for a in side] for side in sides))

@@ -1,26 +1,27 @@
 """Weighted Fourier transforms and the weighted Sobolev norms.
 
 The solver and the half-space norms read the real half spectrum of
-:func:`_half_spectrum` through :func:`_depth_pass`; :func:`weighted_forward`
-is the full reference path.  :func:`weighted_forward` and
-:func:`weighted_inverse` transform in place in the array they return,
-the only one each allocates.
+:func:`_half_spectrum`, laid out, paired and indexed here alone, through
+:func:`_depth_pass`; :func:`weighted_forward` is the full reference path.
+It and :func:`weighted_inverse` transform in place in the array they
+return, the only one each allocates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .domain import _require_finite, _split
+from .domain import _refuse_nonfinite, _require_finite, _split
 from .grids import FieldGrid, GridSpec, _refuse_shape, _sobolev_weight
-from .quadrature import _level_block, extrapolate_origin, simpson_closed
+from .quadrature import _DepthSum, _level_block, extrapolate_origin, simpson_closed
 
 __all__ = ["weighted_forward", "weighted_inverse", "sobolev_norm",
            "halfspace_norm", "spectral_slices"]
 
 
-def _weight(grid: GridSpec, gamma: float) -> np.ndarray:
-    return np.exp(-gamma * grid.t_nodes)
+def _weight(grid: GridSpec, gamma: float, sign: float = -1.0) -> np.ndarray:
+    _refuse_nonfinite(gamma=gamma)  # named as passed, not as sign*gamma
+    return np.exp(sign * gamma * grid.t_nodes)
 
 
 def weighted_forward(samples: np.ndarray, grid: GridSpec,
@@ -46,16 +47,19 @@ def weighted_inverse(spectrum: np.ndarray, grid: GridSpec,
                      gamma: float) -> np.ndarray:
     """Inverse of :func:`weighted_forward`; returns the real part.
 
-    One complex array is transformed in place; the real array returned,
-    which owns its data, is the only other one allocated.
+    One complex array is transformed in place; the real array returned, which
+    owns its data and is refused unless finite, is the only other one allocated.
     """
     spectrum = np.asarray(spectrum, dtype=complex)
     _refuse_shape("spectrum", spectrum, grid, *spectrum.shape[2:])
-    u = np.divide(spectrum, grid.dt * grid.dx1)
-    np.fft.ifft(u, axis=1, out=u)  # the axis order of np.fft.ifft2
-    np.fft.ifft(u, axis=0, out=u)
-    w = np.exp(gamma * grid.t_nodes).reshape((grid.n_t,) + (1,) * (spectrum.ndim - 1))
-    return np.multiply(u.real, w)
+    with np.errstate(over="ignore", invalid="ignore"):  # gated below
+        w = _weight(grid, gamma, 1.0).reshape((grid.n_t,) + (1,) * (spectrum.ndim - 1))
+        u = np.divide(spectrum, grid.dt * grid.dx1)
+        np.fft.ifft(u, axis=1, out=u)  # the axis order of np.fft.ifft2
+        np.fft.ifft(u, axis=0, out=u)
+        out = np.multiply(u.real, w)
+    _require_finite("the front exp(gamma*t)*u", out, gamma=gamma, L_t=grid.L_t)
+    return out
 
 
 def sobolev_norm(f_hat: np.ndarray, s: float, gamma: float,
@@ -85,22 +89,54 @@ def spectral_slices(field: FieldGrid, gamma: float
             weighted_forward(field.f_minus, field.grid, gamma))
 
 
-def _bin_slices(field: FieldGrid, gamma: float, it: int, ix: int
-                ) -> list[np.ndarray]:
-    """Bin (it, ix) of :func:`spectral_slices` by a direct weighted DFT."""
+def _bin(axis: np.ndarray, value: float, name: str) -> int:
+    """The bin of a frequency axis nearest value clipped to the axis (far
+    beyond it, all distances round alike); the Nyquist bin is refused."""
+    idx = int(np.argmin(np.abs(axis - np.clip(value, axis.min(), axis.max()))))
+    if idx == axis.size // 2:
+        raise ValueError(f"{name} = {axis[idx]:.12g} is an unpaired Nyquist "
+                         "bin, which the solver zeroes")
+    return idx
+
+
+def _bin_slices(field: FieldGrid, gamma: float, delta: float, eta: float
+                ) -> tuple[tuple[float, float], list[np.ndarray]]:
+    """The (delta, eta) of the nearest :func:`_bin` and its slices, by a DFT."""
     g = field.grid
+    it, ix = _bin(g.delta_axis, delta, "delta"), _bin(g.eta_axis, eta, "eta")
     turns = np.add.outer(it * np.arange(g.n_t) % g.n_t / g.n_t,
                          ix * np.arange(g.n_x1) % g.n_x1 / g.n_x1)
     kernel = (np.exp(-2j * np.pi * turns)
               * (_weight(g, gamma) * (g.dt * g.dx1))[:, None])
-    return [np.tensordot(kernel.real, f, 2) + 1j * np.tensordot(kernel.imag, f, 2)
-            for f in (field.f_plus, field.f_minus)]
+    return (float(g.delta_axis[it]), float(g.eta_axis[ix])), [
+        np.tensordot(kernel.real, f, 2) + 1j * np.tensordot(kernel.imag, f, 2)
+        for f in (field.f_plus, field.f_minus)]
+
+
+def _paired_full(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The full grid of a Hermitian half-spectrum array, Nyquist bins zeroed.
+
+    Column j > n_x1//2 is the conjugate of column n_x1 - j at the negated
+    t-frequency.  Unpaired, the Nyquist bins would leave the solved spectrum
+    non-Hermitian; the discrete forcing is in effect band-limited to the
+    paired modes.
+    """
+    half[grid.n_t // 2, :] = 0.0
+    half[:, grid.n_x1 // 2] = 0.0
+    mirror = half[-np.arange(grid.n_t), grid.n_x1 - half.shape[1]:0:-1]
+    return np.concatenate((half, np.conj(mirror)), axis=1)
+
+
+def _depth_rule(grid: GridSpec, mu: np.ndarray) -> _DepthSum:
+    """The depth rule of one side's roots over the half spectrum."""
+    return _DepthSum(mu[:, :grid.n_x1 // 2 + 1], grid.dx2, grid.n_x2,
+                     grid.n_t * (grid.n_x1 // 2 + 1))
 
 
 def _half_spectrum(samples: np.ndarray, grid: GridSpec, x1_hat=None,
                    setup=None) -> np.ndarray:
     """The x1 rfft of one real forcing side, laid out (n_x2, n_t, n_x1//2+1),
-    into x1_hat when one is given.
+    into x1_hat when one is given: an array an earlier call returned.
 
     It does not depend on gamma; :func:`_depth_pass` adds the weight and
     t-FFT.  setup(), work that does not read the field, is item 0 of the
@@ -210,5 +246,5 @@ def halfspace_norm(samples: np.ndarray, grid: GridSpec, s: float,
 
     with np.errstate(over="ignore"):  # _x2_norm gates the result
         _split(planes, grid.n_t, samples.size)
-        per_level = np.exp(-2.0 * gamma * grid.t_nodes) @ sq
+        per_level = _weight(grid, gamma, -2.0) @ sq
     return _x2_norm((grid.dt * grid.dx1) * per_level, grid, s, gamma)

@@ -309,8 +309,7 @@ def test_solve_refuses_overflowing_front(capsys, tmp_path, field_file):
                                 "--out", str(outdir)])
     L_t = vf.read_field(field_file).grid.L_t
     assert (code, err) == (2, f"error: the front exp(gamma*t)*u at gamma = 800.0, "
-                              f"L_t = {L_t!r}, v = 2.0, c = 1.0 is not finite in "
-                              "double precision\n")
+                              f"L_t = {L_t!r} is not finite in double precision\n")
     assert not outdir.exists()
 
 
@@ -469,7 +468,8 @@ def test_reconstruct_where_exp_mu_h_overflows(capsys, tmp_path, gamma):
     freq = vf.Frequency(gamma, 2.0 * np.pi, 2.0 * np.pi)
     assert f"delta={freq.delta:.12g} eta={freq.eta:.12g}" in out
     field = vf.read_field(path, gamma=gamma)
-    system, (sp, sm) = _bin_system(field, freq, medium)
+    system, (sp, sm), at = _bin_system(field, freq, medium)
+    assert at == freq
     state = vf.solve_boundary_system(freq, medium, complex(_front_hat(system)),
                                      complex(system.i_plus), complex(system.i_minus))
     roots, c2 = vf.decay_root_pair(freq, medium), medium.c ** 2

@@ -8,9 +8,8 @@ import vortexfront as vf
 from vortexfront import FieldGrid, GridSpec, grids, quadrature
 from vortexfront.quadrature import (exp_weighted_integral, exp_weighted_segment,
                                     extrapolate_origin, simpson_closed)
-from vortexfront.solver import _rule
 from vortexfront.symbol import mu_symbol_grid
-from vortexfront.transforms import _depth_pass, _half_spectrum
+from vortexfront.transforms import _depth_pass, _depth_rule, _half_spectrum
 
 from conftest import bump, fft2_halfspace_norm, mp_moments, smooth_field
 
@@ -339,7 +338,7 @@ def test_depth_pass_in_place_matches_copying(monkeypatch):
         for spec, in_place in ((reused, False), (last, True)):
             tracemalloc.start()
             try:
-                out = _depth_pass(spec, grid, gamma, _rule(grid, mu), 1.0,
+                out = _depth_pass(spec, grid, gamma, _depth_rule(grid, mu), 1.0,
                                   in_place=in_place)
                 peaks.append(tracemalloc.get_traced_memory()[1] / before_size)
             finally:
@@ -375,7 +374,7 @@ def test_depth_pass_matches_materialized_slices(monkeypatch, n_x2, block_entries
             assert np.all(np.exp(-grid.L_x2 * mus[0]) == 0.0)
         for spec, mu in zip(spectra, mus):
             (i_half, last), norm = _depth_pass(spec, grid, gamma,
-                                               _rule(grid, mu), s)
+                                               _depth_rule(grid, mu), s)
             sl = materialized_slices(spec, grid, gamma)
             want = vf.halfline_integral(np.moveaxis(sl, 0, -1), mu, grid.dx2)
             assert i_half.tobytes() == want.tobytes()

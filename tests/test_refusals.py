@@ -8,10 +8,11 @@ ArithmeticError "<what> at <inputs> is not finite in double precision",
 naming the result and the gamma, s, v and c it scales with.  One gate holds
 the shape policy: an array that does not fit its grid is refused by
 grids._refuse_shape, ValueError "<name> has shape <shape>, expected <shape>".
-Each library row raises its gate's exception with that message; each command
-row exits 2 with "error: <message>", prints and writes nothing, and emits no
-warning (an error in those runs, and under -W error in the child runs).  A refusal whose message a test at its own site already checks has
-no row here.
+Each library row raises its gate's exception with that message and emits no
+warning (an error in those calls); each command row exits 2 with
+"error: <message>", prints and writes nothing, and emits no warning (an
+error in those runs, and under -W error in the child runs).  A refusal
+whose message a test at its own site already checks has no row here.
 """
 
 import math
@@ -77,6 +78,8 @@ SLOW = vf.Medium(1e-300, 1e10)            # c/v overflows
 AT_SLOW = "gamma = 1.0, delta = 0.0, eta = 1.0, v = 1e-300, c = 10000000000.0"
 POWERS = "n_t and n_x1 must be powers of two, at least 2"
 _BIN = vf.Frequency(1.0, float(FIELD.grid.delta_axis[1]), float(FIELD.grid.eta_axis[1]))
+ONES = vf.GridSpec(8, 8, 16, 1.0, 1.0, 2.0)   # with all-ones planes and stacks
+PLANE, STACK = np.ones((8, 8)), np.ones((8, 8, 16))
 
 LIBRARY = {
     "Medium v": (lambda: vf.Medium(math.inf, 1.0), bad_input("v", math.inf)),
@@ -184,13 +187,36 @@ LIBRARY = {
                                                    FIELD.grid),
                            (ValueError, "f_hat has shape (16, 16, 2), "
                                         "expected (16, 16)")),
+    "weighted_forward gamma nan": (lambda: vf.weighted_forward(STACK, ONES, math.nan),
+                                   bad_input("gamma", math.nan)),
+    "weighted_forward gamma inf": (lambda: vf.weighted_forward(STACK, ONES, math.inf),
+                                   bad_input("gamma", math.inf)),
+    "weighted_inverse gamma nan": (lambda: vf.weighted_inverse(PLANE, ONES, math.nan),
+                                   bad_input("gamma", math.nan)),
+    "weighted_inverse gamma inf": (lambda: vf.weighted_inverse(PLANE, ONES, math.inf),
+                                   bad_input("gamma", math.inf)),
+    "weighted_inverse overflow": (lambda: vf.weighted_inverse(PLANE, ONES, 1000.0),
+                                  bad_result("the front exp(gamma*t)*u at "
+                                             "gamma = 1000.0, L_t = 1.0")),
+    "halfspace_norm gamma inf": (lambda: vf.halfspace_norm(STACK, ONES, 0.0, math.inf),
+                                 bad_input("gamma", math.inf)),
+    "halfspace_norm gamma nan s = 1": (lambda: vf.halfspace_norm(STACK, ONES, 1.0,
+                                                                 math.nan),
+                                       bad_input("gamma", math.nan)),
+    "halfspace_norm s -inf": (lambda: vf.halfspace_norm(STACK, ONES, -math.inf, 1.0),
+                              bad_input("s", -math.inf)),
+    "sobolev_norm s -inf": (lambda: vf.sobolev_norm(PLANE, -math.inf, 1.0, ONES),
+                            bad_input("s", -math.inf)),
+    "sobolev_norm gamma nan": (lambda: vf.sobolev_norm(PLANE, 1.0, math.nan, ONES),
+                               bad_input("gamma", math.nan)),
 }
 
 
 @pytest.mark.parametrize("name", LIBRARY)
 def test_every_library_gate_raises_its_message(name):
     call, (kind, message) = LIBRARY[name]
-    with pytest.raises(Exception) as exc:
+    with warnings.catch_warnings(), pytest.raises(Exception) as exc:
+        warnings.simplefilter("error")
         call()
     assert (type(exc.value), str(exc.value)) == (kind, message)
 

@@ -96,7 +96,8 @@ def test_bin_system_matches_build_system(weakly_stable, gamma):
                 continue
             freq = Frequency(gamma, float(grid.delta_axis[it]),
                              float(grid.eta_axis[ix]))
-            one, _ = _bin_system(field, freq, weakly_stable)
+            one, _, at = _bin_system(field, freq, weakly_stable)
+            assert at == freq
             got = {"m": one.m, "g_hat": one.g_hat, "f_hat": _front_hat(one)}
             want = {"m": full.m[it, ix], "g_hat": full.g_hat[it, ix],
                     "f_hat": f_hat[it, ix]}
@@ -115,6 +116,24 @@ def test_forcing_functional_refuses_nyquist_bins(weakly_stable):
         with pytest.raises(ValueError, match="Nyquist"):
             vf.forcing_functional(field, Frequency(1.0, delta, eta),
                                   weakly_stable)
+
+
+def test_forcing_functional_names_the_axis_end_for_a_far_value(weakly_stable):
+    # Every distance to 1e300 rounds to 1e300, so a plain argmin named bin 0.
+    # Clipped to the axis first, +1e300 is nearest the top bin, off the grid,
+    # and -1e300 the bottom one, the unpaired Nyquist bin.
+    field = smooth_field(n_t=16, n_x1=8, n_x2=24)
+    grid = field.grid
+    for name, axis in (("delta", grid.delta_axis), ("eta", grid.eta_axis)):
+        for value, want in (
+                (1e300, f"{name} = 1e+300 is not a grid frequency "
+                        f"(nearest bin {axis.max():g})"),
+                (-1e300, f"{name} = {axis.min():.12g} is an unpaired Nyquist "
+                         "bin, which the solver zeroes")):
+            freq = Frequency(1.0, *((value, 0.0) if name == "delta" else (0.0, value)))
+            with pytest.raises(ValueError) as exc:
+                vf.forcing_functional(field, freq, weakly_stable)
+            assert str(exc.value) == want
 
 
 def test_forcing_functional_reads_one_bin(weakly_stable):
@@ -365,8 +384,8 @@ def test_solve_front_refuses_overflowing_front(weakly_stable):
             vf.solve_front(field, weakly_stable, gamma=800.0)
         rep = vf.verify_estimate(field, weakly_stable, [800.0], 0.0)
     assert str(exc.value) == (
-        f"the front exp(gamma*t)*u at gamma = 800.0, L_t = {field.grid.L_t!r}, "
-        "v = 2.0, c = 1.0 is not finite in double precision")
+        f"the front exp(gamma*t)*u at gamma = 800.0, L_t = {field.grid.L_t!r} "
+        "is not finite in double precision")
     assert math.isfinite(rep.rows[0].r) and rep.rows[0].r > 0.0
 
 

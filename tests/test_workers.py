@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import vortexfront as vf
-from vortexfront import GridSpec, domain, solver
-from vortexfront.solver import _rule, mu_symbol_grid
-from vortexfront.transforms import _depth_pass, _half_spectrum, _x2_norm
+from vortexfront import GridSpec, domain, solver, transforms
+from vortexfront.solver import mu_symbol_grid
+from vortexfront.transforms import (_depth_pass, _depth_rule, _half_spectrum,
+                                    _x2_norm)
 
 from conftest import bump, smooth_field
 
@@ -53,8 +54,8 @@ def test_half_spectrum_is_independent_of_the_core_count(monkeypatch, n_t):
             out += [spec.copy() for spec in spectra]
             for in_place in (False, True):
                 for spec, mu in zip(spectra, mus):
-                    ints, norm = _depth_pass(spec, grid, 1.5, _rule(grid, mu),
-                                             0.7, in_place)
+                    ints, norm = _depth_pass(spec, grid, 1.5,
+                                             _depth_rule(grid, mu), 0.7, in_place)
                     out += [*ints, np.array(norm)]
         return out
 
@@ -105,24 +106,25 @@ def test_the_setup_item_is_independent_of_its_chunk(monkeypatch, n_t, chunks_per
 
 def test_one_solve_transforms_both_sides_into_one_array(monkeypatch):
     # Side + is transformed, passed and joined before side - is
-    # transformed into the same array.  The roots are computed once, during
-    # side +'s transform; each side's rule is built once, during that side's
-    # transform, from that side's roots, and side +'s rule is released
-    # before side -'s is built.
+    # transformed into the array side +'s transform returned.  The roots
+    # are computed once, during side +'s transform; each side's rule is
+    # built once, during that side's transform, from that side's roots, and
+    # side +'s rule is released before side -'s is built.
     import weakref
     field = smooth_field(n_t=16, n_x1=32, n_x2=24, y_width=0.5)
     medium = vf.Medium.symmetric(2.0, 1.0)
     spectra, roots, rules, transforming = [], [], [], []
     real_half, real_roots, real_rule = (solver._half_spectrum, solver._roots,
-                                        solver._DepthSum)
+                                        transforms._DepthSum)
 
     def half_spectrum(samples, grid, x1_hat=None, setup=None):
-        spectra.append((samples, x1_hat))
         transforming.append(True)
         try:
-            return real_half(samples, grid, x1_hat, setup)
+            out = real_half(samples, grid, x1_hat, setup)
         finally:
             transforming.pop()
+        spectra.append((samples, x1_hat, out))
+        return out
 
     def roots_at(*args):
         roots.append(bool(transforming))
@@ -136,11 +138,11 @@ def test_one_solve_transforms_both_sides_into_one_array(monkeypatch):
 
     monkeypatch.setattr(solver, "_half_spectrum", half_spectrum)
     monkeypatch.setattr(solver, "_roots", roots_at)
-    monkeypatch.setattr(solver, "_DepthSum", depth_sum)
+    monkeypatch.setattr(transforms, "_DepthSum", depth_sum)
     sol = vf.solve_front(field, medium, 1.5)
-    (plus, x1_hat), (minus, reused) = spectra
+    (plus, given, x1_hat), (minus, reused, out) = spectra
     assert plus is field.f_plus and minus is field.f_minus
-    assert x1_hat is not None and reused is x1_hat
+    assert given is None and reused is x1_hat and out is x1_hat
     assert roots == [True]
     assert [when for _, when, _ in rules] == [(True, []), (True, [False])]
     for (mu, _, _), want in zip(rules, (sol.system.mu_plus, sol.system.mu_minus)):
