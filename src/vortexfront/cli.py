@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -241,6 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse takes a value that starts with '-' only in the forms -1 and
+    # -0.001, and reads -1e-3 or -inf as an option: such a value is joined
+    # to the option before it as --eta=-1e-3 (every option takes a value).
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if (argv[i - 1][:2] == "--" and "=" not in argv[i - 1]
+                and re.match(r"-(\.?\d|inf|nan)", argv[i], re.IGNORECASE)):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args, Medium(args.v, args.c))

@@ -76,14 +76,20 @@ def _system(grid: GridSpec, medium: Medium, g: float, roots, plus, minus
     return SpectralSystem(mu_p, mu_m, sigma, i_p, i_m, m, g_hat, trunc_p, trunc_m)
 
 
-def _roots(grid: GridSpec, medium: Medium, g: float
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mu+, mu-, Sigma) over the grid's (delta, eta) bins at gamma = g."""
-    return mu_symbol_grid(g + 1j * grid.delta_axis[:, None],
-                          grid.eta_axis[None, :], medium)
-
-
 @np.errstate(all="ignore")  # _system gates the result
+def _gamma_system(grid: GridSpec, medium: Medium, g: float, spectra,
+                  s: float | None = None, in_place: bool = False):
+    """(system, (norm+, norm-)) at gamma = g, the norms None unless s is given:
+    the roots over the grid, then a :func:`_depth_pass` per side of spectra
+    (+ then -, taken in turn) by its depth rule, which dies with its pass."""
+    roots = mu_symbol_grid(g + 1j * grid.delta_axis[:, None],
+                           grid.eta_axis[None, :], medium)
+    sides, norms = zip(*(_depth_pass(x1_hat, grid, g, _depth_rule(grid, mu), s,
+                                     in_place) for x1_hat, mu in zip(spectra, roots)))
+    return _system(grid, medium, g, roots,
+                   *([_paired_full(a, grid) for a in side] for side in sides)), norms
+
+
 def build_system(fieldgrid: FieldGrid, medium: Medium,
                  gamma: float) -> SpectralSystem:
     """Transform the forcing and assemble mu, Sigma, I+-, M and g per bin.
@@ -92,21 +98,12 @@ def build_system(fieldgrid: FieldGrid, medium: Medium,
     """
     grid = fieldgrid.grid
     _refuse_gamma(gamma)
-    # One x1 spectrum for both sides: side + is transformed, passed in place
-    # and joined into I+ before side - is transformed into the same array.
-    x1_hat, roots, rule, sides = None, [], [], []
-
-    def setup():  # item 0 of the split, beside the other threads' planes
-        if not roots:
-            roots.extend(_roots(grid, medium, gamma))
-        rule.append(_depth_rule(grid, roots[len(sides)]))
-
-    for samples in (fieldgrid.f_plus, fieldgrid.f_minus):
-        x1_hat = _half_spectrum(samples, grid, x1_hat, setup)
-        # The rule is released with its pass: two held at once raise the peak.
-        sides.append(_depth_pass(x1_hat, grid, gamma, rule.pop(), in_place=True)[0])
-    return _system(grid, medium, gamma, roots,
-                   *([_paired_full(a, grid) for a in side] for side in sides))
+    # One x1 spectrum: side + is passed in place and joined into I+ before
+    # side - is transformed into the array side +'s transform returned.
+    x1_hat = None
+    spectra = (x1_hat := _half_spectrum(f, grid, x1_hat)
+               for f in (fieldgrid.f_plus, fieldgrid.f_minus))
+    return _gamma_system(grid, medium, gamma, spectra, in_place=True)[0]
 
 
 def _bin_system(fieldgrid: FieldGrid, freq: Frequency, medium: Medium
@@ -172,8 +169,9 @@ def solve_front(fieldgrid: FieldGrid, medium: Medium,
     per-bin quotient (so each bin satisfies its equation to rounding); the
     physical samples, its :func:`weighted_inverse`, are refused when not
     finite (gamma*L_t beyond about 709).  Norms are returned at
-    indices {0, s, s+1}; a forcing whose max|F| leaves grids._PEAK_RANGE,
-    where they would overflow or underflow, is refused.
+    indices {0, s, s+1}, formed before the physical samples, so an s that is
+    not finite is refused first; a forcing whose max|F| leaves
+    grids._PEAK_RANGE, where they would overflow or underflow, is refused.
     """
     _require_regime(medium, StabilityClass.WEAKLY_STABLE, "solve_front")
     _refuse_magnitude(fieldgrid)
@@ -181,10 +179,10 @@ def solve_front(fieldgrid: FieldGrid, medium: Medium,
     g = grid.gamma if gamma is None else gamma
     sys = build_system(fieldgrid, medium, g)
     f_hat = _front_hat(sys)
-    f_phys = weighted_inverse(f_hat, grid, g)
     norms = {idx: sobolev_norm(f_hat, idx, g, grid)
              for idx in {0.0, float(s), float(s) + 1.0}}
-    return FrontSolution(grid, g, float(s), f_hat, f_phys, norms, sys)
+    return FrontSolution(grid, g, float(s), f_hat, weighted_inverse(f_hat, grid, g),
+                         norms, sys)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +302,13 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
 
     The x1 half spectrum of each side is taken once.  Each gamma is then one
     item of a :func:`_split` over the cores, item 0 being
-    :func:`estimate_constants` on the calling thread: its roots, one
-    :func:`_depth_pass` per side for the half-space norms and the forcing
-    integrals, the system, f_hat and the ratios (no slice stack and no
-    physical front is formed).  The rows do not depend on the core count,
-    and a failing gamma raises what a serial sweep would raise first; a
-    gamma at which exp(-gamma*t) leaves both forcing norms zero is refused,
-    and so is a row or constant that is not finite.
+    :func:`estimate_constants` on the calling thread: the
+    :func:`_gamma_system` of the shared spectra with the half-space norms,
+    f_hat and the ratios (no slice stack and no physical front is formed).
+    The rows do not depend on the core count, and a failing gamma raises
+    what a serial sweep would raise first; a gamma at which exp(-gamma*t)
+    leaves both forcing norms zero is refused, and so is a row or constant
+    that is not finite.
     The pointwise constant is estimated over the hemisphere augmented with
     every bin of the sweep; the right-hand-side constant comes from the bin
     supremum of |mu_minus/(mu_plus+mu_minus)|^2 combined with the exact
@@ -339,11 +337,7 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
                 b.ravel() for b in bins))
             return
         g = gammas[i - 1]
-        roots = _roots(grid, medium, g)
-        sides, (nfp, nfm) = zip(*(_depth_pass(spectrum, grid, g, _depth_rule(grid, mu), s)
-                                  for spectrum, mu in zip(spectra, roots)))
-        sys = _system(grid, medium, g, roots,
-                      *([_paired_full(a, grid) for a in side] for side in sides))
+        sys, (nfp, nfm) = _gamma_system(grid, medium, g, spectra, s)
         nf2 = sobolev_norm(_front_hat(sys), float(s) + 1.0, g, grid) ** 2
         ng = sobolev_norm(sys.g_hat, s, g, grid)
         denom = nfp ** 2 + nfm ** 2

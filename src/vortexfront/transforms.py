@@ -133,14 +133,12 @@ def _depth_rule(grid: GridSpec, mu: np.ndarray) -> _DepthSum:
                      grid.n_t * (grid.n_x1 // 2 + 1))
 
 
-def _half_spectrum(samples: np.ndarray, grid: GridSpec, x1_hat=None,
-                   setup=None) -> np.ndarray:
+def _half_spectrum(samples: np.ndarray, grid: GridSpec, x1_hat=None) -> np.ndarray:
     """The x1 rfft of one real forcing side, laid out (n_x2, n_t, n_x1//2+1),
     into x1_hat when one is given: an array an earlier call returned.
 
     It does not depend on gamma; :func:`_depth_pass` adds the weight and
-    t-FFT.  setup(), work that does not read the field, is item 0 of the
-    split, on the calling thread beside the other threads' planes.
+    t-FFT.
     """
     if x1_hat is None:
         x1_hat = np.empty((samples.shape[2], grid.n_t, grid.n_x1 // 2 + 1),
@@ -150,12 +148,9 @@ def _half_spectrum(samples: np.ndarray, grid: GridSpec, x1_hat=None,
     # whole-stack rfft along the strided x1 axis streams from memory.
     def planes(lo, hi):
         for i in range(lo, hi):
-            if i:
-                np.fft.rfft(samples[i - 1].T, axis=-1, out=x1_hat[:, i - 1])
-            elif setup:
-                setup()
+            np.fft.rfft(samples[i].T, axis=-1, out=x1_hat[:, i])
 
-    _split(planes, grid.n_t + 1, x1_hat.size)
+    _split(planes, grid.n_t, x1_hat.size)
     return x1_hat
 
 

@@ -680,6 +680,43 @@ def test_reconstruct_takes_a_far_value_to_the_end_of_its_axis(capsys, tmp_path,
     assert not (tmp_path / "low.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-1E+0", "-.5", "-0.001"])
+def test_roots_takes_a_negative_eta_in_any_form(capsys, value):
+    # argparse reads a token that starts with '-' as an option unless it
+    # looks like -1 or -0.001: `--eta -1e-3` exited 2 with "expected one
+    # argument".  It now answers as `--eta=-1e-3` does.
+    joined = run(capsys, ["roots", "--v", "2", "--c", "1", f"--eta={value}"])
+    assert joined[0] == 0 and joined[1]
+    assert run(capsys, ["roots", "--v", "2", "--c", "1", "--eta", value]) == joined
+
+
+def test_every_numeric_option_takes_a_negative_exponent(capsys, tmp_path, field_file):
+    # Each is read as its value and refused by the library, exit 2, where
+    # argparse refused it as a missing value.
+    out = tmp_path / "low.csv"
+    code, _, err = run(capsys, ["reconstruct", "--v", "2", "--c", "1", "--in",
+                                field_file, "--delta", "-1e300", "--eta", "6.3",
+                                "--out", str(out)])
+    assert code == 2 and "unpaired Nyquist bin" in err and "delta" in err
+    assert not out.exists()
+    for argv, message in (
+            (["roots", "--v", "2", "--c", "1", "--eta", "-inf"],
+             "eta must be finite, got -inf"),
+            (["reconstruct", "--v", "2", "--c", "1", "--in", field_file,
+              "--delta", "6.3", "--eta", "-INF"], "eta must be finite, got -inf"),
+            (["roots", "--v", "-2e0", "--c", "1", "--eta", "1"],
+             "velocity v and sound speed c must be positive"),
+            (["roots", "--v", "2", "--c", "-1e0", "--eta", "1"],
+             "velocity v and sound speed c must be positive"),
+            (["solve", "--v", "2", "--c", "1", "--in", field_file, "--gamma", "-1e0",
+              "--out", str(out)], "gamma must be finite and at least 1, got -1.0"),
+            (["solve", "--v", "2", "--c", "1", "--in", field_file, "--s", "-nan",
+              "--out", str(out)], "s must be finite, got nan")):
+        code, printed, err = run(capsys, argv)
+        assert (code, printed) == (2, "") and message in err, argv
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd,flag,value,name", [
     ("solve", "--s", "200", "s"), ("solve", "--gamma", "1e160", "gamma"),
     ("verify", "--s", "200", "s"), ("verify", "--gammas", "1,1e160", "gamma"),

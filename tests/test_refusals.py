@@ -209,6 +209,9 @@ LIBRARY = {
                             bad_input("s", -math.inf)),
     "sobolev_norm gamma nan": (lambda: vf.sobolev_norm(PLANE, 1.0, math.nan, ONES),
                                bad_input("gamma", math.nan)),
+    # The norms come before the front, which overflows at gamma = 800.
+    "solve_front s nan": (lambda: vf.solve_front(FIELD, STABLE, 800.0, math.nan),
+                          bad_input("s", math.nan)),
 }
 
 
@@ -276,6 +279,8 @@ COMMANDS = {
     "verify n_x1 = 1": (["verify", "--in", "{flat}"], None, POWERS),
     "reconstruct n_x1 = 1": (["reconstruct", "--in", "{flat}", "--delta", "0",
                               "--eta", "0"], None, POWERS),
+    "solve s nan": (["solve", "--in", "{field}", "--gamma", "800", "--s", "nan"], None,
+                    must_be_finite("s", math.nan)),
     "solve header only": (["solve", "--in", "{empty}"], None,
                           "expected 3072 data rows of 2 columns, got array of "
                           "shape (0, 1)"),

@@ -88,11 +88,11 @@ def test_halfspace_norm_is_independent_of_the_core_count(monkeypatch):
 
 @pytest.mark.parametrize("n_t", [2, 16])
 @pytest.mark.parametrize("chunks_per_core", [1, 4])
-def test_the_setup_item_is_independent_of_its_chunk(monkeypatch, n_t, chunks_per_core):
-    # The roots, Sigma and each side's depth rule are item 0 of that
-    # side's x1-transform split: on one worker it shares its chunk with
-    # every t-plane, on three with fewer or none.  Every array of the
-    # system is the same bytes.
+def test_build_system_is_independent_of_the_core_count_and_chunks(
+        monkeypatch, n_t, chunks_per_core):
+    # The x1 transform splits over t-planes and the depth pass over level
+    # blocks: on one worker one chunk takes every plane, on three some take
+    # fewer or none (n_t = 2).  Every array of the system is the same bytes.
     monkeypatch.setattr(domain, "_CHUNKS_PER_CORE", chunks_per_core)
     grid = GridSpec(n_t, 8, 21, 1.0, 1.0, 2.0)
     taper = bump(grid.x2_nodes / grid.L_x2)
@@ -105,47 +105,57 @@ def test_the_setup_item_is_independent_of_its_chunk(monkeypatch, n_t, chunks_per
 
 
 def test_one_solve_transforms_both_sides_into_one_array(monkeypatch):
-    # Side + is transformed, passed and joined before side - is
-    # transformed into the array side +'s transform returned.  The roots
-    # are computed once, during side +'s transform; each side's rule is
-    # built once, during that side's transform, from that side's roots, and
-    # side +'s rule is released before side -'s is built.
+    # The roots are formed once, before either transform.  Side + is then
+    # transformed, its rule built from mu+, and passed in place (joined into
+    # I+) before side - is transformed into the array side +'s transform
+    # returned; side -'s rule, from mu-, is built after that transform, and
+    # side +'s rule is dead by then.
     import weakref
     field = smooth_field(n_t=16, n_x1=32, n_x2=24, y_width=0.5)
     medium = vf.Medium.symmetric(2.0, 1.0)
-    spectra, roots, rules, transforming = [], [], [], []
-    real_half, real_roots, real_rule = (solver._half_spectrum, solver._roots,
-                                        transforms._DepthSum)
+    events, rules = [], []
+    real_half, real_roots, real_pass, real_rule = (
+        solver._half_spectrum, solver.mu_symbol_grid, solver._depth_pass,
+        transforms._DepthSum)
 
-    def half_spectrum(samples, grid, x1_hat=None, setup=None):
-        transforming.append(True)
-        try:
-            out = real_half(samples, grid, x1_hat, setup)
-        finally:
-            transforming.pop()
-        spectra.append((samples, x1_hat, out))
+    def half_spectrum(samples, grid, x1_hat=None):
+        events.append(("transform",))
+        out = real_half(samples, grid, x1_hat)
+        events.append(("transformed", samples, x1_hat, out))
         return out
 
     def roots_at(*args):
-        roots.append(bool(transforming))
+        events.append(("roots",))
         return real_roots(*args)
 
+    def depth_pass(x1_hat, grid, gamma, rule, s, in_place):
+        built = [ref() is rule for ref in rules].index(True)
+        events.append(("pass", x1_hat, built, in_place))
+        return real_pass(x1_hat, grid, gamma, rule, s, in_place)
+
     def depth_sum(mu, *args):
-        alive = [ref() is not None for _, _, ref in rules]
         rule = real_rule(mu, *args)
-        rules.append((mu, (bool(transforming), alive), weakref.ref(rule)))
+        events.append(("rule", mu, [ref() is not None for ref in rules]))
+        rules.append(weakref.ref(rule))
         return rule
 
     monkeypatch.setattr(solver, "_half_spectrum", half_spectrum)
-    monkeypatch.setattr(solver, "_roots", roots_at)
+    monkeypatch.setattr(solver, "mu_symbol_grid", roots_at)
+    monkeypatch.setattr(solver, "_depth_pass", depth_pass)
     monkeypatch.setattr(transforms, "_DepthSum", depth_sum)
     sol = vf.solve_front(field, medium, 1.5)
-    (plus, given, x1_hat), (minus, reused, out) = spectra
+    assert [kind for kind, *_ in events] == [
+        "roots", "transform", "transformed", "rule", "pass",
+        "transform", "transformed", "rule", "pass"]
+    (_, _, (plus, given, x1_hat), (mu_p, alive_p), (into_p, rule_p, in_p),
+     _, (minus, reused, out), (mu_m, alive_m), (into_m, rule_m, in_m)) = [
+        data for _, *data in events]
     assert plus is field.f_plus and minus is field.f_minus
     assert given is None and reused is x1_hat and out is x1_hat
-    assert roots == [True]
-    assert [when for _, when, _ in rules] == [(True, []), (True, [False])]
-    for (mu, _, _), want in zip(rules, (sol.system.mu_plus, sol.system.mu_minus)):
+    assert into_p is x1_hat and into_m is x1_hat and in_p and in_m
+    assert (alive_p, alive_m) == ([], [False])
+    assert (rule_p, rule_m, len(rules)) == (0, 1, 2)
+    for mu, want in ((mu_p, sol.system.mu_plus), (mu_m, sol.system.mu_minus)):
         assert mu.tobytes() == np.ascontiguousarray(want[:, :17]).tobytes()
 
 
