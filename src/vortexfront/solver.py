@@ -19,7 +19,7 @@ core count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -211,57 +211,57 @@ class EstimateConstants:
 _N_POLAR, _N_AZIMUTH, _RAY_RADIUS, _CONSTANTS_CHUNK = 120, 240, 0.3, 4096
 
 
-@np.errstate(all="ignore")  # the constants are gated on return
-def estimate_constants(medium: Medium,
-                       extra_points: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-                       ) -> EstimateConstants:
-    """Sample the hemisphere (plus optional points) for the estimate constants.
+def _extrema(tau, eta, sigma, lam, medium: Medium, report) -> tuple:
+    """Sigma at the points (tau, eta) of norm lam, scaled to the unit
+    hemisphere: max |Sigma|/lam^2, min (|Sigma|/(gamma*lam))^2, min
+    |Sigma|/lam^2 away from the root rays, min |cofactor|/lam near them, the
+    count near them, and max (|Sigma|/(gamma*lam))^2 (a sweep row's gate)."""
+    abs_sigma = np.abs(sigma)
+    unit = abs_sigma / (lam * lam)
+    pointwise = (abs_sigma / (tau.real * lam)) ** 2
+    far, cof = unit, np.empty(0)
+    if report.stability_class is StabilityClass.WEAKLY_STABLE:
+        ray = 1j * medium.c * report.y2 * eta
+        to_upper, to_lower = np.abs(tau - ray), np.abs(tau + ray)  # to the two rays
+        near = np.minimum(to_upper, to_lower) / lam < _RAY_RADIUS
+        far = unit[~near]
+        cof = (np.abs(sigma / np.where(to_upper <= to_lower, tau - ray, tau + ray))
+               / lam)[near]
+    return (unit.max(), pointwise.min(), far.min(initial=math.inf),
+            cof.min(initial=math.inf), cof.size, pointwise.max())
 
-    extra_points, given as (gamma, delta, eta) arrays, are projected onto
-    the hemisphere and included in the extrema, so constants derived from a
-    solve's own bins are honest lower/upper bounds for those bins.  The
-    points are evaluated in fixed chunks: every step is elementwise and the
-    extrema are exact, so the chunking changes no bit of the result.
-    Constants that are not finite are refused, naming v and c, but c_cofactor
-    is inf where no sample lies near a root ray (see ROADMAP).
-    """
-    report = classify(medium)
-    psi = (np.arange(_N_POLAR) + 0.5) * (0.5 * np.pi / _N_POLAR)
-    theta = (np.arange(_N_AZIMUTH) + 0.5) * (2.0 * np.pi / _N_AZIMUTH)
-    g = (np.cos(psi)[:, None] * np.ones_like(theta)[None, :]).ravel()
-    d = (np.sin(psi)[:, None] * np.cos(theta)[None, :]).ravel()
-    e = (np.sin(psi)[:, None] * np.sin(theta)[None, :]).ravel()
-    if extra_points is not None:
-        ge, de, ee = (np.asarray(a, dtype=float).ravel() for a in extra_points)
-        lam = np.sqrt(ge * ge + de * de + ee * ee)
-        g = np.concatenate((g, ge / lam))
-        d = np.concatenate((d, de / lam))
-        e = np.concatenate((e, ee / lam))
-    keep = g > 0.0
-    g, d, e = g[keep], d[keep], e[keep]
-    extrema = []  # per chunk: max |Sigma|, min (|Sigma|/g)^2, elliptic, cofactor
-    for lo in range(0, g.size, _CONSTANTS_CHUNK):
-        gc, dc, ec = (a[lo:lo + _CONSTANTS_CHUNK] for a in (g, d, e))
-        tau = gc + 1j * dc
-        sigma = symbol_grid(tau, ec, medium)
-        abs_sigma = np.abs(sigma)
-        far, cof, c, y2 = abs_sigma, np.empty(0), medium.c, report.y2
-        if report.stability_class is StabilityClass.WEAKLY_STABLE:
-            to_upper = np.abs(tau - 1j * c * y2 * ec)  # distances to the two rays
-            to_lower = np.abs(tau + 1j * c * y2 * ec)
-            near = np.minimum(to_upper, to_lower) < _RAY_RADIUS
-            far = abs_sigma[~near]
-            sign = np.where(to_upper <= to_lower, 1.0, -1.0)
-            cof = np.abs(sigma[near] / (tau[near] - sign[near] * 1j * c * y2 * ec[near]))
-        extrema.append((abs_sigma.max(), ((abs_sigma / gc) ** 2).min(),
-                        far.min(initial=math.inf), cof.min(initial=math.inf), cof.size))
-    high, pointwise, elliptic, cofactor, n_near = np.array(extrema).T
-    out = EstimateConstants(float(elliptic.min()), float(cofactor.min()),
-                            float(pointwise.min()) * (1.0 - 1e-9), float(high.max()))
+
+def _constants(extrema, medium: Medium, start=EstimateConstants(
+        math.inf, math.inf, math.inf, 0.0)) -> EstimateConstants:
+    """start merged with :func:`_extrema` rows by exact min/max, scaling
+    their pointwise minimum by 1 - 1e-9 (start's already is); refused unless
+    finite, but c_cofactor is inf where no point lies near a root ray."""
+    high, pointwise, elliptic, cofactor, n_near, _ = np.array(extrema).T
+    lows = np.minimum(astuple(start)[:3], (elliptic.min(), cofactor.min(),
+                                          pointwise.min() * (1.0 - 1e-9)))
+    out = EstimateConstants(*lows.tolist(), float(np.maximum(start.c_bound, high.max())))
     _require_finite("the estimate constants", out.c_elliptic, out.c_pointwise,
                     out.c_bound, out.c_cofactor if n_near.any() else 0.0,
                     v=medium.v, c=medium.c)
     return out
+
+
+@np.errstate(all="ignore")  # the constants are gated on return
+def estimate_constants(medium: Medium) -> EstimateConstants:
+    """The estimate constants over a 120 x 240 polar/azimuthal sample of the
+    unit hemisphere, taken in fixed chunks: every step is elementwise and
+    the extrema are exact, so the chunking changes no bit of the result.
+    Constants that are not finite are refused, naming v and c, but
+    c_cofactor is inf where no sample lies near a root ray (see ROADMAP)."""
+    report = classify(medium)
+    psi = (np.arange(_N_POLAR) + 0.5) * (0.5 * np.pi / _N_POLAR)
+    theta = (np.arange(_N_AZIMUTH) + 0.5) * (2.0 * np.pi / _N_AZIMUTH)
+    tau = (np.cos(psi)[:, None] + 1j * (np.sin(psi)[:, None] * np.cos(theta))).ravel()
+    eta = (np.sin(psi)[:, None] * np.sin(theta)).ravel()
+    chunks = ((tau[lo:lo + _CONSTANTS_CHUNK], eta[lo:lo + _CONSTANTS_CHUNK])
+              for lo in range(0, tau.size, _CONSTANTS_CHUNK))
+    return _constants([_extrema(t, e, symbol_grid(t, e, medium), 1.0, medium, report)
+                       for t, e in chunks], medium)
 
 
 @dataclass(frozen=True)
@@ -272,8 +272,8 @@ class EstimateRow:
     r_prime  = gamma^2 ||f||^2_{s+1} / ||g||^2_s
     g1_ratio = gamma   ||g1||^2_s    / ||F+||^2
     pointwise_min is the bin minimum of (|Sigma|/(gamma*Lambda))^2; pointwise_ok,
-    that it reaches c_pointwise, holds by construction: that constant is
-    taken over the hemisphere sample and every bin of the sweep.
+    that it reaches c_pointwise, holds by construction: the constants are
+    merged from every row's extrema (see :func:`_constants`).
     """
 
     gamma: float
@@ -304,28 +304,25 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
     item of a :func:`_split` over the cores, item 0 being
     :func:`estimate_constants` on the calling thread: the
     :func:`_gamma_system` of the shared spectra with the half-space norms,
-    f_hat and the ratios (no slice stack and no physical front is formed).
-    The rows do not depend on the core count, and a failing gamma raises
-    what a serial sweep would raise first; a gamma at which exp(-gamma*t)
-    leaves both forcing norms zero is refused, and so is a row or constant
-    that is not finite.
-    The pointwise constant is estimated over the hemisphere augmented with
-    every bin of the sweep; the right-hand-side constant comes from the bin
-    supremum of |mu_minus/(mu_plus+mu_minus)|^2 combined with the exact
-    lower bound Re(mu_plus) >= gamma/(sqrt(2)c).
+    f_hat, the ratios and the :func:`_extrema` of its Sigma (no slice stack
+    and no physical front is formed).  The rows do not depend on the core
+    count, and a failing gamma raises what a serial sweep would raise first;
+    a gamma at which exp(-gamma*t) leaves both forcing norms zero is
+    refused, and so is a row or constant that is not finite.  The constants
+    merge the hemisphere's with those extrema, so they bound every bin; the
+    right-hand-side constant comes from the bin supremum of |mu_minus/
+    (mu_plus + mu_minus)|^2 and the exact bound Re(mu_plus) >= gamma/(sqrt(2)c).
     """
     if not gammas:
         raise ValueError("need at least one gamma")
     for g in gammas:
         _refuse_gamma(g)
-    _require_regime(medium, StabilityClass.WEAKLY_STABLE, "verify_estimate")
+    report = _require_regime(medium, StabilityClass.WEAKLY_STABLE, "verify_estimate")
     grid = fieldgrid.grid
     if fieldgrid.peak == 0.0:
         raise ValueError("estimate ratios are undefined for a zero field")
     _refuse_magnitude(fieldgrid)
 
-    bins = np.meshgrid(np.asarray(gammas, dtype=float), grid.delta_axis,
-                       grid.eta_axis, indexing="ij")
     spectra = [_half_spectrum(f, grid)
                for f in (fieldgrid.f_plus, fieldgrid.f_minus)]
     done = [None] * (len(gammas) + 1)
@@ -333,8 +330,7 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
     @np.errstate(all="ignore")  # each row is gated
     def item(i):
         if i == 0:  # the calling thread's: bench/ traces it on one span stack
-            done[0] = estimate_constants(medium, extra_points=tuple(
-                b.ravel() for b in bins))
+            done[0] = estimate_constants(medium)
             return
         g = gammas[i - 1]
         sys, (nfp, nfm) = _gamma_system(grid, medium, g, spectra, s)
@@ -350,24 +346,27 @@ def verify_estimate(fieldgrid: FieldGrid, medium: Medium,
         g1_hat = -ratio * sys.i_plus
         ng1 = sobolev_norm(g1_hat, s, g, grid)
         g1_ratio = g * ng1 ** 2 / nfp ** 2 if nfp > 0 else 0.0
-        pw = (np.abs(sys.sigma) / (g * np.sqrt(grid.lambda_sq(g)))) ** 2
+        extrema = _extrema(g + 1j * grid.delta_axis[:, None], grid.eta_axis[None, :],
+                           sys.sigma, np.sqrt(grid.lambda_sq(g)), medium, report)
         sup = (np.abs(ratio) ** 2).max()
-        _require_finite("the estimate ratios", r, r_prime, g1_ratio, pw, sup,
-                        gamma=g, s=s, v=medium.v, c=medium.c)
+        _require_finite("the estimate ratios", r, r_prime, g1_ratio, extrema[-1],
+                        sup, gamma=g, s=s, v=medium.v, c=medium.c)
         done[i] = (dict(gamma=float(g), r=float(r), r_prime=float(r_prime),
-                        g1_ratio=float(g1_ratio), pointwise_min=float(pw.min()),
+                        g1_ratio=float(g1_ratio), pointwise_min=float(extrema[1]),
                         norm_f=float(math.sqrt(nf2)), norm_g=float(ng)),
-                   nfp, nfm, float(sup))
+                   nfp, nfm, float(sup), extrema)
 
     _split(lambda lo, hi: [item(i) for i in range(lo, hi)], len(done),
            len(gammas) * 2 * spectra[0].size)
-    constants, *per_gamma = done
+    hemisphere, *per_gamma = done
+    rows, nfp, nfm, sups, extrema = zip(*per_gamma)
+    constants = _constants(extrema, medium, hemisphere)
     rows = [EstimateRow(**row, pointwise_ok=bool(
-        row["pointwise_min"] >= constants.c_pointwise)) for row, *_ in per_gamma]
-    ratio_sup_sq = max((0.0, *(sup for *_, sup in per_gamma)))
+        row["pointwise_min"] >= constants.c_pointwise)) for row in rows]
+    ratio_sup_sq = max((0.0, *sups))
     rhs_constant = ratio_sup_sq * math.sqrt(2.0) * medium.c / 2.0
     return EstimateReport(rows, constants, ratio_sup_sq, rhs_constant, *(
-        {float(g): out[side] for g, out in zip(gammas, per_gamma)} for side in (1, 2)))
+        dict(zip(map(float, gammas), norms)) for norms in (nfp, nfm)))
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ LIBRARY = {
     "estimate constants tiny": (lambda: vf.estimate_constants(TINY),
                                 bad_result(CONSTANTS.format(AT_TINY))),
     "verify_estimate huge": (lambda: vf.verify_estimate(FIELD, HUGE, [1.0, 2.0], 0.0),
-                             bad_result(RATIOS.format(1.0, AT_HUGE))),
+                             bad_result(CONSTANTS.format(AT_HUGE))),
     "verify_estimate tiny": (lambda: vf.verify_estimate(FIELD, TINY, [1.0, 2.0], 0.0),
                              bad_result(CONSTANTS.format(AT_TINY))),
     "estimate ratios": (lambda: vf.verify_estimate(dense_field(), STABLE,
@@ -256,7 +256,7 @@ COMMANDS = {
     "solve system": (["solve", "--in", "{field}"], TINY_ARGS,
                      not_finite(SYSTEM.format(AT_TINY))),
     "verify huge": (["verify", "--in", "{field}"], HUGE_ARGS,
-                    not_finite(RATIOS.format(1.0, AT_HUGE))),
+                    not_finite(CONSTANTS.format(AT_HUGE))),
     "verify tiny": (["verify", "--in", "{field}"], TINY_ARGS,
                     not_finite(CONSTANTS.format(AT_TINY))),
     "verify ratios": (["verify", "--in", "{dense}", "--gammas", "1,1e110"], None,

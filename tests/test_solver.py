@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 import tracemalloc
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import vortexfront as vf
-from vortexfront import FieldGrid, Frequency, GridSpec, Medium, RegimeError
+from vortexfront import FieldGrid, Frequency, GridSpec, Medium, RegimeError, solver
 from vortexfront.solver import _bin_system, _front_hat
 from vortexfront.symbol import mu_grid
 
@@ -424,13 +425,27 @@ def test_estimate_constants_report(weakly_stable):
     assert 0.0 < cst.c_elliptic < cst.c_bound
     assert cst.c_cofactor > 0.0
     assert 0.0 < cst.c_pointwise < math.inf
-    # the pole (1, 0, 0) realizes |Sigma| = gamma*Lambda, so including it
-    # pins the constant at (or below) one
-    pole = (np.asarray([1.0]), np.asarray([0.0]), np.asarray([0.0]))
-    with_pole = vf.estimate_constants(weakly_stable, extra_points=pole)
-    assert with_pole.c_pointwise <= 1.0
+    # a sweep's bin delta = eta = 0 realizes |Sigma| = gamma*Lambda, so the
+    # constants merged over its bins pin c_pointwise at (or below) one
+    field = smooth_field(n_t=8, n_x1=8, n_x2=16)
+    assert vf.verify_estimate(field, weakly_stable, [1.0, 3.0], 0.0
+                              ).constants.c_pointwise <= 1.0
     elliptic = vf.estimate_constants(Medium.symmetric(1.0, 1.0))
     assert elliptic.c_cofactor == math.inf
+
+
+def test_a_sweep_evaluates_sigma_once_per_bin(monkeypatch, weakly_stable):
+    # The hemisphere's 120 x 240 sample, then each gamma's n_t x n_x1 bins:
+    # the constants take every bin's Sigma from its gamma's own roots.
+    points = []
+    for module in (solver, importlib.import_module("vortexfront.symbol")):
+        def counted(tau, eta, medium, _fn=module.mu_symbol_grid):
+            points.append(np.broadcast(np.asarray(tau), np.asarray(eta)).size)
+            return _fn(tau, eta, medium)
+        monkeypatch.setattr(module, "mu_symbol_grid", counted)
+    field = smooth_field(n_t=64, n_x1=64, n_x2=16)
+    vf.verify_estimate(field, weakly_stable, [1, 2, 4, 8, 16, 32, 64], 0.0)
+    assert sum(points) == 120 * 240 + 7 * 64 * 64
 
 
 def test_verify_estimate_table(fixture_field, weakly_stable):

@@ -162,7 +162,8 @@ def test_one_solve_transforms_both_sides_into_one_array(monkeypatch):
 def test_solve_and_estimate_are_independent_of_the_core_count(monkeypatch):
     # An even and an odd n_x2, with s = 0 and 1; the sweep's three gammas
     # and its constants are items of one split, and every number of the
-    # report is compared.
+    # report is compared.  The constants, merged from the items, are also
+    # those of the gammas in reverse order.
     medium = vf.Medium.symmetric(2.0, 1.0)
 
     def run():
@@ -171,6 +172,9 @@ def test_solve_and_estimate_are_independent_of_the_core_count(monkeypatch):
             field = smooth_field(n_t=16, n_x1=32, n_x2=n_x2, y_width=0.5)
             sol = vf.solve_front(field, medium, 1.5, s)
             report = vf.verify_estimate(field, medium, [1.0, 3.0, 10.0], s)
+            reverse = vf.verify_estimate(field, medium, [10.0, 3.0, 1.0], s)
+            assert (np.array(astuple(reverse.constants)).tobytes()
+                    == np.array(astuple(report.constants)).tobytes())
             out += [sol.f_hat, sol.f_phys, sol.system.i_plus, sol.system.i_minus,
                     np.array([astuple(r) for r in report.rows]),
                     np.array(astuple(report.constants)),
@@ -186,23 +190,37 @@ def test_solve_and_estimate_are_independent_of_the_core_count(monkeypatch):
 def test_estimate_constants_in_chunks_are_the_one_shot_constants(monkeypatch):
     # The chunked evaluation against the former whole-array body, kept here
     # as the reference: bitwise equal, in the weakly stable and the
-    # elliptic regime, with a sweep's bins as extra points, and with chunks
-    # that divide nothing (7) and that take the whole sample (1 << 20).
-    grid = GridSpec(16, 32, 24, 1.0, 1.0, 2.0)
-    bins = tuple(b.ravel() for b in np.meshgrid(
-        np.array([1.0, 3.0, 10.0]), grid.delta_axis, grid.eta_axis, indexing="ij"))
-    for medium, extra in ((vf.Medium.symmetric(2.0, 1.0), bins),
-                          (vf.Medium.symmetric(2.0, 1.0), None),
-                          (vf.Medium.symmetric(1.2, 1.0), bins)):
-        want = astuple(one_shot_constants(medium, extra))
+    # elliptic regime, and with chunks that divide nothing (7) and that
+    # take the whole sample (1 << 20).
+    for medium in (vf.Medium.symmetric(2.0, 1.0), vf.Medium.symmetric(1.2, 1.0)):
+        want = astuple(one_shot_constants(medium))
         for chunk in (solver._CONSTANTS_CHUNK, 7, 1 << 20):
             monkeypatch.setattr(solver, "_CONSTANTS_CHUNK", chunk)
-            got = astuple(solver.estimate_constants(medium, extra))
+            got = astuple(solver.estimate_constants(medium))
             assert np.array(got).tobytes() == np.array(want).tobytes(), chunk
 
 
-def one_shot_constants(medium, extra_points):
-    """estimate_constants as one evaluation over every point."""
+@pytest.mark.parametrize("c", [1.0, 2.0])
+@pytest.mark.parametrize("mach", [1.5, 2.0, 3.0])
+def test_sweep_constants_are_those_of_the_projected_bins(mach, c):
+    # A sweep merges the hemisphere's constants with each gamma's extrema of
+    # its own Sigma, scaled by Lambda.  The reference evaluates Sigma again
+    # at every bin projected onto the unit hemisphere, as sweeps once did;
+    # homogeneity makes the two agree to rounding.
+    medium = vf.Medium(mach * c, c)
+    field = smooth_field(n_t=16, n_x1=32, n_x2=24, y_width=0.5)
+    gammas = [1.0, 3.0, 10.0]
+    bins = np.meshgrid(np.array(gammas), field.grid.delta_axis,
+                       field.grid.eta_axis, indexing="ij")
+    got = astuple(vf.verify_estimate(field, medium, gammas, 0.0).constants)
+    want = astuple(one_shot_constants(medium, bins))
+    for a, b in zip(got, want):
+        assert a == b or abs(a - b) <= 1e-13 * abs(b), (got, want)
+
+
+def one_shot_constants(medium, extra_points=None):
+    """estimate_constants as one evaluation over every point, with the
+    (gamma, delta, eta) arrays extra_points projected onto the hemisphere."""
     report = vf.classify(medium)
     n_polar, n_azimuth, radius = solver._N_POLAR, solver._N_AZIMUTH, solver._RAY_RADIUS
     psi = (np.arange(n_polar) + 0.5) * (0.5 * np.pi / n_polar)
